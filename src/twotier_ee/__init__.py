@@ -13,10 +13,9 @@ from .config import ConfigError, DEFAULT_POWER_LEVELS, NetworkConfig, \
 from .topology import ChannelRealization, LargeScaleFading, PlacementError, \
     Topology, User, draw_shadowing, large_scale_gain, sample_channels, \
     sample_large_scale_fading, sample_topology
-from .linklevel import CombinerSet, LinkContext, LinkMetrics, \
+from .linklevel import LinkContext, LinkMetrics, \
     build_combiners, compute_link_metrics, group_ee, mrc_combiner, network_ee, \
-    power_profile_from_strategies, power_sum, rate, sample_link_context, sinr, \
-    user_ee, validate_power_profile
+    power_sum, rate, sample_link_context, sinr, user_ee, validate_power_profile
 from .egt import EgtResult, GameState, PopulationShare, average_payoff, \
     egt_step, new_games, player_payoff, population_share, run_algorithm1, \
     strategy_payoff

@@ -40,6 +40,24 @@ class OracleResult:
     evaluations: int     # number of joint strategies enumerated
 
 
+def _exhaustive(links: list, levels: tuple, objective) -> OracleResult:
+    """Enumerate every joint level choice of `links` in lexicographic order.
+
+    The strict `>` keeps the first maximizer: the smallest index tuple.
+    """
+    best_objective = -math.inf
+    best_profile = None
+    count = 0
+    for combo in itertools.product(range(len(levels)), repeat=len(links)):
+        profile = {link: levels[a] for link, a in zip(links, combo)}
+        value = objective(profile)
+        count += 1
+        if value > best_objective:
+            best_objective = value
+            best_profile = profile
+    return OracleResult(profile=best_profile, objective=best_objective, evaluations=count)
+
+
 def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
     """Maximize one subcarrier's group EE over all joint power choices."""
     players = context.topology.cells_on(subcarrier)
@@ -52,17 +70,8 @@ def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
         raise SizeGuardError(
             f"group search of {n_levels}^{m} profiles exceeds the 2^30 guard"
         )
-    best_objective = -math.inf
-    best_profile = None
-    count = 0
-    for combo in itertools.product(range(n_levels), repeat=m):
-        profile = {(cell, subcarrier): levels[a] for cell, a in zip(players, combo)}
-        value = group_ee(context, profile, subcarrier)
-        count += 1
-        if value > best_objective:
-            best_objective = value
-            best_profile = profile
-    return OracleResult(profile=best_profile, objective=best_objective, evaluations=count)
+    links = [(cell, subcarrier) for cell in players]
+    return _exhaustive(links, levels, lambda profile: group_ee(context, profile, subcarrier))
 
 
 def brute_force_global(context: LinkContext) -> OracleResult:
@@ -80,17 +89,7 @@ def brute_force_global(context: LinkContext) -> OracleResult:
             f"global search of {n_levels}^{len(links)} = {total} profiles "
             f"exceeds the 2^20 guard"
         )
-    best_objective = -math.inf
-    best_profile = None
-    count = 0
-    for combo in itertools.product(range(n_levels), repeat=len(links)):
-        profile = {link: levels[a] for link, a in zip(links, combo)}
-        value = network_ee(context, profile)
-        count += 1
-        if value > best_objective:
-            best_objective = value
-            best_profile = profile
-    return OracleResult(profile=best_profile, objective=best_objective, evaluations=count)
+    return _exhaustive(links, levels, lambda profile: network_ee(context, profile))
 
 
 @dataclass

@@ -72,10 +72,8 @@ def _load_spec(args, algorithm: str) -> ExperimentSpec:
         if args.seed < 0:
             raise ValueError("--seed must be nonnegative")
         config = dataclasses.replace(config, rng_seed=args.seed)
-    return ExperimentSpec(
-        config=config, algorithm=algorithm, n_drops=args.drops,
-        output_path=args.out, max_iterations=args.max_iters,
-    )
+    return ExperimentSpec(config=config, algorithm=algorithm, n_drops=args.drops,
+                          max_iterations=args.max_iters)
 
 
 def _summarize(records: list) -> str:
@@ -126,37 +124,35 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _run_paired(args, other: str) -> tuple:
+    """egt and `other` records of the same seeded drops, and the pairs where both succeeded."""
+    spec = _load_spec(args, "egt")
+    rec_egt = run_drops(spec)
+    rec_other = run_drops(dataclasses.replace(spec, algorithm=other))
+    pairs = [(a, b) for a, b in zip(rec_egt, rec_other)
+             if a.error is None and b.error is None]
+    return rec_egt, rec_other, pairs
+
+
 def _cmd_compare(args) -> int:
-    spec_egt = _load_spec(args, "egt")
-    spec_ngt = dataclasses.replace(spec_egt, algorithm="ngt")
-    rec_egt = run_drops(spec_egt)
-    rec_ngt = run_drops(spec_ngt)
+    rec_egt, rec_ngt, pairs = _run_paired(args, "ngt")
     print(f"egt: {_summarize(rec_egt)}")
     print(f"ngt: {_summarize(rec_ngt)}")
-    pairs = [(a.jain, b.jain) for a, b in zip(rec_egt, rec_ngt)
-             if a.error is None and b.error is None]
     if pairs:
-        wins = sum(1 for ja, jb in pairs if ja >= jb)
+        wins = sum(1 for a, b in pairs if a.jain >= b.jain)
         print(f"fairness: jain(egt) >= jain(ngt) in {wins}/{len(pairs)} paired drops")
     _emit(rec_egt + rec_ngt, args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    spec_egt = _load_spec(args, "egt")
-    spec_orc = dataclasses.replace(spec_egt, algorithm="brute-group")
-    rec_egt = run_drops(spec_egt)
-    rec_orc = run_drops(spec_orc)
-    gaps = []
-    dominated = 0
-    for a, o in zip(rec_egt, rec_orc):
-        if a.error is not None or o.error is not None:
-            continue
-        gaps.append((o.network_ee - a.network_ee) / o.network_ee)
-        dominated += o.network_ee >= a.network_ee - 1e-12 * abs(o.network_ee)
-    if not gaps:
+    rec_egt, rec_orc, pairs = _run_paired(args, "brute-group")
+    if not pairs:
         print("no successful paired drops")
         return 1
+    gaps = [(o.network_ee - a.network_ee) / o.network_ee for a, o in pairs]
+    dominated = sum(o.network_ee >= a.network_ee - 1e-12 * abs(o.network_ee)
+                    for a, o in pairs)
     print(f"per-group optimum vs egt over {len(gaps)} drops: "
           f"mean relative gap {100 * float(np.mean(gaps)):.3f}%, "
           f"max {100 * float(np.max(gaps)):.3f}%, "

@@ -79,7 +79,11 @@ def average_payoff(payoffs: dict) -> float:
     """Arithmetic mean payoff over the players actually present."""
     if not payoffs:
         raise ValueError("average payoff of an empty game is undefined")
-    return sum(payoffs.values()) / len(payoffs)
+    # left to right: builtin sum() of floats is compensated from Python 3.12
+    total = 0.0
+    for value in payoffs.values():
+        total += value
+    return total / len(payoffs)
 
 
 @dataclass
@@ -115,7 +119,10 @@ def strategy_payoff(game: GameState, shares: PopulationShare, context: LinkConte
     for a, k in shares.counts.items():
         if k == 0:
             continue
-        total = sum(payoffs[cell] for cell in game.players if game.strategy[cell] == a)
+        total = 0.0   # left to right, as in average_payoff
+        for cell in game.players:
+            if game.strategy[cell] == a:
+                total += payoffs[cell]
         out[a] = total / k
     return out
 

@@ -78,7 +78,6 @@ class ExperimentSpec:
     algorithm: str = "egt"
     n_drops: int = 1
     sweep: SweepSpec = None
-    output_path: str = None
     max_iterations: int = 64
 
     def __post_init__(self):

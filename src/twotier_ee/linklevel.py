@@ -5,6 +5,9 @@ applies maximum-ratio combining matched to its own user's channel, so
 co-channel users of other cells enter as residual interference after
 combining.  Energy efficiency is spectral efficiency per watt of total
 (transmit + circuit) power.
+
+Within a drop only the transmit powers change, so every evaluation reads
+one per-drop table of post-combining gains built once from the channels.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from .topology import ChannelRealization, LargeScaleFading, Topology, sample_top
     sample_large_scale_fading, sample_channels
 
 __all__ = [
-    "PowerProfile", "CombinerSet", "LinkMetrics", "LinkContext",
+    "PowerProfile", "LinkMetrics", "LinkContext",
     "mrc_combiner", "build_combiners", "sinr", "rate", "power_sum", "user_ee",
     "group_ee", "network_ee", "compute_link_metrics", "sample_link_context",
-    "power_profile_from_strategies", "validate_power_profile",
+    "validate_power_profile",
 ]
 
 # mapping (cell, subcarrier) -> transmit power in watts, one entry per active link
@@ -36,26 +39,30 @@ def mrc_combiner(g: np.ndarray) -> np.ndarray:
     return g / norm
 
 
-@dataclass
-class CombinerSet:
-    """One receive combiner per active link, keyed (cell, subcarrier)."""
+def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
+    """Post-combining gain table of one drop.
 
-    a: dict
-
-    def combiner(self, cell: int, subcarrier: int) -> np.ndarray:
-        return self.a[(cell, subcarrier)]
-
-
-def build_combiners(topology: Topology, channels: ChannelRealization) -> CombinerSet:
-    a = {}
+    Maps each link (cell, subcarrier) to (own, interference, a_norm2) for
+    its MRC combiner a, built once: own = |a^H g_own|^2, interference =
+    ((other cell, |a^H g_other|^2), ...) over the co-channel cells in
+    ascending order, and a_norm2 = ||a||^2, the combiner's gain on noise.
+    """
+    gains = {}
     for cell, sc in topology.links():
-        a[(cell, sc)] = mrc_combiner(channels.vector(cell, cell, sc))
-    return CombinerSet(a=a)
+        g_own = channels.vector(cell, cell, sc)
+        a = mrc_combiner(g_own)
+        interference = tuple(
+            (other, np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2)
+            for other in topology.cells_on(sc) if other != cell
+        )
+        gains[(cell, sc)] = (np.abs(np.vdot(a, g_own)) ** 2, interference,
+                             float(np.vdot(a, a).real))
+    return gains
 
 
 @dataclass
 class LinkContext:
-    """Everything static about one drop: geometry, fading, channels, combiners.
+    """Everything static about one drop: geometry, fading, channels, gains.
 
     Transmit powers are the only free variable on top of a context, so all
     algorithms evaluating the same drop share exactly these realizations.
@@ -65,7 +72,7 @@ class LinkContext:
     topology: Topology
     fading: LargeScaleFading
     channels: ChannelRealization
-    combiners: CombinerSet
+    gains: dict           # (cell, subcarrier) -> post-combining gains, see build_combiners
 
 
 def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> LinkContext:
@@ -73,29 +80,25 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
     topology = sample_topology(config, rng)
     fading = sample_large_scale_fading(topology, config, rng)
     channels = sample_channels(topology, fading, config, rng)
-    combiners = build_combiners(topology, channels)
-    return LinkContext(
-        config=config, topology=topology, fading=fading,
-        channels=channels, combiners=combiners,
-    )
+    return LinkContext(config=config, topology=topology, fading=fading,
+                       channels=channels, gains=build_combiners(topology, channels))
 
 
 def sinr(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
     """Post-combining SINR of the user served by `cell` on `subcarrier`.
 
     Interference comes only from co-channel users of other cells; OFDMA
-    keeps a cell's own users orthogonal.
+    keeps a cell's own users orthogonal.  Interferers are summed in
+    ascending cell order, so the result is bit-reproducible.
     """
-    a = context.combiners.combiner(cell, subcarrier)
-    g_own = context.channels.vector(cell, cell, subcarrier)
-    signal = profile[(cell, subcarrier)] * np.abs(np.vdot(a, g_own)) ** 2
+    own, interferers, a_norm2 = context.gains[(cell, subcarrier)]
+    signal = profile[(cell, subcarrier)] * own
+    # one by one: a vector sum reorders the additions, and total minus signal
+    # cancels under massive-MIMO gain; either changes the emitted digits
     interference = 0.0
-    for other in context.topology.cells_on(subcarrier):
-        if other == cell:
-            continue
-        g_int = context.channels.vector(cell, other, subcarrier)
-        interference += profile[(other, subcarrier)] * np.abs(np.vdot(a, g_int)) ** 2
-    noise = float(np.vdot(a, a).real) * context.config.noise_power
+    for other, gain in interferers:
+        interference += profile[(other, subcarrier)] * gain
+    noise = a_norm2 * context.config.noise_power
     return float(signal / (interference + noise))
 
 
@@ -146,9 +149,12 @@ class LinkMetrics:
     network_ee: float
 
     def cell_ee(self, cell: int) -> float:
-        """Sum EE over one cell's links, subcarriers ascending."""
-        return sum(v for (c, sc), v in sorted(self.ee.items(), key=lambda kv: kv[0][1])
-                   if c == cell)
+        """Sum EE over one cell's links, subcarriers ascending (insertion order)."""
+        total = 0.0   # left to right: builtin sum() of floats is compensated from 3.12
+        for (c, _), v in self.ee.items():
+            if c == cell:
+                total += v
+        return total
 
 
 def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMetrics:
@@ -172,17 +178,6 @@ def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMet
         total += g_total
     return LinkMetrics(sinr=sinr_map, rate=rate_map, ee=ee_map,
                        group_ee=group_map, network_ee=total)
-
-
-def power_profile_from_strategies(context: LinkContext, strategies: dict) -> PowerProfile:
-    """Map per-link strategy indices onto the discrete power levels."""
-    levels = context.config.power_levels
-    profile = {}
-    for link, idx in strategies.items():
-        if not 0 <= idx < len(levels):
-            raise ValueError(f"strategy index {idx} out of range for link {link}")
-        profile[link] = levels[idx]
-    return profile
 
 
 def validate_power_profile(context: LinkContext, profile: PowerProfile) -> None:

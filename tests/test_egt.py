@@ -39,7 +39,7 @@ def manual_two_player_context(channels, config):
     ch = ChannelRealization(g=g)
     fading = LargeScaleFading(beta={k: 1.0 for k in g}, shadow={k: 1.0 for k in g})
     return LinkContext(config=config, topology=topo, fading=fading,
-                       channels=ch, combiners=build_combiners(topo, ch))
+                       channels=ch, gains=build_combiners(topo, ch))
 
 
 def hand_trace_context():

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from twotier_ee import linklevel
 from twotier_ee.config import NetworkConfig
 from twotier_ee.linklevel import (
-    CombinerSet, LinkContext, build_combiners, compute_link_metrics, group_ee,
-    mrc_combiner, network_ee, power_profile_from_strategies, power_sum, rate,
-    sample_link_context, sinr, user_ee, validate_power_profile,
+    build_combiners, compute_link_metrics, group_ee, mrc_combiner, network_ee,
+    power_sum, rate, sample_link_context, sinr, user_ee, validate_power_profile,
 )
 
 
@@ -52,9 +54,12 @@ class TestCombiner:
 
     def test_build_covers_links(self):
         ctx = make_context(1)
-        assert set(ctx.combiners.a) == set(ctx.topology.links())
-        for a in ctx.combiners.a.values():
-            assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
+        assert set(ctx.gains) == set(ctx.topology.links())
+        for (cell, sc), (_, interferers, a_norm2) in ctx.gains.items():
+            # ||a||^2 of the unit-norm MRC combiner
+            assert a_norm2 == pytest.approx(1.0, rel=1e-12)
+            assert [other for other, _ in interferers] == \
+                [c for c in ctx.topology.cells_on(sc) if c != cell]
 
 
 class TestSinr:
@@ -75,13 +80,13 @@ class TestSinr:
         expected = p * np.linalg.norm(g) ** 2 / ctx.config.noise_power
         assert sinr(ctx, {(cell, sc): p}, cell, sc) == pytest.approx(expected, rel=1e-12)
 
-    def test_scale_invariance_of_combiner(self):
+    def test_scale_invariance_of_combiner(self, monkeypatch):
         ctx = make_context(5)
         profile = uniform_profile(ctx, 0.01)
-        scaled = CombinerSet(a={k: 7.3 * v for k, v in ctx.combiners.a.items()})
-        ctx_scaled = LinkContext(config=ctx.config, topology=ctx.topology,
-                                 fading=ctx.fading, channels=ctx.channels,
-                                 combiners=scaled)
+        monkeypatch.setattr(linklevel, "mrc_combiner", lambda g: 7.3 * mrc_combiner(g))
+        ctx_scaled = dataclasses.replace(
+            ctx, gains=build_combiners(ctx.topology, ctx.channels))
+        assert ctx_scaled.gains[ctx.topology.links()[0]][2] == pytest.approx(7.3 ** 2)
         for cell, sc in ctx.topology.links():
             assert sinr(ctx_scaled, profile, cell, sc) == pytest.approx(
                 sinr(ctx, profile, cell, sc), rel=1e-12)
@@ -183,20 +188,3 @@ class TestMetrics:
         with pytest.raises(ValueError, match="power"):
             validate_power_profile(ctx, bad)
 
-
-class TestStrategyMapping:
-    def test_indices_map_to_levels(self):
-        ctx = make_context(15)
-        links = ctx.topology.links()
-        strategies = {link: i % ctx.config.n_power_levels for i, link in enumerate(links)}
-        profile = power_profile_from_strategies(ctx, strategies)
-        for link in links:
-            assert profile[link] == ctx.config.power_levels[strategies[link]]
-
-    def test_out_of_range_index_rejected(self):
-        ctx = make_context(16)
-        link = ctx.topology.links()[0]
-        with pytest.raises(ValueError):
-            power_profile_from_strategies(ctx, {link: 8})
-        with pytest.raises(ValueError):
-            power_profile_from_strategies(ctx, {link: -1})
