@@ -19,7 +19,7 @@ import numpy as np
 from .config import load_config
 from .harness import (
     ALGORITHMS, SWEEP_PARAMETERS, ExperimentSpec, SweepSpec,
-    emit_results, emit_sweep, run_drops, sweep, trace_path_for,
+    emit_results, emit_sweep, failure_counts, run_drops, sweep, trace_path_for,
 )
 
 __all__ = ["main", "build_parser"]
@@ -92,6 +92,12 @@ def _summarize(records: list) -> str:
     return line
 
 
+def _report_failures(label: str, failures: dict) -> None:
+    """Each distinct reason a drop failed, with its drop count, on stderr."""
+    for error, count in failures.items():
+        print(f"{label}: {count} drop(s) failed: {error}", file=sys.stderr)
+
+
 def _emit(records: list, out: str) -> None:
     if out is None:
         return
@@ -103,6 +109,7 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args, args.algorithm)
     records = run_drops(spec)
     print(f"{spec.algorithm}: {_summarize(records)}")
+    _report_failures(spec.algorithm, failure_counts(records))
     _emit(records, args.out)
     return 0
 
@@ -118,6 +125,7 @@ def _cmd_sweep(args) -> int:
         print(f"{row.parameter}={row.value:g}: mean_network_ee={row.mean_network_ee:.6g} "
               f"(±{row.ee_ci95:.3g}) mean_jain={row.mean_jain:.4f} "
               f"(±{row.jain_ci95:.3g}) drops={row.n_drops}")
+        _report_failures(f"{row.parameter}={row.value:g}", row.failures)
     if args.out is not None:
         emit_sweep(rows, args.out)
         print(f"wrote {args.out}")
@@ -129,6 +137,8 @@ def _run_paired(args, other: str) -> tuple:
     spec = _load_spec(args, "egt")
     rec_egt = run_drops(spec)
     rec_other = run_drops(dataclasses.replace(spec, algorithm=other))
+    _report_failures("egt", failure_counts(rec_egt))
+    _report_failures(other, failure_counts(rec_other))
     pairs = [(a, b) for a, b in zip(rec_egt, rec_other)
              if a.error is None and b.error is None]
     return rec_egt, rec_other, pairs

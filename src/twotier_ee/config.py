@@ -43,6 +43,12 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
+        # NaN slips past the range checks below, and inf fails only deep in a drop
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if f.name in _LIST_FIELDS else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not self.macro_radius > self.small_radius > 0:
             raise ConfigError("radii must satisfy macro_radius > small_radius > 0")
         if self.n_small_cells < 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .linklevel import compute_link_metrics, sample_link_context
 __all__ = [
     "ALGORITHMS", "SWEEP_PARAMETERS", "ExperimentSpec", "SweepSpec", "RunRecord",
     "SweepRow", "jain_index", "child_seed", "scenario_rng", "algorithm_rng",
-    "run_drops", "sweep", "emit_results", "parse_results", "emit_sweep",
+    "run_drops", "failure_counts", "sweep", "emit_results", "parse_results", "emit_sweep",
     "trace_path_for",
 ]
 
@@ -217,6 +218,11 @@ def run_drops(spec: ExperimentSpec, config: NetworkConfig = None) -> list:
     return records
 
 
+def failure_counts(records: list) -> Counter:
+    """Number of failed drops per distinct error text, in first-seen order."""
+    return Counter(r.error for r in records if r.error is not None)
+
+
 @dataclass
 class SweepRow:
     """Aggregate over all drops at one sweep value."""
@@ -228,6 +234,7 @@ class SweepRow:
     ee_ci95: float
     mean_jain: float
     jain_ci95: float
+    failures: Counter = field(default_factory=Counter)   # not part of the sweep table
 
 
 def _mean_ci(values: list) -> tuple:
@@ -255,7 +262,7 @@ def sweep(spec: ExperimentSpec) -> list:
         rows.append(SweepRow(
             parameter=spec.sweep.parameter, value=float(value),
             n_drops=len(records), mean_network_ee=ee_mean, ee_ci95=ee_ci,
-            mean_jain=jain_mean, jain_ci95=jain_ci,
+            mean_jain=jain_mean, jain_ci95=jain_ci, failures=failure_counts(records),
         ))
     return rows
 

@@ -92,10 +92,11 @@ class Topology:
         return sorted(self._by_link, key=lambda ks: (ks[1], ks[0]))
 
 
-def _uniform_in_disc(center, radius: float, rng: np.random.Generator) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return np.asarray(center, dtype=float) + r * np.array([np.cos(theta), np.sin(theta)])
+def _uniform_in_disc(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    u = rng.uniform(size=(n, 2))
+    r = radius * np.sqrt(u[:, 0])
+    theta = 2.0 * np.pi * u[:, 1]
+    return center + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
 def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology:
@@ -108,7 +109,7 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
     replacement.
     """
     mbs = np.zeros(2)
-    sbs = []
+    sbs = np.zeros((0, 2))
     attempts = 0
     while len(sbs) < config.n_small_cells:
         if attempts >= _PLACEMENT_RETRY_CAP:
@@ -117,22 +118,21 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
                 f"in the macro disc after {_PLACEMENT_RETRY_CAP} attempts"
             )
         attempts += 1
-        candidate = _uniform_in_disc(mbs, config.macro_radius, rng)
+        candidate = _uniform_in_disc(mbs, config.macro_radius, 1, rng)[0]
         if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
-            sbs.append(candidate)
-    sbs_positions = np.array(sbs) if sbs else np.zeros((0, 2))
+            sbs = np.vstack([sbs, candidate])
 
     users = []
     for cell in range(config.n_cells):
-        center = mbs if cell == 0 else sbs_positions[cell - 1]
+        center = mbs if cell == 0 else sbs[cell - 1]
         radius = config.macro_radius if cell == 0 else config.small_radius
         subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
-        for sc in np.sort(subcarriers):
-            pos = _uniform_in_disc(center, radius, rng)
-            users.append(User(cell=cell, subcarrier=int(sc), position=(pos[0], pos[1])))
+        positions = _uniform_in_disc(center, radius, config.n_users_per_cell, rng)
+        for sc, (x, y) in zip(np.sort(subcarriers), positions):
+            users.append(User(cell=cell, subcarrier=int(sc), position=(x, y)))
     return Topology(
         mbs_position=mbs,
-        sbs_positions=sbs_positions,
+        sbs_positions=sbs,
         users=users,
         n_subcarriers=config.n_subcarriers,
     )
@@ -151,9 +151,11 @@ def large_scale_gain(distance: float, config: NetworkConfig, shadow_draw: float)
     return config.antenna_constant * shadow_draw / d ** config.path_loss_exponent
 
 
-def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size=None):
+def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.ndarray:
     """Log-normal shadowing: 10*log10(value) is N(0, shadowing_std_db^2)."""
-    return 10.0 ** (rng.normal(0.0, config.shadowing_std_db, size=size) / 10.0)
+    draws = rng.normal(0.0, config.shadowing_std_db, size=size)
+    # a Python float power per value: numpy's vector power rounds some differently
+    return np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
 
 
 @dataclass
@@ -167,9 +169,6 @@ class LargeScaleFading:
     beta: dict
     shadow: dict
 
-    def gain(self, receiver: int, cell: int, subcarrier: int) -> float:
-        return self.beta[(receiver, cell, subcarrier)]
-
 
 def sample_large_scale_fading(
     topology: Topology, config: NetworkConfig, rng: np.random.Generator
@@ -177,22 +176,20 @@ def sample_large_scale_fading(
     """Draw shadowing and compute the gain from every user to every BS.
 
     One independent shadowing draw per (receiver BS, user) link, fixed for
-    the lifetime of the drop.  Iteration order is fixed (receivers ascending,
-    users sorted by (subcarrier, cell)) so the draw is seed-reproducible.
+    the lifetime of the drop, drawn as one (receiver, link) block: receivers
+    ascending, links in `Topology.links()` order.
     """
-    beta = {}
-    shadow = {}
     links = topology.links()
-    for receiver in range(topology.n_cells):
-        rx_pos = topology.bs_position(receiver)
-        for cell, sc in links:
-            user = topology.user(cell, sc)
-            distance = float(np.linalg.norm(rx_pos - np.asarray(user.position)))
-            varsigma = float(draw_shadowing(config, rng))
-            shadow[(receiver, cell, sc)] = varsigma
-            beta[(receiver, cell, sc)] = large_scale_gain(
-                max(distance, MIN_DISTANCE_M), config, varsigma
-            )
+    receivers = np.vstack([topology.mbs_position, topology.sbs_positions])
+    users = np.array([topology.user(cell, sc).position for cell, sc in links])
+    offset = (receivers[:, None, :] - users[None, :, :])[:, :, None, :]
+    # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
+    distance = np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0]
+    varsigma = draw_shadowing(config, rng, size=distance.shape)
+    keys = [(receiver, cell, sc) for receiver in range(topology.n_cells) for cell, sc in links]
+    shadow = dict(zip(keys, varsigma.ravel().tolist()))
+    beta = {key: large_scale_gain(max(d, MIN_DISTANCE_M), config, shadow[key])
+            for key, d in zip(keys, distance.ravel().tolist())}
     return LargeScaleFading(beta=beta, shadow=shadow)
 
 
@@ -211,22 +208,24 @@ class ChannelRealization:
         return self.g[(receiver, cell, subcarrier)]
 
 
-def _complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-
-
 def sample_channels(
     topology: Topology,
     fading: LargeScaleFading,
     config: NetworkConfig,
     rng: np.random.Generator,
 ) -> ChannelRealization:
-    """Draw one Rayleigh realization for every (receiver, user) link."""
+    """Draw one Rayleigh realization for every (receiver, user) link.
+
+    Per receiver, one standard-normal block (links(), 2, antennas): real, then imaginary parts.
+    """
     g = {}
     links = topology.links()
     for receiver in range(topology.n_cells):
         n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
-        for cell, sc in links:
-            h = _complex_gaussian(n_rx, rng)
-            g[(receiver, cell, sc)] = np.sqrt(fading.beta[(receiver, cell, sc)]) * h
+        z = rng.standard_normal((len(links), 2, n_rx))
+        h = z[:, 1] * 1j  # in place from here: one complex block is held at a time
+        h += z[:, 0]
+        h /= np.sqrt(2.0)
+        h *= np.sqrt([fading.beta[(receiver, cell, sc)] for cell, sc in links])[:, None]
+        g.update(((receiver, cell, sc), row) for (cell, sc), row in zip(links, h))
     return ChannelRealization(g=g)

@@ -93,6 +93,13 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_finite_sweep_value_rejected(self, config_file, capsys):
+        code = run_cli("sweep", "--config", config_file,
+                       "--param", "noise_psd_dbm_per_hz", "--values", "nan,-180")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestCompare:
     def test_paired_summary_and_combined_output(self, config_file, tmp_path, capsys):
@@ -123,6 +130,31 @@ class TestOracle:
                        "n_users_per_cell = 1\nmacro_radius = 150\n")
         assert run_cli("oracle", "--config", bad) == 1
         assert "no successful paired drops" in capsys.readouterr().out
+
+
+GUARD_CONFIG_TEXT = """\
+# 9 co-channel cells with 16 levels each: 16^9 group profiles trip the 2^30 guard
+n_small_cells = 8
+n_subcarriers = 1
+n_users_per_cell = 1
+power_levels = {}
+""".format(", ".join(str(0.001 * (k + 1)) for k in range(16)))
+
+
+class TestFailureReasons:
+    @pytest.mark.parametrize("argv, code", [
+        (("simulate", "--algorithm", "brute-group"), 0),
+        (("oracle",), 1),
+        (("sweep", "--algorithm", "brute-group", "--param", "noise_psd_dbm_per_hz",
+          "--values=-194"), 0),
+    ])
+    def test_failed_drop_reason_on_stderr(self, tmp_path, capsys, argv, code):
+        path = tmp_path / "guarded.cfg"
+        path.write_text(GUARD_CONFIG_TEXT)
+        assert run_cli(*argv, "--config", path, "--drops", 2) == code
+        captured = capsys.readouterr()
+        assert "2^30 guard" in captured.err
+        assert "2^30 guard" not in captured.out
 
 
 class TestErrorHandling:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -6,6 +7,9 @@ from twotier_ee.config import (
     ConfigError, DEFAULT_POWER_LEVELS, NetworkConfig,
     format_config, parse_config,
 )
+
+
+FLOAT_FIELDS = [f.name for f in fields(NetworkConfig) if f.type in ("float", float)]
 
 
 def small_config(**overrides):
@@ -88,6 +92,13 @@ class TestValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             small_config(rng_seed=-1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [*FLOAT_FIELDS, "power_levels"])
+    def test_non_finite_values_rejected(self, field, bad):
+        value = (*DEFAULT_POWER_LEVELS, bad) if field == "power_levels" else bad
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            small_config(**{field: value})
 
     def test_zero_small_cells_allowed(self):
         assert small_config(n_small_cells=0).n_cells == 1

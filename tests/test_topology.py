@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twotier_ee.config import NetworkConfig
 from twotier_ee.topology import (
-    PlacementError, Topology, User, draw_shadowing, large_scale_gain,
+    MIN_DISTANCE_M, PlacementError, Topology, User, draw_shadowing, large_scale_gain,
     sample_channels, sample_large_scale_fading, sample_topology,
 )
 
@@ -197,3 +200,117 @@ class TestFadingAndChannels:
         assert set(a.g) == set(b.g)
         for key in a.g:
             assert np.array_equal(a.g[key], b.g[key])
+
+
+# Reference sampler: one user, one link and one vector at a time, in the order
+# the block draws must reproduce.  Kept here so the block sampler is checked
+# against it value for value and for the generator state it leaves behind.
+
+def reference_point_in_disc(center, radius, rng):
+    r = radius * np.sqrt(rng.uniform())
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return np.asarray(center, dtype=float) + r * np.array([np.cos(theta), np.sin(theta)])
+
+
+def reference_topology(config, rng):
+    mbs = np.zeros(2)
+    sbs = []
+    while len(sbs) < config.n_small_cells:
+        candidate = reference_point_in_disc(mbs, config.macro_radius, rng)
+        if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
+            sbs.append(candidate)
+    sbs_positions = np.array(sbs) if sbs else np.zeros((0, 2))
+    users = []
+    for cell in range(config.n_cells):
+        center = mbs if cell == 0 else sbs_positions[cell - 1]
+        radius = config.macro_radius if cell == 0 else config.small_radius
+        subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
+        for sc in np.sort(subcarriers):
+            pos = reference_point_in_disc(center, radius, rng)
+            users.append(User(cell=cell, subcarrier=int(sc), position=(pos[0], pos[1])))
+    return Topology(mbs_position=mbs, sbs_positions=sbs_positions, users=users,
+                    n_subcarriers=config.n_subcarriers)
+
+
+def reference_fading(topology, config, rng):
+    beta, shadow = {}, {}
+    for receiver in range(topology.n_cells):
+        rx_pos = topology.bs_position(receiver)
+        for cell, sc in topology.links():
+            user = topology.user(cell, sc)
+            distance = float(np.linalg.norm(rx_pos - np.asarray(user.position)))
+            varsigma = float(10.0 ** (rng.normal(0.0, config.shadowing_std_db) / 10.0))
+            shadow[(receiver, cell, sc)] = varsigma
+            beta[(receiver, cell, sc)] = large_scale_gain(
+                max(distance, MIN_DISTANCE_M), config, varsigma)
+    return beta, shadow
+
+
+def reference_channels(topology, beta, config, rng):
+    g = {}
+    for receiver in range(topology.n_cells):
+        n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
+        for cell, sc in topology.links():
+            h = (rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)) / np.sqrt(2.0)
+            g[(receiver, cell, sc)] = np.sqrt(beta[(receiver, cell, sc)]) * h
+    return g
+
+
+def assert_matches_reference(config, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    topo, ref_topo = sample_topology(config, rng), reference_topology(config, ref_rng)
+    assert topo.users == ref_topo.users
+    assert np.array_equal([u.position for u in topo.users],
+                          [u.position for u in ref_topo.users])
+    assert np.array_equal(topo.sbs_positions, ref_topo.sbs_positions)
+    fading = sample_large_scale_fading(topo, config, rng)
+    ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
+    assert list(fading.beta.items()) == list(ref_beta.items())
+    assert list(fading.shadow.items()) == list(ref_shadow.items())
+    g = sample_channels(topo, fading, config, rng).g
+    ref_g = reference_channels(ref_topo, ref_beta, config, ref_rng)
+    assert list(g) == list(ref_g)
+    for key, vector in g.items():
+        assert vector.shape == ref_g[key].shape
+        assert np.array_equal(vector, ref_g[key])
+    assert rng.random() == ref_rng.random()
+
+
+@st.composite
+def small_configs(draw):
+    n_subcarriers = draw(st.integers(1, 6))
+    n_antennas_sbs = draw(st.integers(1, 8))
+    return NetworkConfig(
+        n_small_cells=draw(st.integers(0, 3)),
+        n_subcarriers=n_subcarriers,
+        n_users_per_cell=draw(st.integers(1, n_subcarriers)),
+        n_antennas_mbs=draw(st.sampled_from([n_antennas_sbs, 16])),
+        n_antennas_sbs=n_antennas_sbs,
+        shadowing_std_db=draw(st.sampled_from([0.0, math.sqrt(10.0)])),
+    )
+
+
+class TestStreamPreservation:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(config=small_configs(), seed=st.integers(0, 2**32))
+    def test_block_sampler_matches_scalar_reference(self, config, seed):
+        assert_matches_reference(config, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_sampler_matches_scalar_reference_at_reference_scale(self, seed):
+        assert_matches_reference(cfg(), seed)
+
+    def test_user_at_its_base_station(self):
+        config = cfg(n_small_cells=1, n_subcarriers=1, n_users_per_cell=1)
+        topo = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[300.0, 400.0]]),
+                        users=[User(cell=0, subcarrier=0, position=(0.0, 0.0)),
+                               User(cell=1, subcarrier=0, position=(300.0, 400.0))],
+                        n_subcarriers=1)
+        fading = sample_large_scale_fading(topo, config, np.random.default_rng(3))
+        for cell in (0, 1):
+            key = (cell, cell, 0)
+            assert fading.beta[key] == large_scale_gain(1.0, config, fading.shadow[key])
+        assert fading.beta[(0, 1, 0)] == large_scale_gain(500.0, config, fading.shadow[(0, 1, 0)])
+        ref_beta, ref_shadow = reference_fading(topo, config, np.random.default_rng(3))
+        assert list(fading.beta.items()) == list(ref_beta.items())
+        assert list(fading.shadow.items()) == list(ref_shadow.items())
