@@ -16,9 +16,7 @@ from .topology import ChannelRealization, LargeScaleFading, PlacementError, \
 from .linklevel import LinkContext, LinkMetrics, \
     build_combiners, compute_link_metrics, group_ee, mrc_combiner, network_ee, \
     power_sum, rate, sample_link_context, sinr, user_ee, validate_power_profile
-from .egt import EgtResult, GameState, PopulationShare, average_payoff, \
-    egt_step, new_games, player_payoff, population_share, run_algorithm1, \
-    strategy_payoff
+from .egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from .replicator import ReplicatorState, Trajectory, equilibrium_stability, \
     integrate_replicator, replicator_rhs
 from .baselines import NgtResult, OracleResult, SizeGuardError, \

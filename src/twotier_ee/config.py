@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = ["NetworkConfig", "ConfigError", "load_config", "parse_config", "format_config"]
@@ -43,9 +44,13 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
-        # NaN slips past the range checks below, and inf fails only deep in a drop
+        # NaN slips past the range checks below, and inf or a fractional count
+        # (n_cells == 2.5) fails only deep in a drop; bool is an Integral
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name in _INT_FIELDS and (isinstance(value, bool)
+                                          or not isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             values = value if f.name in _LIST_FIELDS else (value,)
             if not all(math.isfinite(v) for v in values):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")

@@ -48,14 +48,14 @@ class Trajectory:
         return self.states[-1]
 
 
-def replicator_rhs(x, strategy_payoffs, avg: float) -> np.ndarray:
+def replicator_rhs(x, payoffs, avg: float) -> np.ndarray:
     """Share growth rates: x_a * (payoff_a - average payoff).
 
     With avg equal to the share-weighted mean payoff the components sum to
     zero, so the flow stays on the simplex.
     """
     x = np.asarray(x, dtype=float)
-    pi = np.asarray(strategy_payoffs, dtype=float)
+    pi = np.asarray(payoffs, dtype=float)
     if x.shape != pi.shape:
         raise ValueError(f"shape mismatch: shares {x.shape} vs payoffs {pi.shape}")
     return x * (pi - avg)

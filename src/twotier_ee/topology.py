@@ -48,7 +48,6 @@ class Topology:
     mbs_position: np.ndarray
     sbs_positions: np.ndarray          # (K, 2)
     users: list
-    n_subcarriers: int
     _by_link: dict = field(init=False, repr=False)
     _cells_on: dict = field(init=False, repr=False)
 
@@ -130,12 +129,7 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
         positions = _uniform_in_disc(center, radius, config.n_users_per_cell, rng)
         for sc, (x, y) in zip(np.sort(subcarriers), positions):
             users.append(User(cell=cell, subcarrier=int(sc), position=(x, y)))
-    return Topology(
-        mbs_position=mbs,
-        sbs_positions=sbs,
-        users=users,
-        n_subcarriers=config.n_subcarriers,
-    )
+    return Topology(mbs_position=mbs, sbs_positions=sbs, users=users)
 
 
 def large_scale_gain(distance: float, config: NetworkConfig, shadow_draw: float) -> float:

@@ -1,10 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from twotier_ee.cli import main
 from twotier_ee.harness import parse_results
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CONFIG_TEXT = """\
 # desk-scale scenario for CLI checks
@@ -193,10 +197,13 @@ class TestErrorHandling:
 class TestEntryPoint:
     def test_module_invocation(self, config_file, tmp_path):
         out = tmp_path / "mod.csv"
+        # pytest's pythonpath setting reaches only its own process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "twotier_ee", "simulate",
              "--config", str(config_file), "--drops", "1", "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from twotier_ee.config import (
@@ -10,6 +11,7 @@ from twotier_ee.config import (
 
 
 FLOAT_FIELDS = [f.name for f in fields(NetworkConfig) if f.type in ("float", float)]
+INT_FIELDS = [f.name for f in fields(NetworkConfig) if f.type in ("int", int)]
 
 
 def small_config(**overrides):
@@ -99,6 +101,23 @@ class TestValidation:
         value = (*DEFAULT_POWER_LEVELS, bad) if field == "power_levels" else bad
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_non_integer_counts_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_config(**{field: bad})
+
+    def test_integer_fields_cover_every_count_and_the_seed(self):
+        assert INT_FIELDS == ["n_small_cells", "n_subcarriers", "n_users_per_cell",
+                              "n_antennas_mbs", "n_antennas_sbs", "rng_seed"]
+
+    def test_numpy_and_python_integers_accepted(self):
+        cfg = small_config(n_small_cells=np.int64(2), n_subcarriers=np.int32(6),
+                           n_users_per_cell=np.uint8(6), n_antennas_mbs=np.int16(64),
+                           n_antennas_sbs=4, rng_seed=np.int64(7))
+        assert cfg.n_cells == 3
+        assert parse_config(format_config(cfg)) == cfg
 
     def test_zero_small_cells_allowed(self):
         assert small_config(n_small_cells=0).n_cells == 1

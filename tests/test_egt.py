@@ -1,13 +1,12 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twotier_ee.config import NetworkConfig
-from twotier_ee.egt import (
-    GameState, average_payoff, egt_step, new_games, player_payoff,
-    population_share, run_algorithm1, strategy_payoff, unexplored_levels,
-)
+from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
+from twotier_ee.egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     LinkContext, build_combiners, sample_link_context, user_ee,
 )
@@ -34,7 +33,7 @@ def manual_two_player_context(channels, config):
              User(cell=1, subcarrier=0, position=(520.0, 0.0))]
     topo = Topology(mbs_position=np.zeros(2),
                     sbs_positions=np.array([[500.0, 0.0]]),
-                    users=users, n_subcarriers=1)
+                    users=users)
     g = {(rx, c, 0): np.asarray(v, dtype=complex) for (rx, c), v in channels.items()}
     ch = ChannelRealization(g=g)
     fading = LargeScaleFading(beta={k: 1.0 for k in g}, shadow={k: 1.0 for k in g})
@@ -69,26 +68,18 @@ def hand_payoffs(context, p0, p1):
 
 def fresh_game(players, strategy, subcarrier=0):
     return GameState(subcarrier=subcarrier, players=list(players),
-                     strategy=dict(strategy),
-                     tried={p: {strategy[p]} for p in players})
+                     strategy=dict(strategy), explored=set(strategy.values()))
 
 
 class TestPayoffs:
-    def test_average_payoff_arithmetic(self):
-        assert average_payoff({0: 5.0}) == 5.0
-        assert average_payoff({0: 2.0, 1: 4.0}) == pytest.approx(3.0, rel=1e-12)
-
-    def test_average_payoff_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_payoff({})
-
     def test_player_payoff_matches_link_layer(self):
         ctx = make_context(1)
-        games = new_games(ctx, np.random.default_rng(2))
-        for game in games:
-            payoffs = player_payoff(game, ctx)
+        rng = np.random.default_rng(2)
+        for game in new_games(ctx, rng):
             profile = {(c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
                        for c in game.players}
+            payoffs, _ = egt_step(game, ctx, rng)
+            assert list(payoffs) == game.players
             for c in game.players:
                 assert payoffs[c] == pytest.approx(
                     user_ee(ctx, profile, c, game.subcarrier), rel=1e-12)
@@ -101,56 +92,8 @@ class TestPayoffs:
         g = ctx.channels.vector(cell, cell, sc)
         expected = math.log2(1.0 + p * np.linalg.norm(g) ** 2 / ctx.config.noise_power) \
             / (p + ctx.config.circuit_power)
-        assert player_payoff(game, ctx)[cell] == pytest.approx(expected, rel=1e-12)
-
-
-class TestShares:
-    def test_counts_and_fractions(self):
-        game = fresh_game([0, 1, 2], {0: 1, 1: 1, 2: 4})
-        shares = population_share(game, n_levels=8)
-        assert shares.counts == {0: 0, 1: 2, 2: 0, 3: 0, 4: 1, 5: 0, 6: 0, 7: 0}
-        assert shares.x[1] == pytest.approx(2 / 3, rel=1e-12)
-        assert sum(shares.x.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_strategy_payoff_all_players_same_strategy(self):
-        ctx = make_context(5)
-        game = [g for g in new_games(ctx, np.random.default_rng(5))
-                if len(g.players) >= 2][0]
-        for c in game.players:
-            game.strategy[c] = 3
-        shares = population_share(game, ctx.config.n_power_levels)
-        spay = strategy_payoff(game, shares, ctx)
-        assert set(spay) == {3}
-        assert spay[3] == pytest.approx(
-            average_payoff(player_payoff(game, ctx)), rel=1e-12)
-
-    def test_strategy_payoff_singleton_adopter(self):
-        ctx = make_context(6)
-        game = [g for g in new_games(ctx, np.random.default_rng(6))
-                if len(g.players) >= 2][0]
-        cells = game.players
-        game.strategy = {c: (0 if c == cells[0] else 5) for c in cells}
-        shares = population_share(game, ctx.config.n_power_levels)
-        spay = strategy_payoff(game, shares, ctx)
-        assert spay[0] == pytest.approx(player_payoff(game, ctx)[cells[0]], rel=1e-12)
-
-    def test_share_weighted_strategy_payoff_equals_player_average(self):
-        # the two average-payoff formulations must agree on every state
-        for seed in range(10):
-            ctx = make_context(seed)
-            rng = np.random.default_rng(seed + 100)
-            for game in new_games(ctx, rng):
-                shares = population_share(game, ctx.config.n_power_levels)
-                spay = strategy_payoff(game, shares, ctx)
-                weighted = sum(spay[a] * shares.x[a] for a in spay)
-                assert weighted == pytest.approx(
-                    average_payoff(player_payoff(game, ctx)), rel=1e-12)
-
-    def test_unexplored_levels(self):
-        game = fresh_game([0, 1], {0: 2, 1: 5})
-        assert unexplored_levels(game, 8) == [0, 1, 3, 4, 6, 7]
-        game.tried[0] |= {0, 1, 3, 4, 6, 7}
-        assert unexplored_levels(game, 8) == []
+        payoffs, _ = egt_step(game, ctx, np.random.default_rng(3))
+        assert payoffs[cell] == pytest.approx(expected, rel=1e-12)
 
 
 class TestHandTrace:
@@ -160,16 +103,16 @@ class TestHandTrace:
         ctx = hand_trace_context()
         for s0, s1 in [(0, 1), (1, 0)]:
             game = fresh_game([0, 1], {0: s0, 1: s1})
-            stepped = egt_step(game, ctx, np.random.default_rng(0))
+            payoffs, average = egt_step(game, ctx, np.random.default_rng(0))
             pi0, pi1 = hand_payoffs(ctx, ctx.config.power_levels[s0],
                                     ctx.config.power_levels[s1])
-            assert stepped.payoffs[0] == pytest.approx(pi0, rel=1e-12)
-            assert stepped.payoffs[1] == pytest.approx(pi1, rel=1e-12)
-            assert stepped.average_payoff == pytest.approx((pi0 + pi1) / 2, rel=1e-12)
-            # both levels already explored: nobody can move
-            assert stepped.converged
-            assert stepped.iteration == 1
-            assert stepped.strategy == {0: s0, 1: s1}
+            assert payoffs[0] == pytest.approx(pi0, rel=1e-12)
+            assert payoffs[1] == pytest.approx(pi1, rel=1e-12)
+            assert average == pytest.approx((pi0 + pi1) / 2, rel=1e-12)
+            # both levels already explored: nobody can move, so one round settles it
+            assert game.converged
+            assert game.strategy == {0: s0, 1: s1}
+            assert game.explored == {0, 1}
 
     @pytest.mark.parametrize("start", [0, 1])
     def test_equal_initial_strategies_low_player_switches(self, start):
@@ -181,20 +124,23 @@ class TestHandTrace:
         assert pi0 < pi1
         other = 1 - start
 
-        first = egt_step(game, ctx, np.random.default_rng(0))
-        assert first.payoffs[0] == pytest.approx(pi0, rel=1e-12)
-        assert not first.converged
-        assert first.iteration == 1
-        assert first.strategy == {0: other, 1: start}
-        assert first.tried == {0: {0, 1}, 1: {start}}
+        payoffs, average = egt_step(game, ctx, np.random.default_rng(0))
+        rounds = 1
+        assert payoffs[0] == pytest.approx(pi0, rel=1e-12)
+        assert average == pytest.approx((pi0 + pi1) / 2, rel=1e-12)
+        assert not game.converged
+        assert game.strategy == {0: other, 1: start}
+        assert game.explored == {0, 1}
 
-        second = egt_step(first, ctx, np.random.default_rng(0))
+        payoffs, _ = egt_step(game, ctx, np.random.default_rng(0))
+        rounds += 1
         pi0b, pi1b = hand_payoffs(ctx, levels[other], levels[start])
-        assert second.payoffs[0] == pytest.approx(pi0b, rel=1e-12)
-        assert second.payoffs[1] == pytest.approx(pi1b, rel=1e-12)
-        assert second.converged
-        assert second.iteration == 2
-        assert second.strategy == first.strategy
+        assert payoffs[0] == pytest.approx(pi0b, rel=1e-12)
+        assert payoffs[1] == pytest.approx(pi1b, rel=1e-12)
+        assert game.converged
+        assert rounds == 2
+        assert game.strategy == {0: other, 1: start}
+        assert game.explored == {0, 1}
 
     def test_payoff_tie_makes_both_players_switch(self):
         # perfectly symmetric instance: both payoffs equal the average, and
@@ -209,25 +155,16 @@ class TestHandTrace:
         }
         ctx = manual_two_player_context(channels, config)
         game = fresh_game([0, 1], {0: 0, 1: 0})
-        stepped = egt_step(game, ctx, np.random.default_rng(0))
-        assert stepped.payoffs[0] == pytest.approx(stepped.payoffs[1], rel=1e-12)
-        assert stepped.strategy == {0: 1, 1: 1}
-        assert not stepped.converged
-        final = egt_step(stepped, ctx, np.random.default_rng(0))
-        assert final.converged
+        payoffs, _ = egt_step(game, ctx, np.random.default_rng(0))
+        assert payoffs[0] == pytest.approx(payoffs[1], rel=1e-12)
+        assert game.strategy == {0: 1, 1: 1}
+        assert game.explored == {0, 1}
+        assert not game.converged
+        egt_step(game, ctx, np.random.default_rng(0))
+        assert game.converged
 
 
 class TestStepMechanics:
-    def test_step_leaves_input_untouched(self):
-        ctx = make_context(7)
-        game = new_games(ctx, np.random.default_rng(7))[0]
-        strategy = dict(game.strategy)
-        tried = {c: set(s) for c, s in game.tried.items()}
-        egt_step(game, ctx, np.random.default_rng(8))
-        assert game.strategy == strategy
-        assert game.tried == tried
-        assert game.iteration == 0
-
     def test_step_on_converged_game_rejected(self):
         ctx = make_context(8)
         game = new_games(ctx, np.random.default_rng(8))[0]
@@ -235,32 +172,25 @@ class TestStepMechanics:
         with pytest.raises(ValueError):
             egt_step(game, ctx, np.random.default_rng(0))
 
-    def test_unknown_schedule_rejected(self):
-        ctx = make_context(9)
-        game = new_games(ctx, np.random.default_rng(9))[0]
-        with pytest.raises(ValueError):
-            egt_step(game, ctx, np.random.default_rng(0), schedule="random")
-
     def test_tried_contains_current_strategy_along_run(self):
         ctx = make_context(10)
         rng = np.random.default_rng(10)
         for game in new_games(ctx, rng):
             while not game.converged:
-                game = egt_step(game, ctx, rng)
+                egt_step(game, ctx, rng)
                 for c in game.players:
-                    assert game.strategy[c] in game.tried[c]
+                    assert game.strategy[c] in game.explored
 
     def test_switchers_draw_from_group_unexplored_pool(self):
         ctx = make_context(11)
         rng = np.random.default_rng(11)
         for game in new_games(ctx, rng):
-            explored = set()
-            for s in game.tried.values():
-                explored |= s
-            stepped = egt_step(game, ctx, rng)
+            strategy, explored = dict(game.strategy), set(game.explored)
+            egt_step(game, ctx, rng)
             for c in game.players:
-                if stepped.strategy[c] != game.strategy[c]:
-                    assert stepped.strategy[c] not in explored
+                if game.strategy[c] != strategy[c]:
+                    assert game.strategy[c] not in explored
+            assert game.explored == explored | set(game.strategy.values())
 
 
 class TestNewGames:
@@ -270,10 +200,8 @@ class TestNewGames:
         assert [g.subcarrier for g in games] == ctx.topology.occupied_subcarriers()
         for g in games:
             assert g.players == ctx.topology.cells_on(g.subcarrier)
-            for c in g.players:
-                assert g.tried[c] == {g.strategy[c]}
+            assert g.explored == set(g.strategy.values())
             assert not g.converged
-            assert g.iteration == 0
 
     def test_initial_strategies_in_range_and_seeded(self):
         ctx = make_context(13)
@@ -292,13 +220,16 @@ class TestRunAlgorithm:
         game = new_games(ctx, rng)[0]
         (cell,) = game.players
         seen = [game.strategy[cell]]
+        rounds = 0
         while not game.converged:
             prev = game.strategy[cell]
-            game = egt_step(game, ctx, rng)
+            egt_step(game, ctx, rng)
+            rounds += 1
             if game.strategy[cell] != prev:
                 seen.append(game.strategy[cell])
         assert sorted(seen) == [0, 1, 2]          # each level tried exactly once
-        assert game.iteration == 3                # L rounds, the last one quiet
+        assert game.explored == {0, 1, 2}
+        assert rounds == 3                        # L rounds, the last one quiet
         assert game.strategy[cell] == seen[-1]    # freezes on the last tried
 
     def test_single_level_converges_in_one_iteration(self):
@@ -370,15 +301,141 @@ class TestRunAlgorithm:
         for trace in result.traces.values():
             assert all(np.isfinite(v) and v > 0 for v in trace)
 
-    def test_sequential_schedule_also_terminates_within_bound(self):
-        ctx = make_context(21)
-        rng = np.random.default_rng(21)
-        result = run_algorithm1(new_games(ctx, rng), ctx, rng, schedule="sequential")
-        assert result.converged
-        assert result.iterations <= ctx.config.n_power_levels
-
     def test_max_iterations_must_be_positive(self):
         ctx = make_context(22)
         rng = np.random.default_rng(22)
         with pytest.raises(ValueError):
             run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=0)
+
+
+# Reference EGT: the copy-per-round synchronous step with per-player tried
+# sets, in the order the in-place step must reproduce.  Kept here so the
+# package is checked against it value for value and for the generator state
+# it leaves behind.
+
+@dataclass
+class ReferenceGame:
+    subcarrier: int
+    players: list
+    strategy: dict
+    tried: dict                        # cell -> set of levels that cell has held
+    payoffs: dict = field(default_factory=dict)
+    average_payoff: float = float("nan")
+    iteration: int = 0
+    converged: bool = False
+
+    def profile(self, context):
+        levels = context.config.power_levels
+        return {(cell, self.subcarrier): levels[self.strategy[cell]]
+                for cell in self.players}
+
+
+def reference_new_games(context, rng):
+    n_levels = context.config.n_power_levels
+    games = []
+    for sc in context.topology.occupied_subcarriers():
+        players = context.topology.cells_on(sc)
+        strategy = {cell: int(rng.integers(n_levels)) for cell in players}
+        games.append(ReferenceGame(subcarrier=sc, players=players, strategy=strategy,
+                                   tried={cell: {strategy[cell]} for cell in players}))
+    return games
+
+
+def reference_step(game, context, rng):
+    state = ReferenceGame(subcarrier=game.subcarrier, players=list(game.players),
+                          strategy=dict(game.strategy),
+                          tried={cell: set(s) for cell, s in game.tried.items()},
+                          iteration=game.iteration)
+    profile = state.profile(context)
+    state.payoffs = {cell: user_ee(context, profile, cell, state.subcarrier)
+                     for cell in state.players}
+    total = 0.0
+    for value in state.payoffs.values():
+        total += value
+    state.average_payoff = total / len(state.payoffs)
+    explored = set()
+    for tried in state.tried.values():
+        explored |= tried
+    pool = [a for a in range(context.config.n_power_levels) if a not in explored]
+    changed = False
+    for cell in state.players:
+        if state.payoffs[cell] <= state.average_payoff and pool:
+            choice = pool[int(rng.integers(len(pool)))]
+            state.strategy[cell] = choice
+            state.tried[cell].add(choice)
+            changed = True
+    state.converged = not changed
+    state.iteration += 1
+    return state
+
+
+def reference_run(games, context, rng, max_iterations):
+    games = list(games)
+    traces = {g.subcarrier: [] for g in games}
+    evaluations = iterations = 0
+    for _ in range(max_iterations):
+        active = [i for i, g in enumerate(games) if not g.converged]
+        if not active:
+            break
+        iterations += 1
+        for i in active:
+            games[i] = reference_step(games[i], context, rng)
+            evaluations += len(games[i].players)
+            traces[games[i].subcarrier].append(games[i].average_payoff)
+    profile = {}
+    for g in games:
+        profile.update(g.profile(context))
+    result = EgtResult(profile=profile, traces=traces, iterations=iterations,
+                       converged=all(g.converged for g in games), evaluations=evaluations)
+    return result, games
+
+
+def assert_matches_reference_run(config, seed, max_iterations):
+    ctx = sample_link_context(config, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    games = new_games(ctx, rng)
+    result = run_algorithm1(games, ctx, rng, max_iterations=max_iterations)
+    ref, ref_games = reference_run(reference_new_games(ctx, ref_rng), ctx, ref_rng,
+                                   max_iterations)
+    assert list(result.profile.items()) == list(ref.profile.items())
+    assert list(result.traces.items()) == list(ref.traces.items())
+    assert result.iterations == ref.iterations
+    assert result.evaluations == ref.evaluations
+    assert result.converged == ref.converged
+    assert rng.random() == ref_rng.random()
+    # the in-place games end where the reference's copies do
+    assert len(games) == len(ref_games)
+    for game, ref_game in zip(games, ref_games):
+        assert game.strategy == ref_game.strategy
+        assert game.explored == set().union(*ref_game.tried.values())
+        assert game.converged == ref_game.converged
+
+
+@st.composite
+def small_runs(draw):
+    n_subcarriers = draw(st.integers(1, 6))
+    n_antennas_sbs = draw(st.integers(1, 4))
+    n_levels = draw(st.integers(1, 8))
+    config = NetworkConfig(
+        n_small_cells=draw(st.integers(0, 3)),
+        n_subcarriers=n_subcarriers,
+        n_users_per_cell=draw(st.integers(1, n_subcarriers)),
+        n_antennas_mbs=draw(st.sampled_from([n_antennas_sbs, 128])),
+        n_antennas_sbs=n_antennas_sbs,
+        power_levels=DEFAULT_POWER_LEVELS[:n_levels],
+    )
+    # up to L + 1 rounds, so runs cut by the cap are covered as well as settled ones
+    return config, draw(st.integers(1, n_levels + 1))
+
+
+class TestTrajectoryPreservation:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(run=small_runs(), seed=st.integers(0, 2**32))
+    def test_in_place_round_matches_copying_reference(self, run, seed):
+        config, max_iterations = run
+        assert_matches_reference_run(config, seed, max_iterations)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_in_place_round_matches_copying_reference_at_reference_scale(self, seed):
+        config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
+        assert_matches_reference_run(config, seed, max_iterations=64)

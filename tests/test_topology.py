@@ -91,7 +91,7 @@ class TestSampleTopology:
                  User(cell=0, subcarrier=0, position=(3.0, 4.0))]
         with pytest.raises(ValueError):
             Topology(mbs_position=np.zeros(2), sbs_positions=np.zeros((0, 2)),
-                     users=users, n_subcarriers=2)
+                     users=users)
 
 
 class TestLargeScaleGain:
@@ -228,8 +228,7 @@ def reference_topology(config, rng):
         for sc in np.sort(subcarriers):
             pos = reference_point_in_disc(center, radius, rng)
             users.append(User(cell=cell, subcarrier=int(sc), position=(pos[0], pos[1])))
-    return Topology(mbs_position=mbs, sbs_positions=sbs_positions, users=users,
-                    n_subcarriers=config.n_subcarriers)
+    return Topology(mbs_position=mbs, sbs_positions=sbs_positions, users=users)
 
 
 def reference_fading(topology, config, rng):
@@ -304,8 +303,7 @@ class TestStreamPreservation:
         config = cfg(n_small_cells=1, n_subcarriers=1, n_users_per_cell=1)
         topo = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[300.0, 400.0]]),
                         users=[User(cell=0, subcarrier=0, position=(0.0, 0.0)),
-                               User(cell=1, subcarrier=0, position=(300.0, 400.0))],
-                        n_subcarriers=1)
+                               User(cell=1, subcarrier=0, position=(300.0, 400.0))])
         fading = sample_large_scale_fading(topo, config, np.random.default_rng(3))
         for cell in (0, 1):
             key = (cell, cell, 0)
