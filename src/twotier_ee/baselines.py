@@ -44,17 +44,20 @@ def _exhaustive(links: list, levels: tuple, objective) -> OracleResult:
     """Enumerate every joint level choice of `links` in lexicographic order.
 
     The strict `>` keeps the first maximizer: the smallest index tuple.
+    One profile is updated in place and copied only on a new best, so
+    `objective` must not keep the dict it is given.
     """
     best_objective = -math.inf
     best_profile = None
     count = 0
-    for combo in itertools.product(range(len(levels)), repeat=len(links)):
-        profile = {link: levels[a] for link, a in zip(links, combo)}
+    profile = dict.fromkeys(links)
+    for combo in itertools.product(levels, repeat=len(links)):
+        profile.update(zip(links, combo))
         value = objective(profile)
         count += 1
         if value > best_objective:
             best_objective = value
-            best_profile = profile
+            best_profile = dict(profile)
     return OracleResult(profile=best_profile, objective=best_objective, evaluations=count)
 
 

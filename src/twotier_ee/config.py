@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 __all__ = ["NetworkConfig", "ConfigError", "load_config", "parse_config", "format_config"]
 
@@ -76,6 +77,18 @@ class NetworkConfig:
             raise ConfigError("shadowing_std_db must be >= 0")
         if self.subcarrier_bandwidth_hz <= 0:
             raise ConfigError("subcarrier_bandwidth_hz must be > 0")
+        # a finite PSD can still overflow 10**x or underflow it to 0 W, and
+        # either fails every drop or turns its rows into inf/NaN
+        try:
+            noise = self.noise_power
+        except OverflowError:
+            noise = math.inf
+        if not (math.isfinite(noise) and noise > 0):
+            raise ConfigError(
+                f"noise_psd_dbm_per_hz = {self.noise_psd_dbm_per_hz!r} over "
+                f"subcarrier_bandwidth_hz = {self.subcarrier_bandwidth_hz!r} gives a "
+                f"noise power of {noise!r} W; it must be finite and > 0"
+            )
         if len(self.power_levels) < 1:
             raise ConfigError("power_levels must contain at least one level")
         if any(p <= 0 for p in self.power_levels):
@@ -96,9 +109,13 @@ class NetworkConfig:
     def n_power_levels(self) -> int:
         return len(self.power_levels)
 
-    @property
+    @cached_property
     def noise_power(self) -> float:
-        """Per-subcarrier noise power in watts (PSD in dBm/Hz times bandwidth)."""
+        """Per-subcarrier noise power in watts (PSD in dBm/Hz times bandwidth).
+
+        Computed once per config: every SINR evaluation reads it.  Not a
+        field, so it stays out of ==, hashing and format_config.
+        """
         return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) / 10.0) * self.subcarrier_bandwidth_hz
 
 

@@ -46,16 +46,18 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
     its MRC combiner a, built once: own = |a^H g_own|^2, interference =
     ((other cell, |a^H g_other|^2), ...) over the co-channel cells in
     ascending order, and a_norm2 = ||a||^2, the combiner's gain on noise.
+    Every gain is a Python float (converted exactly), so evaluations run on
+    plain float arithmetic instead of numpy scalars.
     """
     gains = {}
     for cell, sc in topology.links():
         g_own = channels.vector(cell, cell, sc)
         a = mrc_combiner(g_own)
         interference = tuple(
-            (other, np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2)
-            for other in topology.cells_on(sc) if other != cell
+            (other, float(np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2))
+            for other in topology.co_channel(sc) if other != cell
         )
-        gains[(cell, sc)] = (np.abs(np.vdot(a, g_own)) ** 2, interference,
+        gains[(cell, sc)] = (float(np.abs(np.vdot(a, g_own)) ** 2), interference,
                              float(np.vdot(a, a).real))
     return gains
 
@@ -92,14 +94,15 @@ def sinr(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int
     ascending cell order, so the result is bit-reproducible.
     """
     own, interferers, a_norm2 = context.gains[(cell, subcarrier)]
-    signal = profile[(cell, subcarrier)] * own
     # one by one: a vector sum reorders the additions, and total minus signal
     # cancels under massive-MIMO gain; either changes the emitted digits
     interference = 0.0
     for other, gain in interferers:
         interference += profile[(other, subcarrier)] * gain
+    # the config rejects a noise power that is not finite and > 0, so the
+    # denominator cannot be 0
     noise = a_norm2 * context.config.noise_power
-    return float(signal / (interference + noise))
+    return profile[(cell, subcarrier)] * own / (interference + noise)
 
 
 def rate(sinr_value: float) -> float:
@@ -113,15 +116,19 @@ def power_sum(transmit_power: float, config: NetworkConfig) -> float:
 
 
 def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
-    """Energy efficiency of one link, bit/s/Hz per watt."""
-    r = rate(sinr(context, profile, cell, subcarrier))
-    return r / power_sum(profile[(cell, subcarrier)], context.config)
+    """Energy efficiency of one link, bit/s/Hz per watt.
+
+    rate / power_sum spelled out: this runs once per evaluation.  np.log2,
+    not math.log2, which rounds differently on some inputs.
+    """
+    r = float(np.log2(1.0 + sinr(context, profile, cell, subcarrier)))
+    return r / (profile[(cell, subcarrier)] + context.config.circuit_power)
 
 
 def group_ee(context: LinkContext, profile: PowerProfile, subcarrier: int) -> float:
     """Sum energy efficiency of the co-channel group on one subcarrier."""
     total = 0.0
-    for cell in context.topology.cells_on(subcarrier):
+    for cell in context.topology.co_channel(subcarrier):
         total += user_ee(context, profile, cell, subcarrier)
     return total
 
@@ -166,7 +173,7 @@ def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMet
     total = 0.0
     for sc in context.topology.occupied_subcarriers():
         g_total = 0.0
-        for cell in context.topology.cells_on(sc):
+        for cell in context.topology.co_channel(sc):
             s = sinr(context, profile, cell, sc)
             r = rate(s)
             e = r / power_sum(profile[(cell, sc)], context.config)

@@ -55,11 +55,10 @@ class Topology:
         self._by_link = {(u.cell, u.subcarrier): u for u in self.users}
         if len(self._by_link) != len(self.users):
             raise ValueError("more than one user on a (cell, subcarrier) pair")
-        self._cells_on = {}
+        cells_on = {}
         for u in self.users:
-            self._cells_on.setdefault(u.subcarrier, []).append(u.cell)
-        for cells in self._cells_on.values():
-            cells.sort()
+            cells_on.setdefault(u.subcarrier, []).append(u.cell)
+        self._cells_on = {sc: tuple(sorted(cells)) for sc, cells in cells_on.items()}
 
     @property
     def n_small_cells(self) -> int:
@@ -80,7 +79,11 @@ class Topology:
 
     def cells_on(self, subcarrier: int) -> list:
         """Cells with a user on this subcarrier, ascending (the co-channel group)."""
-        return list(self._cells_on.get(subcarrier, []))
+        return list(self.co_channel(subcarrier))
+
+    def co_channel(self, subcarrier: int) -> tuple:
+        """The co-channel group as a shared tuple, for per-evaluation loops."""
+        return self._cells_on.get(subcarrier, ())
 
     def occupied_subcarriers(self) -> list:
         """Subcarriers carrying at least one user, ascending."""

@@ -105,6 +105,15 @@ class TestSweep:
         assert err.startswith("error:") and "finite" in err
 
 
+    def test_unusable_noise_value_rejected_before_any_drop(self, config_file, capsys):
+        code = run_cli("sweep", "--config", config_file,
+                       "--param", "noise_psd_dbm_per_hz", "--values=-4000,-174")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "noise_psd_dbm_per_hz = -4000.0" in err
+
+
 class TestCompare:
     def test_paired_summary_and_combined_output(self, config_file, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

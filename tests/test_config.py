@@ -119,6 +119,26 @@ class TestValidation:
         assert cfg.n_cells == 3
         assert parse_config(format_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("psd, shown", [(4000.0, "inf"), (-4000.0, "0.0")])
+    def test_noise_power_must_be_finite_and_positive(self, psd, shown):
+        # +4000 dBm/Hz overflows 10**x, -4000 underflows it to 0 W: both are
+        # finite inputs that would fail or blow up every drop
+        with pytest.raises(ConfigError, match=rf"noise_psd_dbm_per_hz = {psd!r} over "
+                                              rf"subcarrier_bandwidth_hz = 180000\.0 gives "
+                                              rf"a noise power of {shown} W"):
+            small_config(noise_psd_dbm_per_hz=psd)
+
+    def test_noise_power_overflowing_through_bandwidth_rejected(self):
+        with pytest.raises(ConfigError, match="noise power of inf W"):
+            small_config(noise_psd_dbm_per_hz=3000.0, subcarrier_bandwidth_hz=1e300)
+
+    def test_noise_power_is_computed_once_and_not_a_field(self):
+        cfg = small_config(noise_psd_dbm_per_hz=-174.0)
+        assert cfg.noise_power is cfg.noise_power
+        assert "noise_power" not in {f.name for f in fields(NetworkConfig)}
+        assert "noise_power" not in format_config(cfg)
+        assert cfg == small_config(noise_psd_dbm_per_hz=-174.0)
+
     def test_zero_small_cells_allowed(self):
         assert small_config(n_small_cells=0).n_cells == 1
 

@@ -1,0 +1,274 @@
+"""The evaluation kernel: bit-exact against the numpy-scalar kernel, at a fixed call count.
+
+`sinr` -> `user_ee` -> `group_ee` / `network_ee` run once per evaluated
+profile, so they are kept on plain float arithmetic.  TestKernelPreservation
+checks them, and the oracles and best-response dynamics built on them,
+against the numpy-scalar kernel they replaced.  TestSinrCallCount pins how
+many `sinr` calls each algorithm makes, the count the benchmark reports.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twotier_ee import linklevel
+from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best_response
+from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
+from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.linklevel import (
+    compute_link_metrics, group_ee, mrc_combiner, network_ee, sample_link_context, sinr,
+    user_ee,
+)
+
+# oracle runs in the property test are capped so that one example stays cheap
+_ORACLE_CAP = 4096
+
+
+# Reference kernel: numpy-scalar gain table, the noise power recomputed on
+# every call, rate / power_sum round trips, a co-channel list copied per
+# group, and an oracle building one dict per profile.  Kept here so the float
+# kernel is checked against it value for value.
+
+def reference_gains(topology, channels):
+    gains = {}
+    for cell, sc in topology.links():
+        g_own = channels.vector(cell, cell, sc)
+        a = mrc_combiner(g_own)
+        interference = tuple(
+            (other, np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2)
+            for other in topology.cells_on(sc) if other != cell
+        )
+        gains[(cell, sc)] = (np.abs(np.vdot(a, g_own)) ** 2, interference,
+                             float(np.vdot(a, a).real))
+    return gains
+
+
+def reference_noise_power(config):
+    psd_w = 10.0 ** ((config.noise_psd_dbm_per_hz - 30.0) / 10.0)
+    return psd_w * config.subcarrier_bandwidth_hz
+
+
+def reference_sinr(context, profile, cell, subcarrier):
+    own, interferers, a_norm2 = context.gains[(cell, subcarrier)]
+    signal = profile[(cell, subcarrier)] * own
+    interference = 0.0
+    for other, gain in interferers:
+        interference += profile[(other, subcarrier)] * gain
+    noise = a_norm2 * reference_noise_power(context.config)
+    return float(signal / (interference + noise))
+
+
+def reference_rate(sinr_value):
+    return float(np.log2(1.0 + sinr_value))
+
+
+def reference_user_ee(context, profile, cell, subcarrier):
+    r = reference_rate(reference_sinr(context, profile, cell, subcarrier))
+    return r / (profile[(cell, subcarrier)] + context.config.circuit_power)
+
+
+def reference_group_ee(context, profile, subcarrier):
+    total = 0.0
+    for cell in context.topology.cells_on(subcarrier):
+        total += reference_user_ee(context, profile, cell, subcarrier)
+    return total
+
+
+def reference_network_ee(context, profile):
+    total = 0.0
+    for sc in context.topology.occupied_subcarriers():
+        total += reference_group_ee(context, profile, sc)
+    return total
+
+
+def reference_exhaustive(links, levels, objective):
+    best_objective = -math.inf
+    best_profile = None
+    count = 0
+    for combo in itertools.product(range(len(levels)), repeat=len(links)):
+        profile = {link: levels[a] for link, a in zip(links, combo)}
+        value = objective(profile)
+        count += 1
+        if value > best_objective:
+            best_objective = value
+            best_profile = profile
+    return best_profile, best_objective, count
+
+
+def reference_group_oracle(context, subcarrier):
+    links = [(cell, subcarrier) for cell in context.topology.cells_on(subcarrier)]
+    return reference_exhaustive(links, context.config.power_levels,
+                                lambda p: reference_group_ee(context, p, subcarrier))
+
+
+def reference_global_oracle(context):
+    return reference_exhaustive(context.topology.links(), context.config.power_levels,
+                                lambda p: reference_network_ee(context, p))
+
+
+def reference_ngt(context, rng, max_rounds=64):
+    levels = context.config.power_levels
+    links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))
+    profile = {link: levels[int(rng.integers(len(levels)))] for link in links}
+    rounds = evaluations = 0
+    converged = False
+    for _ in range(max_rounds):
+        changed = False
+        for link in links:
+            best_idx, best_ee = 0, -math.inf
+            saved = profile[link]
+            for a, p in enumerate(levels):
+                profile[link] = p
+                value = reference_user_ee(context, profile, *link)
+                if value > best_ee:
+                    best_ee, best_idx = value, a
+            profile[link] = saved
+            evaluations += len(levels)
+            if levels[best_idx] != profile[link]:
+                profile[link] = levels[best_idx]
+                changed = True
+        if changed:
+            rounds += 1
+        else:
+            converged = True
+            break
+    return profile, rounds, converged, evaluations
+
+
+def assert_oracle_matches(result, reference):
+    profile, objective, count = reference
+    assert list(result.profile.items()) == list(profile.items())
+    assert result.objective == objective
+    assert result.evaluations == count
+
+
+def assert_kernel_matches_reference(config, seed):
+    ctx = sample_link_context(config, np.random.default_rng(seed))
+    ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
+    levels = config.power_levels
+    rng = np.random.default_rng(seed + 1)
+    profile = {link: levels[int(rng.integers(len(levels)))] for link in ctx.topology.links()}
+
+    # every link at every level of its own power, the others held fixed
+    for link in ctx.topology.links():
+        trial = dict(profile)
+        for p in levels:
+            trial[link] = p
+            assert sinr(ctx, trial, *link) == reference_sinr(ref, trial, *link)
+            assert user_ee(ctx, trial, *link) == reference_user_ee(ref, trial, *link)
+    for sc in ctx.topology.occupied_subcarriers():
+        assert group_ee(ctx, profile, sc) == reference_group_ee(ref, profile, sc)
+    assert network_ee(ctx, profile) == reference_network_ee(ref, profile)
+    metrics = compute_link_metrics(ctx, profile)
+    for link in ctx.topology.links():
+        assert metrics.sinr[link] == reference_sinr(ref, profile, *link)
+        assert metrics.ee[link] == reference_user_ee(ref, profile, *link)
+    assert metrics.network_ee == reference_network_ee(ref, profile)
+
+    for sc in ctx.topology.occupied_subcarriers():
+        if len(levels) ** len(ctx.topology.cells_on(sc)) <= _ORACLE_CAP:
+            assert_oracle_matches(brute_force_group(sc, ctx), reference_group_oracle(ref, sc))
+    if len(levels) ** len(ctx.topology.links()) <= _ORACLE_CAP:
+        assert_oracle_matches(brute_force_global(ctx), reference_global_oracle(ref))
+
+    ngt = ngt_best_response(ctx, np.random.default_rng(seed + 2))
+    ref_profile, *ref_counts = reference_ngt(ref, np.random.default_rng(seed + 2))
+    assert list(ngt.profile.items()) == list(ref_profile.items())
+    assert [ngt.rounds, ngt.converged, ngt.evaluations] == ref_counts
+
+
+@st.composite
+def small_configs(draw):
+    n_subcarriers = draw(st.integers(1, 4))
+    n_antennas_sbs = draw(st.integers(1, 4))
+    return NetworkConfig(
+        # up to 5 cells, so up to 4 interferers whose summation order matters
+        n_small_cells=draw(st.integers(0, 4)),
+        n_subcarriers=n_subcarriers,
+        n_users_per_cell=draw(st.integers(1, n_subcarriers)),
+        n_antennas_mbs=draw(st.sampled_from([n_antennas_sbs, 128])),
+        n_antennas_sbs=n_antennas_sbs,
+        noise_psd_dbm_per_hz=draw(st.floats(-204.0, -154.0)),
+        power_levels=DEFAULT_POWER_LEVELS[:draw(st.integers(2, 8))],
+    )
+
+
+class TestKernelPreservation:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=small_configs(), seed=st.integers(0, 2**32))
+    def test_float_kernel_matches_numpy_scalar_reference(self, config, seed):
+        assert_kernel_matches_reference(config, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_kernel_matches_numpy_scalar_reference_at_reference_scale(self, seed):
+        config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
+        assert_kernel_matches_reference(config, seed)
+
+    def test_gain_table_holds_python_floats(self):
+        ctx = sample_link_context(NetworkConfig(n_small_cells=2, n_subcarriers=4,
+                                                n_users_per_cell=4),
+                                  np.random.default_rng(0))
+        for own, interferers, a_norm2 in ctx.gains.values():
+            assert type(own) is float and type(a_norm2) is float
+            assert all(type(gain) is float for _, gain in interferers)
+
+
+class TestSinrCallCount:
+    """One `sinr` call per link per evaluation: the count the benchmark pins."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = [0]
+        original = linklevel.sinr
+
+        def counted(*args):
+            counter[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linklevel, "sinr", counted)
+        return counter
+
+    @pytest.fixture
+    def ctx(self):
+        config = NetworkConfig(n_small_cells=2, n_subcarriers=3, n_users_per_cell=3,
+                               power_levels=DEFAULT_POWER_LEVELS[:4])
+        return sample_link_context(config, np.random.default_rng(3))
+
+    def test_egt_calls_equal_evaluations(self, ctx, calls):
+        rng = np.random.default_rng(4)
+        games = new_games(ctx, rng)
+        assert calls[0] == 0
+        result = run_algorithm1(games, ctx, rng)
+        assert result.evaluations > 0
+        assert calls[0] == result.evaluations
+
+    def test_ngt_calls_equal_evaluations(self, ctx, calls):
+        result = ngt_best_response(ctx, np.random.default_rng(5))
+        assert result.evaluations > 0
+        assert calls[0] == result.evaluations
+
+    def test_group_oracle_calls_are_m_times_l_to_the_m(self, ctx, calls):
+        n_levels = ctx.config.n_power_levels
+        for sc in ctx.topology.occupied_subcarriers():
+            m = len(ctx.topology.cells_on(sc))
+            before = calls[0]
+            result = brute_force_group(sc, ctx)
+            assert result.evaluations == n_levels ** m
+            assert calls[0] - before == m * n_levels ** m
+
+    def test_global_oracle_calls_are_links_times_l_to_the_links(self, calls):
+        config = NetworkConfig(n_small_cells=1, n_subcarriers=3, n_users_per_cell=2,
+                               power_levels=(0.01, 0.1))
+        ctx = sample_link_context(config, np.random.default_rng(6))
+        n_links = len(ctx.topology.links())
+        result = brute_force_global(ctx)
+        assert result.evaluations == 2 ** n_links
+        assert calls[0] == n_links * 2 ** n_links
+
+    def test_metrics_call_once_per_link(self, ctx, calls):
+        compute_link_metrics(ctx, {link: 0.01 for link in ctx.topology.links()})
+        assert calls[0] == len(ctx.topology.links())

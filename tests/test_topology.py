@@ -73,6 +73,15 @@ class TestSampleTopology:
         assert topo.cells_on(0) == [0]
         assert topo.occupied_subcarriers() == [0]
 
+    def test_co_channel_is_shared_tuple_of_cells_on(self):
+        topo = sample_topology(cfg(n_users_per_cell=1), np.random.default_rng(2))
+        for sc in range(6):
+            group = topo.co_channel(sc)
+            assert isinstance(group, tuple)
+            assert list(group) == topo.cells_on(sc)
+            assert topo.co_channel(sc) is group
+        assert any(topo.co_channel(sc) == () for sc in range(6))
+
     def test_cochannel_occupancy_matches_uniform_sampling_rate(self):
         # with K=2 cells picking 3 of 6 subcarriers independently and
         # uniformly, a given subcarrier hosts all three cells w.p. (1/2)^3
