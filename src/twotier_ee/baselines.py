@@ -1,21 +1,25 @@
 """Exhaustive-search oracles and the non-cooperative best-response baseline.
 
 The oracles exist to measure optimality gaps, so they deliberately evaluate
-every joint strategy with the plain link-level code instead of exploiting
-any structure; size guards keep them at desk scale.  Ties are broken toward
-the lexicographically smallest strategy-index tuple, which makes the global
-and per-group searches agree on instances where the objective decomposes.
+every joint strategy instead of exploiting any structure; size guards keep
+them at desk scale.  Each profile still gets one link-level `sinr` call per
+link, but the objective after it (rate, EE, the group and network sums) and
+the pick of the maximizer run batched in numpy over chunks of profiles,
+bit for bit as `group_ee` / `network_ee` would compute them.  Ties are
+broken toward the lexicographically smallest strategy-index tuple, which
+makes the global and per-group searches agree on instances where the
+objective decomposes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import LinkContext, group_ee, network_ee, user_ee
+from . import linklevel
+from .linklevel import LinkContext, user_ee
 
 __all__ = [
     "SizeGuardError", "OracleResult", "NgtResult",
@@ -25,6 +29,8 @@ __all__ = [
 # per-group search refuses above 2^30 profiles, the global search above 2^20
 _GROUP_GUARD_BITS = 30.0
 _GLOBAL_GUARD = 2 ** 20
+# profiles per batched objective evaluation, which bounds the oracles' memory
+_CHUNK_PROFILES = 4096
 
 
 class SizeGuardError(ValueError):
@@ -40,25 +46,70 @@ class OracleResult:
     evaluations: int     # number of joint strategies enumerated
 
 
-def _exhaustive(links: list, levels: tuple, objective) -> OracleResult:
+def _first_max(chunks) -> tuple:
+    """Flat index and value of the first strict maximum over non-empty chunks.
+
+    The same winner as scanning every value with `value > best` from
+    best = -inf: the earliest of equal maxima wins, NaN is never chosen, and
+    (None, -inf) means that no value exceeds -inf.
+    """
+    best_index = None
+    best_value = -math.inf
+    offset = 0
+    for values in chunks:
+        masked = np.where(np.isnan(values), -math.inf, values)
+        i = int(np.argmax(masked))   # first maximum of the chunk
+        if masked[i] > best_value:
+            best_index = offset + i
+            best_value = float(masked[i])
+        offset += len(values)
+    return best_index, best_value
+
+
+def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult:
     """Enumerate every joint level choice of `links` in lexicographic order.
 
-    The strict `>` keeps the first maximizer: the smallest index tuple.
-    One profile is updated in place and copied only on a new best, so
-    `objective` must not keep the dict it is given.
+    The objective of a profile is the sum over `groups` (lists of positions
+    in `links`) of each group's summed link EE, added left to right from 0.0
+    exactly as `network_ee` and `group_ee` add them.  Profiles go in chunks
+    of _CHUNK_PROFILES: `sinr` is called once per link per profile, in link
+    order, on one profile dict updated in place; rate, EE, the sums and the
+    first-maximum pick then run on the whole chunk in numpy.
     """
-    best_objective = -math.inf
-    best_profile = None
-    count = 0
+    sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
+    levels = context.config.power_levels
+    circuit_power = context.config.circuit_power
+    grid_shape = (len(levels),) * len(links)
+    n_profiles = math.prod(grid_shape)
+    level_array = np.array(levels)
     profile = dict.fromkeys(links)
-    for combo in itertools.product(levels, repeat=len(links)):
-        profile.update(zip(links, combo))
-        value = objective(profile)
-        count += 1
-        if value > best_objective:
-            best_objective = value
-            best_profile = dict(profile)
-    return OracleResult(profile=best_profile, objective=best_objective, evaluations=count)
+
+    def objective(start: int) -> np.ndarray:
+        stop = min(start + _CHUNK_PROFILES, n_profiles)
+        # profile x link powers of the chunk, from its lexicographic indices
+        power = level_array[np.stack(np.unravel_index(np.arange(start, stop), grid_shape),
+                                     axis=1)]
+        sinrs = []
+        for row in power.tolist():
+            profile.update(zip(links, row))
+            for cell, sc in links:
+                sinrs.append(sinr(context, profile, cell, sc))
+        ee = np.log2(1.0 + np.array(sinrs).reshape(power.shape)) / (power + circuit_power)
+        total = np.zeros(len(power))   # 0.0 + x, elementwise
+        for group in groups:
+            group_total = 0.0
+            for j in group:
+                group_total = group_total + ee[:, j]
+            total = total + group_total
+        return total
+
+    best, value = _first_max(objective(start)
+                             for start in range(0, n_profiles, _CHUNK_PROFILES))
+    best_profile = None
+    if best is not None:
+        best_profile = dict(zip(links, (levels[int(d)]
+                                        for d in np.unravel_index(best, grid_shape))))
+    return OracleResult(profile=best_profile, objective=value, evaluations=n_profiles)
 
 
 def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
@@ -74,14 +125,15 @@ def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
             f"group search of {n_levels}^{m} profiles exceeds the 2^30 guard"
         )
     links = [(cell, subcarrier) for cell in players]
-    return _exhaustive(links, levels, lambda profile: group_ee(context, profile, subcarrier))
+    return _exhaustive(context, links, [range(m)])
 
 
 def brute_force_global(context: LinkContext) -> OracleResult:
     """Maximize network EE over the joint strategy space of every link.
 
     Links are ordered subcarrier-major (then cell), so the lexicographic
-    tie-break here matches the concatenation of per-group tie-breaks.
+    tie-break here matches the concatenation of per-group tie-breaks, and
+    each subcarrier's group is a run of consecutive positions.
     """
     links = context.topology.links()
     levels = context.config.power_levels
@@ -92,7 +144,10 @@ def brute_force_global(context: LinkContext) -> OracleResult:
             f"global search of {n_levels}^{len(links)} = {total} profiles "
             f"exceeds the 2^20 guard"
         )
-    return _exhaustive(links, levels, lambda profile: network_ee(context, profile))
+    groups = {}
+    for j, (_, sc) in enumerate(links):
+        groups.setdefault(sc, []).append(j)
+    return _exhaustive(context, links, list(groups.values()))
 
 
 @dataclass

@@ -190,12 +190,20 @@ def _run_one(config: NetworkConfig, algorithm: str, drop: int, seed: int,
         converged = True
     metrics = compute_link_metrics(context, profile)
     cell_ee = [metrics.cell_ee(k) for k in range(config.n_cells)]
+    jain = jain_index(cell_ee)
+    # an SINR can overflow (a subnormal noise power passes the config check);
+    # such a drop is an error, not a row of inf and nan
+    for name, value in [("network_ee", metrics.network_ee),
+                        *((f"cell_ee_{k}", v) for k, v in enumerate(cell_ee)),
+                        ("jain", jain)]:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} = {value}")
     return RunRecord(
         drop=drop, seed=seed, algorithm=algorithm,
         n_small_cells=config.n_small_cells, n_subcarriers=config.n_subcarriers,
         n_users=config.n_users_per_cell, noise_dbm=config.noise_psd_dbm_per_hz,
         network_ee=metrics.network_ee, cell_ee=cell_ee,
-        jain=jain_index(cell_ee), iterations=iterations,
+        jain=jain, iterations=iterations,
         evaluations=evaluations, converged=converged, traces=traces,
     )
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -154,6 +155,16 @@ power_levels = {}
 """.format(", ".join(str(0.001 * (k + 1)) for k in range(16)))
 
 
+# a 1.8e-318 W noise power passes the config check, but with no interferer
+# (one cell) the SINR overflows to inf on most drops
+SUBNORMAL_NOISE_CONFIG_TEXT = """\
+n_small_cells = 0
+n_subcarriers = 6
+n_users_per_cell = 6
+noise_psd_dbm_per_hz = -3200
+"""
+
+
 class TestFailureReasons:
     @pytest.mark.parametrize("argv, code", [
         (("simulate", "--algorithm", "brute-group"), 0),
@@ -168,6 +179,27 @@ class TestFailureReasons:
         captured = capsys.readouterr()
         assert "2^30 guard" in captured.err
         assert "2^30 guard" not in captured.out
+
+    @pytest.mark.parametrize("algorithm, drops, failed", [
+        ("egt", 20, 16),
+        ("brute-group", 3, 3),
+    ])
+    def test_non_finite_metrics_fail_the_drop(self, tmp_path, capsys, algorithm,
+                                              drops, failed):
+        path = tmp_path / "subnormal.cfg"
+        path.write_text(SUBNORMAL_NOISE_CONFIG_TEXT)
+        out = tmp_path / "runs.csv"
+        assert run_cli("simulate", "--algorithm", algorithm, "--config", path,
+                       "--drops", drops, "--out", out) == 0
+        err = capsys.readouterr().err
+        assert f"{algorithm}: {failed} drop(s) failed: non-finite network_ee = inf" in err
+        records = parse_results(out)
+        assert len(records) == drops
+        assert sum(math.isnan(r.network_ee) for r in records) == failed
+        for r in records:
+            values = [r.network_ee, r.jain, *r.cell_ee]
+            check = math.isnan if math.isnan(r.network_ee) else math.isfinite
+            assert all(check(v) for v in values)
 
 
 class TestErrorHandling:

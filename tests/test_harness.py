@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twotier_ee import harness
 from twotier_ee.baselines import brute_force_global
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
@@ -150,6 +151,25 @@ class TestRunDrops:
             algorithm="brute-global", n_drops=1)
         rec, = run_drops(spec)
         assert rec.error is not None and "guard" in rec.error
+
+    def test_non_finite_cell_ee_yields_error_record(self, monkeypatch):
+        def one_cell_overflows(context, profile):
+            metrics = compute_link_metrics(context, profile)
+            for link in metrics.ee:
+                if link[0] == 1:
+                    metrics.ee[link] = math.inf
+            return metrics
+
+        monkeypatch.setattr(harness, "compute_link_metrics", one_cell_overflows)
+        rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=1))
+        assert rec.error == "non-finite cell_ee_1 = inf"
+        assert math.isnan(rec.network_ee)
+
+    def test_non_finite_jain_yields_error_record(self, monkeypatch):
+        monkeypatch.setattr(harness, "jain_index", lambda values: math.nan)
+        rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="egt", n_drops=1))
+        assert rec.error == "non-finite jain = nan"
+        assert rec.traces == {}
 
     def test_algorithms_share_the_same_drops(self):
         config = cfg()

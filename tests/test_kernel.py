@@ -3,8 +3,11 @@
 `sinr` -> `user_ee` -> `group_ee` / `network_ee` run once per evaluated
 profile, so they are kept on plain float arithmetic.  TestKernelPreservation
 checks them, and the oracles and best-response dynamics built on them,
-against the numpy-scalar kernel they replaced.  TestSinrCallCount pins how
-many `sinr` calls each algorithm makes, the count the benchmark reports.
+against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
+oracles' chunked numpy objective and first-maximum pick against the scalar
+search, and the vector-equals-scalar `np.log2` it rests on.
+TestSinrCallCount pins how many `sinr` calls each algorithm makes, the count
+the benchmark reports.
 """
 
 import dataclasses
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier_ee import linklevel
+from twotier_ee import baselines, linklevel
 from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best_response
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
@@ -215,6 +218,93 @@ class TestKernelPreservation:
         for own, interferers, a_norm2 in ctx.gains.values():
             assert type(own) is float and type(a_norm2) is float
             assert all(type(gain) is float for _, gain in interferers)
+
+
+def scalar_first_max(values):
+    """The oracles' original pick: a strict `>` scan from -inf."""
+    best_index, best_value = None, -math.inf
+    for i, value in enumerate(values):
+        if value > best_value:
+            best_index, best_value = i, value
+    return best_index, best_value
+
+
+def split(values, size):
+    return [np.array(values[i:i + size], dtype=float) for i in range(0, len(values), size)]
+
+
+nan, inf = math.nan, math.inf
+
+
+class TestBatchedOracle:
+    """Chunked numpy objective and pick of the oracles against the scalar search."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, baselines._CHUNK_PROFILES])
+    @pytest.mark.parametrize("config, seed", [
+        (NetworkConfig(n_small_cells=2, n_subcarriers=2, n_users_per_cell=2,
+                       power_levels=DEFAULT_POWER_LEVELS[:3]), 0),
+        (NetworkConfig(n_small_cells=1, n_subcarriers=3, n_users_per_cell=2,
+                       power_levels=DEFAULT_POWER_LEVELS[:5]), 1),
+        (NetworkConfig(n_small_cells=3, n_subcarriers=1, n_users_per_cell=1), 2),
+    ])
+    def test_chunk_size_does_not_move_the_oracles(self, monkeypatch, chunk, config, seed):
+        ctx = sample_link_context(config, np.random.default_rng(seed))
+        ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
+        monkeypatch.setattr(baselines, "_CHUNK_PROFILES", chunk)
+        for sc in ctx.topology.occupied_subcarriers():
+            assert_oracle_matches(brute_force_group(sc, ctx), reference_group_oracle(ref, sc))
+        assert_oracle_matches(brute_force_global(ctx), reference_global_oracle(ref))
+
+    def test_global_oracle_across_default_chunks(self):
+        # 13 links in two co-channel groups: 2^13 = 8192 profiles, two default chunks
+        config = NetworkConfig(n_small_cells=12, n_subcarriers=2, n_users_per_cell=1,
+                               power_levels=(0.01, 0.1))
+        ctx = sample_link_context(config, np.random.default_rng(0))
+        assert len(ctx.topology.links()) == 13
+        assert len(ctx.topology.occupied_subcarriers()) == 2
+        assert 2 ** 13 > baselines._CHUNK_PROFILES
+        ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
+        assert_oracle_matches(brute_force_global(ctx), reference_global_oracle(ref))
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 3.0, 2.0, 3.0, 3.0, 0.5, 3.0],             # equal maxima, in and across chunks
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],         # all tied
+        [nan, 2.0, 1.0, 2.0],                              # NaN at the front
+        [1.0, 2.0, nan, 5.0, nan, 5.0, 4.0],              # NaN in the middle
+        [nan, nan, nan, nan, nan],                         # NaN everywhere
+        [1.0, inf, nan, inf, 2.0, inf],                    # +inf ties
+        [-inf, -inf, -inf, -inf],                          # all -inf: nothing is picked
+        [-inf, nan, -inf, -1e308, nan],                    # one finite value among -inf and NaN
+        [2.0],
+    ])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+    def test_first_max_equals_strict_scan(self, values, size):
+        index, value = baselines._first_max(split(values, size))
+        expected_index, expected_value = scalar_first_max(values)
+        assert index == expected_index
+        assert value == expected_value
+        assert type(value) is float
+
+    def test_vector_log2_is_bit_identical_to_scalar(self):
+        # the batched oracle objective takes np.log2(1.0 + S) over a whole
+        # chunk where the scalar kernel takes it per value; they agree only if
+        # the vector loop rounds exactly as the one-element call does
+        rng = np.random.default_rng(20170601)
+        sample = np.concatenate([
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300],
+            np.logspace(-300.0, 300.0, 6001),
+            10.0 ** rng.uniform(-300.0, 300.0, 50_000),
+            rng.uniform(0.0, 1e4, 50_000),        # the SINRs of typical links
+        ])
+        vector = np.log2(1.0 + sample)
+        mismatches = [float(v) for v, got in zip(sample.tolist(), vector.tolist())
+                      if float(np.log2(1.0 + v)) != got]
+        assert not mismatches, (
+            f"vector np.log2 differs from scalar np.log2 on {len(mismatches)} of "
+            f"{sample.size} values (first: {mismatches[:3]}); the batched objective of "
+            f"brute_force_group / brute_force_global depends on them agreeing bit for "
+            f"bit, so the numpy pin has moved (numpy {np.__version__})"
+        )
 
 
 class TestSinrCallCount:
