@@ -5,7 +5,8 @@ varies one parameter with shared drop seeds, `compare` pairs the
 evolutionary and best-response algorithms on identical drops, and `oracle`
 reports the gap to the per-group exhaustive optimum.  All randomness flows
 from the config's rng_seed (or --seed), so every invocation is exactly
-reproducible.
+reproducible.  A run exits 1 when no drop succeeded (for `compare` and
+`oracle`, no paired drop).
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _cmd_simulate(args) -> int:
     print(f"{spec.algorithm}: {_summarize(records)}")
     _report_failures(spec.algorithm, failure_counts(records))
     _emit(records, args.out)
-    return 0
+    return 0 if any(r.error is None for r in records) else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -129,7 +130,7 @@ def _cmd_sweep(args) -> int:
     if args.out is not None:
         emit_sweep(rows, args.out)
         print(f"wrote {args.out}")
-    return 0
+    return 0 if any(row.n_drops > sum(row.failures.values()) for row in rows) else 1
 
 
 def _run_paired(args, other: str) -> tuple:
@@ -152,7 +153,7 @@ def _cmd_compare(args) -> int:
         wins = sum(1 for a, b in pairs if a.jain >= b.jain)
         print(f"fairness: jain(egt) >= jain(ngt) in {wins}/{len(pairs)} paired drops")
     _emit(rec_egt + rec_ngt, args.out)
-    return 0
+    return 0 if pairs else 1
 
 
 def _cmd_oracle(args) -> int:

@@ -32,11 +32,30 @@ PowerProfile = dict
 
 
 def mrc_combiner(g: np.ndarray) -> np.ndarray:
-    """Unit-norm maximum-ratio combiner matched to the desired channel."""
-    norm = np.linalg.norm(g)
-    if norm == 0:
+    """Unit-norm maximum-ratio combiner matched to the desired channel.
+
+    `g` is one channel vector or a stack of them, one per row; each row is
+    normalized on its own.  The norm is the one `np.linalg.norm` computes,
+    sqrt(re . re + im . im), bit for bit.
+    """
+    norm = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+    if np.any(norm == 0):
         raise ValueError("cannot build a combiner for an all-zero channel")
-    return g / norm
+    return g / norm[..., None]
+
+
+def _abs2(z: np.ndarray) -> list:
+    """|z|^2 of each element as Python floats: a vector abs, then a scalar power.
+
+    Vector `np.abs` rounds as the scalar one does; vector `** 2` and
+    `np.square` do not, while a Python float power is the C `pow` that the
+    numpy-scalar `** 2` calls.
+    """
+    magnitudes = np.abs(z)
+    try:
+        return [x ** 2 for x in magnitudes.tolist()]
+    except OverflowError:  # above 1.34e154 a Python float power raises; numpy's gives inf
+        return [float(x ** 2) for x in magnitudes]
 
 
 def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
@@ -46,20 +65,34 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
     its MRC combiner a, built once: own = |a^H g_own|^2, interference =
     ((other cell, |a^H g_other|^2), ...) over the co-channel cells in
     ascending order, and a_norm2 = ||a||^2, the combiner's gain on noise.
-    Every gain is a Python float (converted exactly), so evaluations run on
-    plain float arithmetic instead of numpy scalars.
+    Every gain is a Python float.
+
+    The links are grouped by serving cell, whose receiver sees them all:
+    the vectors read from `channels.g` are stacked per receiver and every
+    product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses, so
+    the table is bit-identical to one built link by link.  A matrix-vector
+    product (`G @ a.conj()`) or `einsum` sums in another order and is not.
     """
-    gains = {}
+    g = channels.g
+    served = {}
     for cell, sc in topology.links():
-        g_own = channels.vector(cell, cell, sc)
-        a = mrc_combiner(g_own)
-        interference = tuple(
-            (other, float(np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2))
-            for other in topology.co_channel(sc) if other != cell
-        )
-        gains[(cell, sc)] = (float(np.abs(np.vdot(a, g_own)) ** 2), interference,
-                             float(np.vdot(a, a).real))
-    return gains
+        served.setdefault(cell, []).append(sc)
+    entries = {}
+    for cell, subcarriers in served.items():
+        own_vectors = np.array([g[(cell, cell, sc)] for sc in subcarriers])
+        a = mrc_combiner(own_vectors)
+        own = _abs2(np.vecdot(a, own_vectors))
+        a_norm2 = np.vecdot(a, a).real.tolist()
+        groups = [[other for other in topology.co_channel(sc) if other != cell]
+                  for sc in subcarriers]
+        rows = [row for row, others in enumerate(groups) for _ in others]
+        vectors = [g[(cell, other, sc)]
+                   for sc, others in zip(subcarriers, groups) for other in others]
+        leaked = iter(_abs2(np.vecdot(a[rows], np.array(vectors))) if vectors else ())
+        for row, (sc, others) in enumerate(zip(subcarriers, groups)):
+            # zip stops on `others` before it takes from `leaked`
+            entries[(cell, sc)] = (own[row], tuple(zip(others, leaked)), a_norm2[row])
+    return {link: entries[link] for link in topology.links()}
 
 
 @dataclass

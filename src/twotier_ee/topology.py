@@ -50,6 +50,7 @@ class Topology:
     users: list
     _by_link: dict = field(init=False, repr=False)
     _cells_on: dict = field(init=False, repr=False)
+    _links: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_link = {(u.cell, u.subcarrier): u for u in self.users}
@@ -59,6 +60,7 @@ class Topology:
         for u in self.users:
             cells_on.setdefault(u.subcarrier, []).append(u.cell)
         self._cells_on = {sc: tuple(sorted(cells)) for sc, cells in cells_on.items()}
+        self._links = sorted(self._by_link, key=lambda ks: (ks[1], ks[0]))
 
     @property
     def n_small_cells(self) -> int:
@@ -90,8 +92,11 @@ class Topology:
         return sorted(self._cells_on)
 
     def links(self) -> list:
-        """All (cell, subcarrier) pairs carrying a user, sorted by (subcarrier, cell)."""
-        return sorted(self._by_link, key=lambda ks: (ks[1], ks[0]))
+        """All (cell, subcarrier) pairs carrying a user, sorted by (subcarrier, cell).
+
+        Sorted once at construction; each call returns a fresh list.
+        """
+        return list(self._links)
 
 
 def _uniform_in_disc(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,20 +179,30 @@ def sample_large_scale_fading(
 
     One independent shadowing draw per (receiver BS, user) link, fixed for
     the lifetime of the drop, drawn as one (receiver, link) block: receivers
-    ascending, links in `Topology.links()` order.
+    ascending, links in `Topology.links()` order.  The gains are
+    `large_scale_gain` over the whole block, bit for bit: the clamp and the
+    products run as array operations, `d ** alpha` as a Python float power
+    per value (numpy's vector power rounds some values differently).
     """
     links = topology.links()
     receivers = np.vstack([topology.mbs_position, topology.sbs_positions])
     users = np.array([topology.user(cell, sc).position for cell, sc in links])
     offset = (receivers[:, None, :] - users[None, :, :])[:, :, None, :]
     # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
-    distance = np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0]
-    varsigma = draw_shadowing(config, rng, size=distance.shape)
+    distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0].ravel(),
+                          MIN_DISTANCE_M)
+    varsigma = draw_shadowing(config, rng, size=(topology.n_cells, len(links))).ravel()
+    # the checks of large_scale_gain, on the clamped block
+    for name, values in (("distance", distance), ("shadow draw", varsigma)):
+        bad = np.flatnonzero(values <= 0)
+        if bad.size:
+            raise ValueError(f"{name} must be > 0, got {values[bad[0]]}")
+    alpha = config.path_loss_exponent
+    path_loss = np.array([d ** alpha for d in distance.tolist()])
+    gain = config.antenna_constant * varsigma / path_loss
     keys = [(receiver, cell, sc) for receiver in range(topology.n_cells) for cell, sc in links]
-    shadow = dict(zip(keys, varsigma.ravel().tolist()))
-    beta = {key: large_scale_gain(max(d, MIN_DISTANCE_M), config, shadow[key])
-            for key, d in zip(keys, distance.ravel().tolist())}
-    return LargeScaleFading(beta=beta, shadow=shadow)
+    return LargeScaleFading(beta=dict(zip(keys, gain.tolist())),
+                            shadow=dict(zip(keys, varsigma.tolist())))
 
 
 @dataclass
@@ -219,10 +234,11 @@ def sample_channels(
     links = topology.links()
     for receiver in range(topology.n_cells):
         n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
+        keys = [(receiver, cell, sc) for cell, sc in links]
         z = rng.standard_normal((len(links), 2, n_rx))
         h = z[:, 1] * 1j  # in place from here: one complex block is held at a time
         h += z[:, 0]
         h /= np.sqrt(2.0)
-        h *= np.sqrt([fading.beta[(receiver, cell, sc)] for cell, sc in links])[:, None]
-        g.update(((receiver, cell, sc), row) for (cell, sc), row in zip(links, h))
+        h *= np.sqrt(list(map(fading.beta.__getitem__, keys)))[:, None]
+        g.update(zip(keys, h))
     return ChannelRealization(g=g)

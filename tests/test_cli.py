@@ -32,6 +32,15 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# five non-overlapping small cells do not fit in the macro disc: every drop fails
+CRAMPED_CONFIG_TEXT = """\
+n_small_cells = 5
+n_subcarriers = 5
+n_users_per_cell = 1
+macro_radius = 150
+"""
+
+
 class TestSimulate:
     def test_runs_and_writes_results(self, config_file, tmp_path, capsys):
         out = tmp_path / "runs.csv"
@@ -127,6 +136,16 @@ class TestCompare:
         assert len(records) == 4
         assert {r.algorithm for r in records} == {"egt", "ngt"}
 
+    def test_no_paired_drop_exits_nonzero_and_still_writes(self, tmp_path, capsys):
+        bad = tmp_path / "cramped.cfg"
+        bad.write_text(CRAMPED_CONFIG_TEXT)
+        out = tmp_path / "cmp.csv"
+        assert run_cli("compare", "--config", bad, "--drops", 2, "--out", out) == 1
+        assert "all 2 drops failed" in capsys.readouterr().out
+        records = parse_results(out)
+        assert len(records) == 4
+        assert all(math.isnan(r.network_ee) for r in records)
+
 
 class TestOracle:
     def test_reports_gap_and_dominance(self, config_file, tmp_path, capsys):
@@ -140,8 +159,7 @@ class TestOracle:
 
     def test_all_failed_drops_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "cramped.cfg"
-        bad.write_text("n_small_cells = 5\nn_subcarriers = 5\n"
-                       "n_users_per_cell = 1\nmacro_radius = 150\n")
+        bad.write_text(CRAMPED_CONFIG_TEXT)
         assert run_cli("oracle", "--config", bad) == 1
         assert "no successful paired drops" in capsys.readouterr().out
 
@@ -167,10 +185,10 @@ noise_psd_dbm_per_hz = -3200
 
 class TestFailureReasons:
     @pytest.mark.parametrize("argv, code", [
-        (("simulate", "--algorithm", "brute-group"), 0),
+        (("simulate", "--algorithm", "brute-group"), 1),
         (("oracle",), 1),
         (("sweep", "--algorithm", "brute-group", "--param", "noise_psd_dbm_per_hz",
-          "--values=-194"), 0),
+          "--values=-194"), 1),
     ])
     def test_failed_drop_reason_on_stderr(self, tmp_path, capsys, argv, code):
         path = tmp_path / "guarded.cfg"
@@ -189,8 +207,9 @@ class TestFailureReasons:
         path = tmp_path / "subnormal.cfg"
         path.write_text(SUBNORMAL_NOISE_CONFIG_TEXT)
         out = tmp_path / "runs.csv"
+        # exit 1 only when no drop succeeded
         assert run_cli("simulate", "--algorithm", algorithm, "--config", path,
-                       "--drops", drops, "--out", out) == 0
+                       "--drops", drops, "--out", out) == (1 if failed == drops else 0)
         err = capsys.readouterr().err
         assert f"{algorithm}: {failed} drop(s) failed: non-finite network_ee = inf" in err
         records = parse_results(out)
@@ -200,6 +219,16 @@ class TestFailureReasons:
             values = [r.network_ee, r.jain, *r.cell_ee]
             check = math.isnan if math.isnan(r.network_ee) else math.isfinite
             assert all(check(v) for v in values)
+
+    def test_sweep_exits_zero_when_some_value_has_a_drop(self, tmp_path, capsys):
+        path = tmp_path / "subnormal.cfg"
+        path.write_text(SUBNORMAL_NOISE_CONFIG_TEXT)
+        assert run_cli("sweep", "--algorithm", "brute-group", "--config", path,
+                       "--drops", 2, "--param", "noise_psd_dbm_per_hz",
+                       "--values=-3200,-174") == 0
+        err = capsys.readouterr().err
+        assert "noise_psd_dbm_per_hz=-3200: 2 drop(s) failed" in err
+        assert "noise_psd_dbm_per_hz=-174" not in err
 
 
 class TestErrorHandling:

@@ -6,6 +6,8 @@ checks them, and the oracles and best-response dynamics built on them,
 against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
 oracles' chunked numpy objective and first-maximum pick against the scalar
 search, and the vector-equals-scalar `np.log2` it rests on.
+TestStackedGainTable checks the per-receiver stacked gain table against the
+link-by-link one, and the numpy rounding facts it rests on.
 TestSinrCallCount pins how many `sinr` calls each algorithm makes, the count
 the benchmark reports.
 """
@@ -23,9 +25,10 @@ from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.linklevel import (
-    compute_link_metrics, group_ee, mrc_combiner, network_ee, sample_link_context, sinr,
-    user_ee,
+    build_combiners, compute_link_metrics, group_ee, mrc_combiner, network_ee,
+    sample_link_context, sinr, user_ee,
 )
+from twotier_ee.topology import ChannelRealization, Topology, User
 
 # oracle runs in the property test are capped so that one example stays cheap
 _ORACLE_CAP = 4096
@@ -305,6 +308,103 @@ class TestBatchedOracle:
             f"brute_force_group / brute_force_global depends on them agreeing bit for "
             f"bit, so the numpy pin has moved (numpy {np.__version__})"
         )
+
+
+def channel_rows(rng, n_rows, n_antennas):
+    """Rayleigh rows g = sqrt(beta) h with path-loss gains from 1e-16 to 1."""
+    h = rng.standard_normal((n_rows, n_antennas)) + 1j * rng.standard_normal((n_rows, n_antennas))
+    return h * np.sqrt(10.0 ** rng.uniform(-16.0, 0.0, size=(n_rows, 1)))
+
+
+def assert_bit_contract(what, pairs):
+    mismatches = [(want, got) for want, got in pairs if want != got]
+    assert not mismatches, (
+        f"{what} differs on {len(mismatches)} of {len(pairs)} values (first: "
+        f"{mismatches[:3]}); the stacked gain table of build_combiners depends on them "
+        f"agreeing bit for bit, so the numpy pin has moved (numpy {np.__version__})"
+    )
+
+
+class TestStackedGainTable:
+    """The per-receiver stacked gain table and the numpy rounding it rests on."""
+
+    @pytest.mark.parametrize("n_antennas", [4, 16, 128])
+    def test_vecdot_rows_equal_vdot(self, n_antennas):
+        rng = np.random.default_rng(20170602 + n_antennas)
+        g = channel_rows(rng, 2000, n_antennas)
+        a = g[::-1] / np.linalg.norm(g[::-1], axis=1, keepdims=True)
+        for x, y in ((a, g), (a, a), (g, g)):
+            assert_bit_contract(f"np.vecdot at {n_antennas} antennas vs np.vdot per row", [
+                (complex(np.vdot(u, v)), got) for u, v, got in zip(x, y, np.vecdot(x, y).tolist())
+            ])
+
+    @pytest.mark.parametrize("n_antennas", [1, 4, 16, 128])
+    def test_vecdot_norm_equals_linalg_norm(self, n_antennas):
+        g = channel_rows(np.random.default_rng(20170603 + n_antennas), 2000, n_antennas)
+        norm = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+        assert_bit_contract(f"the vecdot norm at {n_antennas} antennas vs np.linalg.norm", [
+            (float(np.linalg.norm(row)), got) for row, got in zip(g, norm.tolist())
+        ])
+
+    def test_vector_abs_and_python_square_equal_the_scalar_kernel(self):
+        rng = np.random.default_rng(20170604)
+        a = channel_rows(rng, 3000, 128)
+        z = np.concatenate([
+            np.vecdot(a / np.linalg.norm(a, axis=1, keepdims=True), channel_rows(rng, 3000, 128)),
+            (rng.standard_normal(100_000) + 1j * rng.standard_normal(100_000))
+            * 10.0 ** rng.uniform(-150.0, 150.0, 100_000),
+            [0j, 5e-324 + 0j, 1e-160j, 3.0 + 4.0j, 1e154 + 1e154j],
+        ])
+        magnitudes = np.abs(z)
+        assert_bit_contract("vector np.abs vs scalar np.abs", [
+            (float(np.abs(x)), got) for x, got in zip(z, magnitudes.tolist())
+        ])
+        # above 1.34e154 a Python float power raises OverflowError instead
+        assert_bit_contract("a Python float ** 2 vs a numpy-scalar ** 2", [
+            (float(x ** 2), x.item() ** 2) for x in magnitudes if x < 1e154
+        ])
+
+    @pytest.mark.parametrize("n_antennas", [1, 4, 128])
+    def test_stacked_combiner_equals_row_calls(self, n_antennas):
+        g = channel_rows(np.random.default_rng(20170605 + n_antennas), 200, n_antennas)
+        stacked = mrc_combiner(g)
+        assert stacked.shape == g.shape
+        for row, got in zip(g, stacked):
+            assert got.tobytes() == mrc_combiner(row).tobytes()
+            assert got.tobytes() == (row / np.linalg.norm(row)).tobytes()
+
+    def test_stack_with_a_zero_row_raises(self):
+        g = channel_rows(np.random.default_rng(20170606), 5, 4)
+        g[3] = 0.0
+        with pytest.raises(ValueError, match="all-zero channel"):
+            mrc_combiner(g)
+
+    @pytest.mark.parametrize("leak_scale", [1.0, 1e160])   # 1e160: |a^H g|^2 overflows
+    def test_hand_built_two_player_table_equals_reference(self, leak_scale):
+        # two cells sharing subcarrier 0; the macro cell alone on subcarrier 2
+        users = [User(cell=0, subcarrier=0, position=(100.0, 0.0)),
+                 User(cell=0, subcarrier=2, position=(0.0, 80.0)),
+                 User(cell=1, subcarrier=0, position=(520.0, 0.0))]
+        topology = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[500.0, 0.0]]),
+                            users=users)
+        rng = np.random.default_rng(20170607)
+        channels = ChannelRealization(g={
+            (rx, cell, sc): channel_rows(rng, 1, 3 if rx == 0 else 2)[0]
+            for rx in (0, 1) for cell, sc in topology.links()
+        })
+        channels.g[(0, 1, 0)] *= leak_scale
+        with np.errstate(over="ignore"):
+            gains = build_combiners(topology, channels)
+            expected = reference_gains(topology, channels)
+        reference = {
+            link: (float(own), tuple((other, float(gain)) for other, gain in interferers),
+                   a_norm2)
+            for link, (own, interferers, a_norm2) in expected.items()
+        }
+        assert list(gains.items()) == list(reference.items())
+        [(other, leak)] = gains[(0, 0)][1]
+        assert other == 1 and math.isinf(leak) == (leak_scale > 1.0)
+        assert gains[(0, 2)][1] == ()
 
 
 class TestSinrCallCount:
