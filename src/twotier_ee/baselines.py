@@ -5,7 +5,7 @@ every joint strategy instead of exploiting any structure; size guards keep
 them at desk scale.  Each profile still gets one link-level `sinr` call per
 link, but the objective after it (rate, EE, the group and network sums) and
 the pick of the maximizer run batched in numpy over chunks of profiles,
-bit for bit as `group_ee` / `network_ee` would compute them.  Ties are
+bit for bit as `group_ee` and the metrics' network sum compute them.  Ties are
 broken toward the lexicographically smallest strategy-index tuple, which
 makes the global and per-group searches agree on instances where the
 objective decomposes.
@@ -71,7 +71,7 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
 
     The objective of a profile is the sum over `groups` (lists of positions
     in `links`) of each group's summed link EE, added left to right from 0.0
-    exactly as `network_ee` and `group_ee` add them.  Profiles go in chunks
+    exactly as `group_ee` and `compute_link_metrics` add them.  Profiles go in chunks
     of _CHUNK_PROFILES: `sinr` is called once per link per profile, in link
     order, on one profile dict updated in place; rate, EE, the sums and the
     first-maximum pick then run on the whole chunk in numpy.

@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
     if args.out is not None:
         emit_sweep(rows, args.out)
         print(f"wrote {args.out}")
-    return 0 if any(row.n_drops > sum(row.failures.values()) for row in rows) else 1
+    return 0 if any(row.n_drops for row in rows) else 1
 
 
 def _run_paired(args, other: str) -> tuple:
@@ -158,18 +158,18 @@ def _cmd_compare(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rec_egt, rec_orc, pairs = _run_paired(args, "brute-group")
-    if not pairs:
+    if pairs:
+        gaps = [(o.network_ee - a.network_ee) / o.network_ee for a, o in pairs]
+        dominated = sum(o.network_ee >= a.network_ee - 1e-12 * abs(o.network_ee)
+                        for a, o in pairs)
+        print(f"per-group optimum vs egt over {len(gaps)} drops: "
+              f"mean relative gap {100 * float(np.mean(gaps)):.3f}%, "
+              f"max {100 * float(np.max(gaps)):.3f}%, "
+              f"dominance held in {dominated}/{len(gaps)}")
+    else:
         print("no successful paired drops")
-        return 1
-    gaps = [(o.network_ee - a.network_ee) / o.network_ee for a, o in pairs]
-    dominated = sum(o.network_ee >= a.network_ee - 1e-12 * abs(o.network_ee)
-                    for a, o in pairs)
-    print(f"per-group optimum vs egt over {len(gaps)} drops: "
-          f"mean relative gap {100 * float(np.mean(gaps)):.3f}%, "
-          f"max {100 * float(np.max(gaps)):.3f}%, "
-          f"dominance held in {dominated}/{len(gaps)}")
     _emit(rec_egt + rec_orc, args.out)
-    return 0
+    return 0 if pairs else 1
 
 
 _COMMANDS = {

@@ -7,7 +7,8 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-__all__ = ["NetworkConfig", "ConfigError", "load_config", "parse_config", "format_config"]
+__all__ = ["NetworkConfig", "ConfigError", "DEFAULT_POWER_LEVELS", "load_config",
+           "parse_config", "format_config"]
 
 
 class ConfigError(ValueError):

@@ -51,7 +51,7 @@ def new_games(context: LinkContext, rng: np.random.Generator) -> list:
     n_levels = context.config.n_power_levels
     games = []
     for sc in context.topology.occupied_subcarriers():
-        players = context.topology.cells_on(sc)
+        players = list(context.topology.cells_on(sc))
         strategy = {cell: int(rng.integers(n_levels)) for cell in players}
         games.append(GameState(subcarrier=sc, players=players, strategy=strategy,
                                explored=set(strategy.values())))

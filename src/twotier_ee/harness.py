@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
 from .config import NetworkConfig
 from .egt import new_games, run_algorithm1
-from .linklevel import compute_link_metrics, sample_link_context
+from .linklevel import LinkContext, compute_link_metrics, sample_link_context
 
 __all__ = [
     "ALGORITHMS", "SWEEP_PARAMETERS", "ExperimentSpec", "SweepSpec", "RunRecord",
@@ -142,52 +142,32 @@ class RunRecord:
     error: str = None                 # set when the drop aborted
 
 
-def _error_record(drop: int, seed: int, spec_algorithm: str,
-                  config: NetworkConfig, message: str) -> RunRecord:
-    nan = float("nan")
-    return RunRecord(
-        drop=drop, seed=seed, algorithm=spec_algorithm,
-        n_small_cells=config.n_small_cells, n_subcarriers=config.n_subcarriers,
-        n_users=config.n_users_per_cell, noise_dbm=config.noise_psd_dbm_per_hz,
-        network_ee=nan, cell_ee=[nan] * config.n_cells, jain=nan,
-        iterations=0, evaluations=0, converged=False, error=message,
-    )
-
-
-def _run_one(config: NetworkConfig, algorithm: str, drop: int, seed: int,
-             max_iterations: int) -> RunRecord:
-    context = sample_link_context(config, scenario_rng(seed))
-    rng = algorithm_rng(seed, algorithm)
-    traces = {}
+def _solve(context: LinkContext, rng: np.random.Generator, algorithm: str,
+           max_iterations: int) -> tuple:
+    """Run one algorithm on a drop: (profile, iterations, evaluations, converged, traces)."""
     if algorithm == "egt":
-        result = run_algorithm1(new_games(context, rng), context, rng,
-                                max_iterations=max_iterations)
-        profile = result.profile
-        iterations = result.iterations
-        evaluations = result.evaluations
-        converged = result.converged
-        traces = result.traces
-    elif algorithm == "ngt":
-        result = ngt_best_response(context, rng, max_rounds=max_iterations)
-        profile = result.profile
-        iterations = result.rounds
-        evaluations = result.evaluations
-        converged = result.converged
-    elif algorithm == "brute-group":
-        profile = {}
-        evaluations = 0
-        for sc in context.topology.occupied_subcarriers():
-            part = brute_force_group(sc, context)
-            profile.update(part.profile)
-            evaluations += part.evaluations
-        iterations = 0
-        converged = True
-    else:  # brute-global
-        result = brute_force_global(context)
-        profile = result.profile
-        iterations = 0
-        evaluations = result.evaluations
-        converged = True
+        r = run_algorithm1(new_games(context, rng), context, rng,
+                           max_iterations=max_iterations)
+        return r.profile, r.iterations, r.evaluations, r.converged, r.traces
+    if algorithm == "ngt":
+        r = ngt_best_response(context, rng, max_rounds=max_iterations)
+        return r.profile, r.rounds, r.evaluations, r.converged, {}
+    if algorithm == "brute-global":
+        r = brute_force_global(context)
+        return r.profile, 0, r.evaluations, True, {}
+    profile, evaluations = {}, 0
+    for sc in context.topology.occupied_subcarriers():
+        part = brute_force_group(sc, context)
+        profile.update(part.profile)
+        evaluations += part.evaluations
+    return profile, 0, evaluations, True, {}
+
+
+def _run_one(config: NetworkConfig, algorithm: str, seed: int, max_iterations: int) -> dict:
+    """The outcome fields of one drop's RunRecord; raises if the drop fails."""
+    context = sample_link_context(config, scenario_rng(seed))
+    profile, iterations, evaluations, converged, traces = _solve(
+        context, algorithm_rng(seed, algorithm), algorithm, max_iterations)
     metrics = compute_link_metrics(context, profile)
     cell_ee = [metrics.cell_ee(k) for k in range(config.n_cells)]
     jain = jain_index(cell_ee)
@@ -198,31 +178,29 @@ def _run_one(config: NetworkConfig, algorithm: str, drop: int, seed: int,
                         ("jain", jain)]:
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} = {value}")
-    return RunRecord(
-        drop=drop, seed=seed, algorithm=algorithm,
-        n_small_cells=config.n_small_cells, n_subcarriers=config.n_subcarriers,
-        n_users=config.n_users_per_cell, noise_dbm=config.noise_psd_dbm_per_hz,
-        network_ee=metrics.network_ee, cell_ee=cell_ee,
-        jain=jain, iterations=iterations,
-        evaluations=evaluations, converged=converged, traces=traces,
-    )
+    return dict(network_ee=metrics.network_ee, cell_ee=cell_ee, jain=jain,
+                iterations=iterations, evaluations=evaluations, converged=converged,
+                traces=traces)
 
 
-def run_drops(spec: ExperimentSpec, config: NetworkConfig = None) -> list:
-    """Run every drop of the spec; a failed drop yields an error record.
-
-    `config` overrides the spec's base config (the sweep path uses this to
-    substitute per-value configs while keeping the same child seeds).
-    """
-    config = config if config is not None else spec.config
+def run_drops(spec: ExperimentSpec) -> list:
+    """Run every drop of the spec; a failed drop yields a NaN record with its error."""
+    config = spec.config
+    nan = float("nan")
     records = []
     for drop in range(spec.n_drops):
         seed = child_seed(config.rng_seed, drop)
         try:
-            records.append(_run_one(config, spec.algorithm, drop, seed,
-                                    spec.max_iterations))
+            outcome = _run_one(config, spec.algorithm, seed, spec.max_iterations)
         except Exception as exc:  # noqa: BLE001 - error records, not batch aborts
-            records.append(_error_record(drop, seed, spec.algorithm, config, str(exc)))
+            outcome = dict(network_ee=nan, cell_ee=[nan] * config.n_cells, jain=nan,
+                           iterations=0, evaluations=0, converged=False, error=str(exc))
+        records.append(RunRecord(
+            drop=drop, seed=seed, algorithm=spec.algorithm,
+            n_small_cells=config.n_small_cells, n_subcarriers=config.n_subcarriers,
+            n_users=config.n_users_per_cell, noise_dbm=config.noise_psd_dbm_per_hz,
+            **outcome,
+        ))
     return records
 
 
@@ -233,11 +211,11 @@ def failure_counts(records: list) -> Counter:
 
 @dataclass
 class SweepRow:
-    """Aggregate over all drops at one sweep value."""
+    """Aggregate over the drops that succeeded at one sweep value."""
 
     parameter: str
     value: float
-    n_drops: int
+    n_drops: int                      # drops that succeeded: the ones the means average
     mean_network_ee: float
     ee_ci95: float
     mean_jain: float
@@ -264,13 +242,14 @@ def sweep(spec: ExperimentSpec) -> list:
     rows = []
     for value in spec.sweep.values:
         config = config_for_value(spec.config, spec.sweep.parameter, value)
-        records = run_drops(spec, config=config)
+        records = run_drops(dataclasses.replace(spec, config=config, sweep=None))
         ee_mean, ee_ci = _mean_ci([r.network_ee for r in records])
         jain_mean, jain_ci = _mean_ci([r.jain for r in records])
+        failures = failure_counts(records)
         rows.append(SweepRow(
             parameter=spec.sweep.parameter, value=float(value),
-            n_drops=len(records), mean_network_ee=ee_mean, ee_ci95=ee_ci,
-            mean_jain=jain_mean, jain_ci95=jain_ci, failures=failure_counts(records),
+            n_drops=len(records) - sum(failures.values()), mean_network_ee=ee_mean,
+            ee_ci95=ee_ci, mean_jain=jain_mean, jain_ci95=jain_ci, failures=failures,
         ))
     return rows
 

@@ -22,9 +22,8 @@ from .topology import ChannelRealization, LargeScaleFading, Topology, sample_top
 
 __all__ = [
     "PowerProfile", "LinkMetrics", "LinkContext",
-    "mrc_combiner", "build_combiners", "sinr", "rate", "power_sum", "user_ee",
-    "group_ee", "network_ee", "compute_link_metrics", "sample_link_context",
-    "validate_power_profile",
+    "mrc_combiner", "build_combiners", "sinr", "user_ee", "group_ee",
+    "compute_link_metrics", "sample_link_context", "validate_power_profile",
 ]
 
 # mapping (cell, subcarrier) -> transmit power in watts, one entry per active link
@@ -83,7 +82,7 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
         a = mrc_combiner(own_vectors)
         own = _abs2(np.vecdot(a, own_vectors))
         a_norm2 = np.vecdot(a, a).real.tolist()
-        groups = [[other for other in topology.co_channel(sc) if other != cell]
+        groups = [[other for other in topology.cells_on(sc) if other != cell]
                   for sc in subcarriers]
         rows = [row for row, others in enumerate(groups) for _ in others]
         vectors = [g[(cell, other, sc)]
@@ -138,21 +137,11 @@ def sinr(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int
     return profile[(cell, subcarrier)] * own / (interference + noise)
 
 
-def rate(sinr_value: float) -> float:
-    """Spectral efficiency in bit/s/Hz."""
-    return float(np.log2(1.0 + sinr_value))
-
-
-def power_sum(transmit_power: float, config: NetworkConfig) -> float:
-    """Total power drawn by the user: transmit plus circuit."""
-    return transmit_power + config.circuit_power
-
-
 def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
-    """Energy efficiency of one link, bit/s/Hz per watt.
+    """Energy efficiency of one link: bit/s/Hz over transmit plus circuit watts.
 
-    rate / power_sum spelled out: this runs once per evaluation.  np.log2,
-    not math.log2, which rounds differently on some inputs.
+    The package's one scalar EE, read by the metrics and every algorithm.
+    np.log2, not math.log2, which rounds differently on some inputs.
     """
     r = float(np.log2(1.0 + sinr(context, profile, cell, subcarrier)))
     return r / (profile[(cell, subcarrier)] + context.config.circuit_power)
@@ -161,20 +150,8 @@ def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: 
 def group_ee(context: LinkContext, profile: PowerProfile, subcarrier: int) -> float:
     """Sum energy efficiency of the co-channel group on one subcarrier."""
     total = 0.0
-    for cell in context.topology.co_channel(subcarrier):
+    for cell in context.topology.cells_on(subcarrier):
         total += user_ee(context, profile, cell, subcarrier)
-    return total
-
-
-def network_ee(context: LinkContext, profile: PowerProfile) -> float:
-    """Network energy efficiency: sum over subcarriers of group EE.
-
-    Accumulation order is fixed (subcarriers ascending, cells ascending
-    inside each group) so the result is bit-reproducible.
-    """
-    total = 0.0
-    for sc in context.topology.occupied_subcarriers():
-        total += group_ee(context, profile, sc)
     return total
 
 
@@ -182,11 +159,8 @@ def network_ee(context: LinkContext, profile: PowerProfile) -> float:
 class LinkMetrics:
     """Per-link and aggregate metrics for one power profile on one drop."""
 
-    sinr: dict          # (cell, subcarrier) -> post-combining SINR
-    rate: dict          # (cell, subcarrier) -> bit/s/Hz
-    ee: dict            # (cell, subcarrier) -> bit/s/Hz/W
-    group_ee: dict      # subcarrier -> sum EE of its co-channel group
-    network_ee: float
+    ee: dict            # (cell, subcarrier) -> user_ee, bit/s/Hz/W
+    network_ee: float   # sum over subcarriers of each co-channel group's EE
 
     def cell_ee(self, cell: int) -> float:
         """Sum EE over one cell's links, subcarriers ascending (insertion order)."""
@@ -198,26 +172,19 @@ class LinkMetrics:
 
 
 def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMetrics:
+    """Every link's `user_ee`, and their sum in the fixed order the oracles use:
+    each group's cells ascending, then the group totals, subcarriers ascending.
+    """
     validate_power_profile(context, profile)
-    sinr_map = {}
-    rate_map = {}
-    ee_map = {}
-    group_map = {}
+    ee = {}
     total = 0.0
     for sc in context.topology.occupied_subcarriers():
-        g_total = 0.0
-        for cell in context.topology.co_channel(sc):
-            s = sinr(context, profile, cell, sc)
-            r = rate(s)
-            e = r / power_sum(profile[(cell, sc)], context.config)
-            sinr_map[(cell, sc)] = s
-            rate_map[(cell, sc)] = r
-            ee_map[(cell, sc)] = e
-            g_total += e
-        group_map[sc] = g_total
-        total += g_total
-    return LinkMetrics(sinr=sinr_map, rate=rate_map, ee=ee_map,
-                       group_ee=group_map, network_ee=total)
+        group = 0.0
+        for cell in context.topology.cells_on(sc):
+            ee[(cell, sc)] = e = user_ee(context, profile, cell, sc)
+            group += e
+        total += group
+    return LinkMetrics(ee=ee, network_ee=total)
 
 
 def validate_power_profile(context: LinkContext, profile: PowerProfile) -> None:

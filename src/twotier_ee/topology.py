@@ -79,12 +79,8 @@ class Topology:
     def user(self, cell: int, subcarrier: int) -> User:
         return self._by_link[(cell, subcarrier)]
 
-    def cells_on(self, subcarrier: int) -> list:
-        """Cells with a user on this subcarrier, ascending (the co-channel group)."""
-        return list(self.co_channel(subcarrier))
-
-    def co_channel(self, subcarrier: int) -> tuple:
-        """The co-channel group as a shared tuple, for per-evaluation loops."""
+    def cells_on(self, subcarrier: int) -> tuple:
+        """Cells with a user on this subcarrier, ascending: the co-channel group, shared."""
         return self._cells_on.get(subcarrier, ())
 
     def occupied_subcarriers(self) -> list:

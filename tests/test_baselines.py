@@ -10,7 +10,7 @@ from twotier_ee.baselines import (
 )
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
-from twotier_ee.linklevel import group_ee, network_ee, sample_link_context, user_ee
+from twotier_ee.linklevel import compute_link_metrics, group_ee, sample_link_context, user_ee
 
 
 def cfg(**kw):
@@ -125,7 +125,8 @@ class TestGlobalOracle:
     def test_reported_objective_matches_profile(self):
         ctx = make_context(8, power_levels=(0.01, 0.1))
         res = brute_force_global(ctx)
-        assert res.objective == pytest.approx(network_ee(ctx, res.profile), rel=1e-12)
+        assert res.objective == pytest.approx(
+            compute_link_metrics(ctx, res.profile).network_ee, rel=1e-12)
 
     def test_size_guard_trips_beyond_desk_scale(self):
         # 12 links with 4 levels each is 2^24 joint profiles

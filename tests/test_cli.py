@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from twotier_ee.cli import main
-from twotier_ee.harness import parse_results
+from twotier_ee.harness import parse_results, trace_path_for
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -160,8 +160,15 @@ class TestOracle:
     def test_all_failed_drops_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "cramped.cfg"
         bad.write_text(CRAMPED_CONFIG_TEXT)
-        assert run_cli("oracle", "--config", bad) == 1
+        out = tmp_path / "orc.csv"
+        assert run_cli("oracle", "--config", bad, "--drops", 2, "--out", out) == 1
         assert "no successful paired drops" in capsys.readouterr().out
+        assert trace_path_for(out).exists()
+        records = parse_results(out)
+        assert len(records) == 4
+        assert {r.algorithm for r in records} == {"egt", "brute-group"}
+        for r in records:
+            assert all(math.isnan(v) for v in [r.network_ee, r.jain, *r.cell_ee])
 
 
 GUARD_CONFIG_TEXT = """\
@@ -223,12 +230,18 @@ class TestFailureReasons:
     def test_sweep_exits_zero_when_some_value_has_a_drop(self, tmp_path, capsys):
         path = tmp_path / "subnormal.cfg"
         path.write_text(SUBNORMAL_NOISE_CONFIG_TEXT)
+        out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--algorithm", "brute-group", "--config", path,
                        "--drops", 2, "--param", "noise_psd_dbm_per_hz",
-                       "--values=-3200,-174") == 0
-        err = capsys.readouterr().err
-        assert "noise_psd_dbm_per_hz=-3200: 2 drop(s) failed" in err
-        assert "noise_psd_dbm_per_hz=-174" not in err
+                       "--values=-3200,-174", "--out", out) == 0
+        captured = capsys.readouterr()
+        assert "noise_psd_dbm_per_hz=-3200: 2 drop(s) failed" in captured.err
+        assert "noise_psd_dbm_per_hz=-174" not in captured.err
+        assert "drops=0" in captured.out and "drops=2" in captured.out
+        # n_drops counts the drops the means average over
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0] == "noise_psd_dbm_per_hz,-3200,0,nan,nan,nan,nan"
+        assert rows[1].startswith("noise_psd_dbm_per_hz,-174,2,")
 
 
 class TestErrorHandling:

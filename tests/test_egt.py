@@ -199,7 +199,7 @@ class TestNewGames:
         games = new_games(ctx, np.random.default_rng(12))
         assert [g.subcarrier for g in games] == ctx.topology.occupied_subcarriers()
         for g in games:
-            assert g.players == ctx.topology.cells_on(g.subcarrier)
+            assert g.players == list(ctx.topology.cells_on(g.subcarrier))
             assert g.explored == set(g.strategy.values())
             assert not g.converged
 

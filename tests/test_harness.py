@@ -8,7 +8,7 @@ from twotier_ee.baselines import brute_force_global
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.harness import (
-    ExperimentSpec, SweepSpec, algorithm_rng, child_seed, config_for_value,
+    ALGORITHMS, ExperimentSpec, SweepSpec, algorithm_rng, child_seed, config_for_value,
     emit_results, emit_sweep, jain_index, parse_results, run_drops,
     scenario_rng, sweep, trace_path_for,
 )
@@ -130,19 +130,22 @@ class TestRunDrops:
         assert rec.noise_dbm == -194.0
         assert len(rec.cell_ee) == 2
 
-    def test_placement_failure_yields_error_records(self):
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_placement_failure_yields_error_records(self, algorithm):
         # five small cells cannot fit in a 150 m disc at 200 m spacing
         spec = ExperimentSpec(
             config=cfg(n_small_cells=5, n_subcarriers=5, n_users_per_cell=1,
                        macro_radius=150.0),
-            algorithm="egt", n_drops=3)
+            algorithm=algorithm, n_drops=3)
         records = run_drops(spec)
         assert len(records) == 3
         for rec in records:
             assert rec.error is not None
+            assert rec.algorithm == algorithm
             assert math.isnan(rec.network_ee) and math.isnan(rec.jain)
             assert all(math.isnan(v) for v in rec.cell_ee)
             assert not rec.converged and rec.iterations == 0
+            assert rec.evaluations == 0 and rec.traces == {}
 
     def test_size_guard_failure_yields_error_records(self):
         spec = ExperimentSpec(
@@ -216,7 +219,7 @@ class TestSweep:
             sweep=SweepSpec("n_users_per_cell", (1,)))
         row, = sweep(spec)
         assert math.isnan(row.mean_network_ee)
-        assert row.n_drops == 2
+        assert row.n_drops == 0
 
     def test_sweep_requires_sweep_section(self):
         with pytest.raises(ValueError):

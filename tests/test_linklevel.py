@@ -6,8 +6,8 @@ import pytest
 from twotier_ee import linklevel
 from twotier_ee.config import NetworkConfig
 from twotier_ee.linklevel import (
-    build_combiners, compute_link_metrics, group_ee, mrc_combiner, network_ee,
-    power_sum, rate, sample_link_context, sinr, user_ee, validate_power_profile,
+    build_combiners, compute_link_metrics, group_ee, mrc_combiner,
+    sample_link_context, sinr, user_ee, validate_power_profile,
 )
 
 
@@ -124,20 +124,11 @@ class TestSinr:
 
 
 class TestRateAndEe:
-    def test_rate_arithmetic(self):
-        assert rate(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert rate(3.0) == pytest.approx(2.0, rel=1e-12)
-        assert rate(0.0) == 0.0
-
-    def test_power_sum_adds_circuit_power(self):
-        config = cfg()
-        assert power_sum(0.1, config) == pytest.approx(0.11, rel=1e-12)
-
     def test_user_ee_is_rate_over_total_power(self):
         ctx = make_context(9)
         profile = uniform_profile(ctx, 0.02)
         for cell, sc in ctx.topology.links():
-            expected = rate(sinr(ctx, profile, cell, sc)) / (0.02 + 0.01)
+            expected = float(np.log2(1 + sinr(ctx, profile, cell, sc))) / (0.02 + 0.01)
             assert user_ee(ctx, profile, cell, sc) == pytest.approx(expected, rel=1e-12)
 
     def test_group_ee_is_plain_sum(self):
@@ -153,7 +144,7 @@ class TestRateAndEe:
         profile = uniform_profile(ctx, 0.01)
         flat = sum(group_ee(ctx, profile, sc)
                    for sc in ctx.topology.occupied_subcarriers())
-        assert network_ee(ctx, profile) == pytest.approx(flat, rel=1e-12)
+        assert compute_link_metrics(ctx, profile).network_ee == pytest.approx(flat, rel=1e-12)
 
 
 class TestMetrics:
@@ -162,9 +153,9 @@ class TestMetrics:
         profile = uniform_profile(ctx, 0.01)
         m = compute_link_metrics(ctx, profile)
         for link in ctx.topology.links():
-            assert m.sinr[link] == sinr(ctx, profile, *link)
-            assert m.ee[link] == pytest.approx(user_ee(ctx, profile, *link), rel=1e-12)
-        assert m.network_ee == pytest.approx(network_ee(ctx, profile), rel=1e-12)
+            assert m.ee[link] == user_ee(ctx, profile, *link)
+        flat = sum(group_ee(ctx, profile, sc) for sc in ctx.topology.occupied_subcarriers())
+        assert m.network_ee == pytest.approx(flat, rel=1e-12)
 
     def test_cell_decomposition_matches_network_total(self):
         ctx = make_context(13)

@@ -64,23 +64,23 @@ class TestSampleTopology:
     def test_full_occupancy_when_users_equal_subcarriers(self):
         topo = sample_topology(cfg(), np.random.default_rng(1))
         for sc in range(6):
-            assert topo.cells_on(sc) == [0, 1, 2]
+            assert topo.cells_on(sc) == (0, 1, 2)
 
     def test_single_cell_single_user(self):
         config = cfg(n_small_cells=0, n_subcarriers=1, n_users_per_cell=1)
         topo = sample_topology(config, np.random.default_rng(0))
         assert topo.links() == [(0, 0)]
-        assert topo.cells_on(0) == [0]
+        assert topo.cells_on(0) == (0,)
         assert topo.occupied_subcarriers() == [0]
 
     def test_co_channel_is_shared_tuple_of_cells_on(self):
         topo = sample_topology(cfg(n_users_per_cell=1), np.random.default_rng(2))
         for sc in range(6):
-            group = topo.co_channel(sc)
+            group = topo.cells_on(sc)
             assert isinstance(group, tuple)
-            assert list(group) == topo.cells_on(sc)
-            assert topo.co_channel(sc) is group
-        assert any(topo.co_channel(sc) == () for sc in range(6))
+            assert group == tuple(sorted(u.cell for u in topo.users if u.subcarrier == sc))
+            assert topo.cells_on(sc) is group
+        assert any(topo.cells_on(sc) == () for sc in range(6))
 
     def test_cochannel_occupancy_matches_uniform_sampling_rate(self):
         # with K=2 cells picking 3 of 6 subcarriers independently and
