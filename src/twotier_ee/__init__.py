@@ -17,8 +17,8 @@ from .linklevel import LinkContext, LinkMetrics, \
     build_combiners, compute_link_metrics, group_ee, mrc_combiner, \
     sample_link_context, sinr, user_ee, validate_power_profile
 from .egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
-from .replicator import ReplicatorState, Trajectory, equilibrium_stability, \
-    integrate_replicator, replicator_rhs
+from .replicator import Trajectory, equilibrium_stability, integrate_replicator, \
+    replicator_rhs
 from .baselines import NgtResult, OracleResult, SizeGuardError, \
     brute_force_global, brute_force_group, ngt_best_response
 from .harness import ALGORITHMS, ExperimentSpec, RunRecord, SWEEP_PARAMETERS, \

@@ -258,6 +258,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _write_lines(path: Path, lines: list, what: str) -> None:
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def trace_path_for(path) -> Path:
     path = Path(path)
     return path.with_name(path.stem + "_trace" + (path.suffix or ".csv"))
@@ -288,10 +295,7 @@ def emit_results(records: list, path) -> Path:
             f"{r.iterations},{r.evaluations},{'true' if r.converged else 'false'}"
             + cells
         )
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    _write_lines(path, lines, "results")
 
     trace_path = trace_path_for(path)
     trace_lines = [_TRACE_HEADER]
@@ -299,10 +303,7 @@ def emit_results(records: list, path) -> Path:
         for sc in sorted(r.traces):
             for it, avg in enumerate(r.traces[sc], start=1):
                 trace_lines.append(f"{r.drop},{sc},{it},{_fmt(avg)}")
-    try:
-        trace_path.write_text("\n".join(trace_lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write traces to {trace_path}: {exc}") from exc
+    _write_lines(trace_path, trace_lines, "traces")
     return trace_path
 
 
@@ -320,7 +321,6 @@ def parse_results(path) -> list:
     base = _BASE_HEADER.split(",")
     if header[: len(base)] != base:
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    n_cells = len(header) - len(base)
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -344,8 +344,6 @@ def parse_results(path) -> list:
             converged=parts[10] == "true",
             cell_ee=[float(p) for p in parts[11:]],
         ))
-    if records and n_cells and any(len(r.cell_ee) != n_cells for r in records):
-        raise ValueError(f"{path}: inconsistent cell_ee column count")
     return records
 
 
@@ -358,7 +356,4 @@ def emit_sweep(rows: list, path) -> None:
             f"{r.parameter},{_fmt(r.value)},{r.n_drops},{_fmt(r.mean_network_ee)},"
             f"{_fmt(r.ee_ci95)},{_fmt(r.mean_jain)},{_fmt(r.jain_ci95)}"
         )
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep table to {path}: {exc}") from exc
+    _write_lines(path, lines, "sweep table")

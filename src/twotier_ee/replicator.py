@@ -11,25 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 __all__ = [
-    "ReplicatorState", "Trajectory",
-    "replicator_rhs", "integrate_replicator", "equilibrium_stability",
+    "Trajectory", "replicator_rhs", "integrate_replicator", "equilibrium_stability",
 ]
 
 _SIMPLEX_TOL = 1e-9
 # fixed point declared once the RHS stays this flat for this many steps
 _FIXED_POINT_TOL = 1e-8
 _FIXED_POINT_STEPS = 100
-
-
-@dataclass(frozen=True)
-class ReplicatorState:
-    """One point of a share trajectory."""
-
-    x: np.ndarray
-    time: float
 
 
 @dataclass
@@ -39,13 +29,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     reached_fixed_point: bool
-
-    def state(self, i: int) -> ReplicatorState:
-        return ReplicatorState(x=self.states[i], time=float(self.times[i]))
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def replicator_rhs(x, payoffs, avg: float) -> np.ndarray:
@@ -78,10 +61,10 @@ def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0)
     bitwise untouched.  Integration stops early once the RHS has been flat
     for a while (a numerical fixed point).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     x = np.array(x0, dtype=float)
     _check_simplex(x)
     n_steps = int(round(horizon / dt))
@@ -119,24 +102,25 @@ def equilibrium_stability(x_star, payoff_fn, fd_step: float = 1e-6) -> str:
     sum); the off-simplex eigenvalue is an artifact of the embedding and
     must not influence the verdict.
     """
+    if not 0.0 < fd_step < np.inf:
+        raise ValueError(f"fd_step must be finite and > 0, got {fd_step}")
     x_star = np.asarray(x_star, dtype=float)
 
     def rhs_at(x: np.ndarray) -> np.ndarray:
         pi = np.asarray(payoff_fn(x), dtype=float)
         return replicator_rhs(x, pi, float(pi @ x))
 
-    residual = rhs_at(x_star)
-    if float(np.linalg.norm(residual)) > 1e-6:
-        raise ValueError(
-            f"not a fixed point: |rhs| = {np.linalg.norm(residual):.3e} > 1e-06"
-        )
+    norm = float(np.linalg.norm(rhs_at(x_star)))
+    if not norm <= 1e-6:
+        raise ValueError(f"not a fixed point: |rhs| = {norm:.3e}, need <= 1e-06")
     n = x_star.size
     jac = np.empty((n, n))
     for j in range(n):
         bump = np.zeros(n)
         bump[j] = fd_step
         jac[:, j] = (rhs_at(x_star + bump) - rhs_at(x_star - bump)) / (2.0 * fd_step)
-    tangent = null_space(np.ones((1, n)))
+    # orthonormal basis of the zero-sum directions: the rows of V^T past the first
+    tangent = np.linalg.svd(np.ones((1, n)))[2][1:].T
     eigenvalues = np.linalg.eigvals(tangent.T @ jac @ tangent)
     real_parts = eigenvalues.real
     if np.all(real_parts < -1e-8):

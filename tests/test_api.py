@@ -3,12 +3,16 @@
 Each module's `__all__` must name only attributes the module has, so a
 star import succeeds, and every name the package re-exports must be in its
 defining module's `__all__`.  Deleting a function without its exports, or
-re-exporting a name a module does not declare, fails here.
+re-exporting a name a module does not declare, fails here.  Importing the
+package must load no third-party module but numpy.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,17 @@ def test_reexports_are_declared_by_their_module():
     undeclared = [f"{module}.{name}" for module, name in reexports
                   if name not in importlib.import_module(f"twotier_ee.{module}").__all__]
     assert undeclared == []
+
+
+def test_import_loads_only_stdlib_and_numpy():
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import twotier_ee\n"
+             "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+             "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n")
+    src = str(Path(twotier_ee.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert set(proc.stdout.split()) <= {"numpy", "twotier_ee"}

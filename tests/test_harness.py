@@ -318,17 +318,28 @@ class TestEmitAndParse:
         assert math.isnan(rec.network_ee)
         assert not rec.converged
 
-    def test_parse_rejects_foreign_header_and_ragged_rows(self, tmp_path):
-        bad = tmp_path / "foreign.csv"
-        bad.write_text("time,value\n1,2\n")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty results file"),
+        ("time,value\n1,2\n", "unexpected header 'time,value'"),
+        ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
+         "evaluations,converged,cell_ee_0\n1,egt,1\n", ":2: expected 12 fields, got 3"),
+    ], ids=["empty", "foreign-header", "ragged-row"])
+    def test_parse_rejects_malformed_files(self, tmp_path, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
             parse_results(bad)
-        ragged = tmp_path / "ragged.csv"
-        spec = ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=1)
-        emit_results(run_drops(spec), ragged)
-        ragged.write_text(ragged.read_text() + "1,egt,1\n")
-        with pytest.raises(ValueError):
-            parse_results(ragged)
+
+    @pytest.mark.parametrize("emit, what", [(emit_results, "results"),
+                                            (emit_sweep, "sweep table")])
+    def test_unwritable_path_names_the_file(self, tmp_path, emit, what):
+        with pytest.raises(OSError, match=f"cannot write {what} to "):
+            emit([], tmp_path / "missing" / "r.csv")
+
+    def test_unwritable_trace_path_names_the_file(self, tmp_path):
+        trace_path_for(tmp_path / "r.csv").mkdir()
+        with pytest.raises(OSError, match="cannot write traces to "):
+            emit_results([], tmp_path / "r.csv")
 
     def test_sweep_table_layout(self, tmp_path):
         spec = ExperimentSpec(config=cfg(), algorithm="egt", n_drops=2,

@@ -70,8 +70,8 @@ class TestIntegration:
         # land exactly on the winning monoculture
         traj = integrate_replicator([0.9, 0.1], constant_payoffs([10.0, 0.0]),
                                     dt=0.5, horizon=200.0)
-        assert traj.state(1).x == pytest.approx([1.0, 0.0], abs=0.0)
-        assert traj.final == pytest.approx([1.0, 0.0], abs=0.0)
+        assert traj.states[1] == pytest.approx([1.0, 0.0], abs=0.0)
+        assert traj.states[-1] == pytest.approx([1.0, 0.0], abs=0.0)
         assert traj.reached_fixed_point
 
     def test_better_strategy_share_grows_monotonically(self):
@@ -91,15 +91,13 @@ class TestIntegration:
         a = np.array([[0.0, 2.0], [1.0, 0.0]])
         traj = integrate_replicator([0.9, 0.1], lambda x: a @ x,
                                     dt=1e-3, horizon=40.0)
-        assert traj.final == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+        assert traj.states[-1] == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
 
     def test_time_grid_is_uniform(self):
         traj = integrate_replicator([0.5, 0.5], constant_payoffs([2.0, 1.0]),
                                     dt=0.1, horizon=1.0)
         assert traj.times == pytest.approx(np.arange(11) * 0.1, abs=1e-12)
-        s = traj.state(3)
-        assert s.time == pytest.approx(0.3, rel=1e-12)
-        assert np.all(s.x == traj.states[3])
+        assert float(traj.times[3]) == pytest.approx(0.3, rel=1e-12)
 
     def test_bad_inputs_rejected(self):
         payoff = constant_payoffs([1.0, 2.0])
@@ -111,6 +109,11 @@ class TestIntegration:
             integrate_replicator([0.5, 0.5], payoff, dt=0.0)
         with pytest.raises(ValueError):
             integrate_replicator([0.5, 0.5], payoff, horizon=-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                integrate_replicator([0.5, 0.5], payoff, dt=bad)
+            with pytest.raises(ValueError, match="horizon must be finite"):
+                integrate_replicator([0.5, 0.5], payoff, horizon=bad)
 
 
 class TestStability:
@@ -133,6 +136,17 @@ class TestStability:
     def test_non_fixed_point_rejected(self):
         with pytest.raises(ValueError):
             equilibrium_stability([0.5, 0.5], constant_payoffs([2.0, 1.0]))
+
+    @pytest.mark.parametrize("x_star, payoff, fd_step, message", [
+        ([1.0, 0.0], [2.0, 1.0], 0.0, "fd_step must be finite"),
+        ([1.0, 0.0], [2.0, 1.0], np.nan, "fd_step must be finite"),
+        ([1.0, 0.0], [2.0, 1.0], np.inf, "fd_step must be finite"),
+        ([np.nan, 1.0], [2.0, 1.0], 1e-6, "not a fixed point"),
+        ([1.0, 0.0], [np.nan, 1.0], 1e-6, "not a fixed point"),
+    ])
+    def test_bad_inputs_rejected(self, x_star, payoff, fd_step, message):
+        with pytest.raises(ValueError, match=message):
+            equilibrium_stability(x_star, constant_payoffs(payoff), fd_step=fd_step)
 
     def test_verdict_robust_to_fd_step(self):
         payoff = constant_payoffs([2.0, 1.0])
