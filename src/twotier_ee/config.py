@@ -74,6 +74,19 @@ class NetworkConfig:
             raise ConfigError("antenna_constant must be > 0")
         if self.path_loss_exponent <= 0:
             raise ConfigError("path_loss_exponent must be > 0")
+        # the path loss d ** path_loss_exponent at the largest BS-to-user
+        # distance: an SBS on the macro edge, a user of another small cell
+        # across the macro disc
+        reach = 2.0 * self.macro_radius + self.small_radius
+        try:
+            path_loss = reach ** self.path_loss_exponent
+        except OverflowError:
+            path_loss = math.inf
+        if not math.isfinite(path_loss):
+            raise ConfigError(
+                f"path_loss_exponent = {self.path_loss_exponent!r} overflows the path loss "
+                f"d ** path_loss_exponent at the largest BS-to-user distance, "
+                f"2 * macro_radius + small_radius = {reach!r} m")
         if self.shadowing_std_db < 0:
             raise ConfigError("shadowing_std_db must be >= 0")
         if self.subcarrier_bandwidth_hz <= 0:

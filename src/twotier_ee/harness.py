@@ -42,7 +42,7 @@ _TRACE_HEADER = "drop,game,iteration,avg_payoff"
 
 
 def jain_index(values) -> float:
-    """Fairness of an allocation: (sum v)^2 / (n * sum v^2), in (1/n, 1]."""
+    """Fairness of an allocation: (sum v)^2 / (n * sum v^2), in [1/n, 1]."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("jain index of an empty list is undefined")
@@ -98,10 +98,12 @@ def config_for_value(config: NetworkConfig, parameter: str, value) -> NetworkCon
     """Base config with one swept field replaced (validated on construction)."""
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"cannot sweep {parameter!r}")
-    if parameter in ("n_users_per_cell", "n_small_cells"):
-        value = int(value)
-    else:
-        value = float(value)
+    kind = int if parameter in ("n_users_per_cell", "n_small_cells") else float
+    try:
+        value = kind(value)
+    except ValueError:
+        raise ValueError(f"{parameter} value {value!r} is not a valid {kind.__name__}") \
+            from None
     return dataclasses.replace(config, **{parameter: value})
 
 

@@ -13,6 +13,7 @@ one per-drop table of post-combining gains built once from the channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -62,36 +63,44 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
 
     Maps each link (cell, subcarrier) to (own, interference, a_norm2) for
     its MRC combiner a, built once: own = |a^H g_own|^2, interference =
-    ((other cell, |a^H g_other|^2), ...) over the co-channel cells in
-    ascending order, and a_norm2 = ||a||^2, the combiner's gain on noise.
+    ((other link, |a^H g_other|^2), ...) over the co-channel cells in
+    ascending order, each keyed by the interferer's (cell, subcarrier) as a
+    power profile is, and a_norm2 = ||a||^2, the combiner's gain on noise.
     Every gain is a Python float.
 
-    The links are grouped by serving cell, whose receiver sees them all:
-    the vectors read from `channels.g` are stacked per receiver and every
-    product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses, so
-    the table is bit-identical to one built link by link.  A matrix-vector
+    The links are grouped by serving cell, whose receiver sees them all.
+    The channel block rows follow `topology.links()`, sorted by (subcarrier,
+    cell), so one mask picks a cell's interfering rows already in table
+    order.  The rows are gathered from the receiver's block by index and
+    every product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses,
+    so the table is bit-identical to one built link by link.  A matrix-vector
     product (`G @ a.conj()`) or `einsum` sums in another order and is not.
     """
-    g = channels.g
-    served = {}
-    for cell, sc in topology.links():
-        served.setdefault(cell, []).append(sc)
+    links = topology.links()
+    cells = np.array([cell for cell, _ in links])
+    subcarriers = np.array([sc for _, sc in links])
     entries = {}
-    for cell, subcarriers in served.items():
-        own_vectors = np.array([g[(cell, cell, sc)] for sc in subcarriers])
+    for cell in sorted({cell for cell, _ in links}):
+        own_rows = np.flatnonzero(cells == cell)
+        served = subcarriers[own_rows]
+        block = channels.blocks[cell]
+        own_vectors = block[own_rows]
         a = mrc_combiner(own_vectors)
         own = _abs2(np.vecdot(a, own_vectors))
         a_norm2 = np.vecdot(a, a).real.tolist()
-        groups = [[other for other in topology.cells_on(sc) if other != cell]
-                  for sc in subcarriers]
-        rows = [row for row, others in enumerate(groups) for _ in others]
-        vectors = [g[(cell, other, sc)]
-                   for sc, others in zip(subcarriers, groups) for other in others]
-        leaked = iter(_abs2(np.vecdot(a[rows], np.array(vectors))) if vectors else ())
-        for row, (sc, others) in enumerate(zip(subcarriers, groups)):
-            # zip stops on `others` before it takes from `leaked`
-            entries[(cell, sc)] = (own[row], tuple(zip(others, leaked)), a_norm2[row])
-    return {link: entries[link] for link in topology.links()}
+        # the served row on each subcarrier, -1 where the cell has no user
+        slot = np.full(subcarriers.max() + 1, -1)
+        slot[served] = np.arange(len(served))
+        into = slot[subcarriers]
+        # (subcarrier, other cell) ascending, and the served row each one leaks into
+        leak_rows = np.flatnonzero((into >= 0) & (cells != cell))
+        into = into[leak_rows]
+        leaked = zip([links[i] for i in leak_rows.tolist()],
+                     _abs2(np.vecdot(a[into], block[leak_rows])))
+        counts = np.bincount(into, minlength=len(served)).tolist()
+        for i, (row, n) in enumerate(zip(own_rows.tolist(), counts)):
+            entries[links[row]] = (own[i], tuple(islice(leaked, n)), a_norm2[i])
+    return {link: entries[link] for link in links}
 
 
 @dataclass
@@ -125,16 +134,17 @@ def sinr(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int
     keeps a cell's own users orthogonal.  Interferers are summed in
     ascending cell order, so the result is bit-reproducible.
     """
-    own, interferers, a_norm2 = context.gains[(cell, subcarrier)]
+    link = (cell, subcarrier)
+    own, interferers, a_norm2 = context.gains[link]
     # one by one: a vector sum reorders the additions, and total minus signal
     # cancels under massive-MIMO gain; either changes the emitted digits
     interference = 0.0
     for other, gain in interferers:
-        interference += profile[(other, subcarrier)] * gain
+        interference += profile[other] * gain
     # the config rejects a noise power that is not finite and > 0, so the
     # denominator cannot be 0
     noise = a_norm2 * context.config.noise_power
-    return profile[(cell, subcarrier)] * own / (interference + noise)
+    return profile[link] * own / (interference + noise)
 
 
 def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:

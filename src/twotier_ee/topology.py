@@ -9,6 +9,8 @@ OFDMA allows at most one user per subcarrier per cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -153,19 +155,43 @@ def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.
     """Log-normal shadowing: 10*log10(value) is N(0, shadowing_std_db^2)."""
     draws = rng.normal(0.0, config.shadowing_std_db, size=size)
     # a Python float power per value: numpy's vector power rounds some differently
-    return np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
+    try:
+        return np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
+    except OverflowError:
+        raise ValueError(
+            f"a shadowing draw of {float(draws.max())!r} dB overflows 10 ** (x / 10); "
+            f"shadowing_std_db = {config.shadowing_std_db!r} is too large") from None
+
+
+def _keyed(links: list, rows) -> dict:
+    """{(receiver cell, tx cell, subcarrier): value} over per-receiver rows in `links` order."""
+    return {(receiver, cell, sc): value
+            for receiver, row in enumerate(rows) for (cell, sc), value in zip(links, row)}
 
 
 @dataclass
 class LargeScaleFading:
-    """Per-link large-scale gains, keyed by (receiver cell, tx cell, subcarrier).
+    """Per-link large-scale gains of one drop, as (receiver cell, link) arrays.
 
-    The sampled shadowing values are kept alongside the gains so a drop can
-    be reproduced or re-derived exactly.
+    Row r is receiver cell r, column i the i-th entry of `links`
+    (`Topology.links()` order).  `gain` holds beta; `shadowing` holds the
+    sampled shadowing values, kept so a drop can be reproduced or re-derived
+    exactly.  `beta` and `shadow` are read-only views of the two arrays keyed
+    by (receiver cell, tx cell, subcarrier), holding Python floats; each is
+    built the first time it is read.
     """
 
-    beta: dict
-    shadow: dict
+    links: list
+    gain: np.ndarray
+    shadowing: np.ndarray
+
+    @cached_property
+    def beta(self) -> MappingProxyType:
+        return MappingProxyType(_keyed(self.links, self.gain.tolist()))
+
+    @cached_property
+    def shadow(self) -> MappingProxyType:
+        return MappingProxyType(_keyed(self.links, self.shadowing.tolist()))
 
 
 def sample_large_scale_fading(
@@ -185,32 +211,38 @@ def sample_large_scale_fading(
     users = np.array([topology.user(cell, sc).position for cell, sc in links])
     offset = (receivers[:, None, :] - users[None, :, :])[:, :, None, :]
     # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
-    distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0].ravel(),
+    distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
                           MIN_DISTANCE_M)
-    varsigma = draw_shadowing(config, rng, size=(topology.n_cells, len(links))).ravel()
+    varsigma = draw_shadowing(config, rng, size=distance.shape)
     # the checks of large_scale_gain, on the clamped block
     for name, values in (("distance", distance), ("shadow draw", varsigma)):
         bad = np.flatnonzero(values <= 0)
         if bad.size:
-            raise ValueError(f"{name} must be > 0, got {values[bad[0]]}")
+            raise ValueError(f"{name} must be > 0, got {values.flat[bad[0]]}")
     alpha = config.path_loss_exponent
-    path_loss = np.array([d ** alpha for d in distance.tolist()])
+    path_loss = np.reshape([d ** alpha for d in distance.ravel().tolist()], distance.shape)
     gain = config.antenna_constant * varsigma / path_loss
-    keys = [(receiver, cell, sc) for receiver in range(topology.n_cells) for cell, sc in links]
-    return LargeScaleFading(beta=dict(zip(keys, gain.tolist())),
-                            shadow=dict(zip(keys, varsigma.tolist())))
+    return LargeScaleFading(links=links, gain=gain, shadowing=varsigma)
 
 
 @dataclass
 class ChannelRealization:
-    """Complex channel vectors g = sqrt(beta) * h, h ~ CN(0, I).
+    """Complex channel vectors g = sqrt(beta) * h, h ~ CN(0, I), of one drop.
 
-    Keyed by (receiver cell, tx cell, subcarrier); an entry exists iff the
-    tx cell has a user on that subcarrier.  Vector length is the receiver's
-    antenna count.
+    `blocks[r]` is receiver cell r's (link, antennas) array, one row per
+    entry of `links` (`Topology.links()` order): every tx user is drawn at
+    every receiver.  `g` is a view keyed by (receiver cell, tx cell,
+    subcarrier), built the first time it is read; its values are the block
+    rows themselves, so an in-place change to one (`g[key] *= x`) reaches
+    the block.
     """
 
-    g: dict
+    links: list
+    blocks: list
+
+    @cached_property
+    def g(self) -> dict:
+        return _keyed(self.links, self.blocks)
 
     def vector(self, receiver: int, cell: int, subcarrier: int) -> np.ndarray:
         return self.g[(receiver, cell, subcarrier)]
@@ -226,15 +258,13 @@ def sample_channels(
 
     Per receiver, one standard-normal block (links(), 2, antennas): real, then imaginary parts.
     """
-    g = {}
-    links = topology.links()
-    for receiver in range(topology.n_cells):
+    blocks = []
+    for receiver, gain in enumerate(fading.gain):
         n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
-        keys = [(receiver, cell, sc) for cell, sc in links]
-        z = rng.standard_normal((len(links), 2, n_rx))
+        z = rng.standard_normal((len(gain), 2, n_rx))
         h = z[:, 1] * 1j  # in place from here: one complex block is held at a time
         h += z[:, 0]
         h /= np.sqrt(2.0)
-        h *= np.sqrt(list(map(fading.beta.__getitem__, keys)))[:, None]
-        g.update(zip(keys, h))
-    return ChannelRealization(g=g)
+        h *= np.sqrt(gain)[:, None]
+        blocks.append(h)
+    return ChannelRealization(links=topology.links(), blocks=blocks)

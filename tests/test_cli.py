@@ -107,6 +107,20 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("param, values, message", [
+        ("n_small_cells", "1,2.5", "n_small_cells value '2.5' is not a valid int"),
+        ("noise_psd_dbm_per_hz", "-174,abc",
+         "noise_psd_dbm_per_hz value 'abc' is not a valid float"),
+    ])
+    def test_unparsable_sweep_value_names_the_parameter(self, config_file, capsys,
+                                                         param, values, message):
+        code = run_cli("sweep", "--config", config_file, "--param", param,
+                       f"--values={values}")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_finite_sweep_value_rejected(self, config_file, capsys):
         code = run_cli("sweep", "--config", config_file,
                        "--param", "noise_psd_dbm_per_hz", "--values", "nan,-180")

@@ -132,6 +132,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise power of inf W"):
             small_config(noise_psd_dbm_per_hz=3000.0, subcarrier_bandwidth_hz=1e300)
 
+    def test_path_loss_overflowing_at_the_largest_distance_rejected(self):
+        # 2100 m ** 120 overflows a float: every drop would fail
+        with pytest.raises(ConfigError, match=r"path_loss_exponent = 120\.0 overflows .* "
+                                              r"2 \* macro_radius \+ small_radius = 2100\.0 m"):
+            small_config(path_loss_exponent=120.0)
+        # 2100 m ** 90 is about 1e299: still finite
+        assert small_config(path_loss_exponent=90.0).path_loss_exponent == 90.0
+
     def test_noise_power_is_computed_once_and_not_a_field(self):
         cfg = small_config(noise_psd_dbm_per_hz=-174.0)
         assert cfg.noise_power is cfg.noise_power

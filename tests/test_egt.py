@@ -26,17 +26,19 @@ def make_context(seed=0, **kw):
 def manual_two_player_context(channels, config):
     """Context with injected channel vectors for one shared subcarrier.
 
-    channels maps (receiver, cell) to a vector; the large-scale table is a
-    placeholder because the link-level math reads only the channels.
+    channels maps (receiver, cell) to a vector, stacked into one block per
+    receiver in link order; the large-scale arrays are placeholders because
+    the link-level math reads only the channels.
     """
     users = [User(cell=0, subcarrier=0, position=(100.0, 0.0)),
              User(cell=1, subcarrier=0, position=(520.0, 0.0))]
     topo = Topology(mbs_position=np.zeros(2),
                     sbs_positions=np.array([[500.0, 0.0]]),
                     users=users)
-    g = {(rx, c, 0): np.asarray(v, dtype=complex) for (rx, c), v in channels.items()}
-    ch = ChannelRealization(g=g)
-    fading = LargeScaleFading(beta={k: 1.0 for k in g}, shadow={k: 1.0 for k in g})
+    links = topo.links()
+    ch = ChannelRealization(links=links, blocks=[
+        np.array([channels[(rx, c)] for c, _ in links], dtype=complex) for rx in (0, 1)])
+    fading = LargeScaleFading(links=links, gain=np.ones((2, 2)), shadowing=np.ones((2, 2)))
     return LinkContext(config=config, topology=topo, fading=fading,
                        channels=ch, gains=build_combiners(topo, ch))
 

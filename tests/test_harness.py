@@ -28,6 +28,12 @@ class TestJainIndex:
         assert jain_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3, rel=1e-12)
         assert jain_index([2.0, 4.0]) == pytest.approx(0.9, rel=1e-12)
 
+    def test_both_endpoints_are_attained(self):
+        # [1/n, 1]: one nonzero value gives 1/n exactly, equal values give 1
+        for n in (1, 2, 3, 7):
+            assert jain_index([5.0] + [0.0] * (n - 1)) == 1 / n
+            assert jain_index([0.25] * n) == 1.0
+
     def test_scale_invariance(self):
         v = [3.0, 1.0, 7.0, 2.0]
         assert jain_index([10 * x for x in v]) == pytest.approx(jain_index(v), rel=1e-12)

@@ -6,8 +6,9 @@ checks them, and the oracles and best-response dynamics built on them,
 against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
 oracles' chunked numpy objective and first-maximum pick against the scalar
 search, and the vector-equals-scalar `np.log2` it rests on.
-TestStackedGainTable checks the per-receiver stacked gain table against the
-link-by-link one, and the numpy rounding facts it rests on.
+TestStackedGainTable checks the per-receiver stacked gain table, built from
+the channel blocks with link-keyed interferers, against the link-by-link
+one, and the numpy rounding facts it rests on.
 TestSinrCallCount pins how many `sinr` calls each algorithm makes, the count
 the benchmark reports.
 """
@@ -51,6 +52,16 @@ def reference_gains(topology, channels):
         gains[(cell, sc)] = (np.abs(np.vdot(a, g_own)) ** 2, interference,
                              float(np.vdot(a, a).real))
     return gains
+
+
+def link_keyed(reference):
+    """`reference_gains` in the package's layout: Python floats, each
+    interferer keyed by its (cell, subcarrier) link."""
+    return {
+        (cell, sc): (float(own), tuple(((other, sc), float(gain)) for other, gain in interferers),
+                     a_norm2)
+        for (cell, sc), (own, interferers, a_norm2) in reference.items()
+    }
 
 
 def reference_noise_power(config):
@@ -386,23 +397,27 @@ class TestStackedGainTable:
         topology = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[500.0, 0.0]]),
                             users=users)
         rng = np.random.default_rng(20170607)
-        channels = ChannelRealization(g={
-            (rx, cell, sc): channel_rows(rng, 1, 3 if rx == 0 else 2)[0]
-            for rx in (0, 1) for cell, sc in topology.links()
-        })
+        links = topology.links()
+        channels = ChannelRealization(links=links, blocks=[
+            np.concatenate([channel_rows(rng, 1, 3 if rx == 0 else 2) for _ in links])
+            for rx in (0, 1)
+        ])
+        # the row of the g view is a view of the block, so this reaches the table
         channels.g[(0, 1, 0)] *= leak_scale
         with np.errstate(over="ignore"):
             gains = build_combiners(topology, channels)
             expected = reference_gains(topology, channels)
-        reference = {
-            link: (float(own), tuple((other, float(gain)) for other, gain in interferers),
-                   a_norm2)
-            for link, (own, interferers, a_norm2) in expected.items()
-        }
-        assert list(gains.items()) == list(reference.items())
+        assert list(gains.items()) == list(link_keyed(expected).items())
         [(other, leak)] = gains[(0, 0)][1]
-        assert other == 1 and math.isinf(leak) == (leak_scale > 1.0)
+        assert other == (1, 0) and math.isinf(leak) == (leak_scale > 1.0)
         assert gains[(0, 2)][1] == ()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_from_sampled_blocks_equals_reference(self, seed):
+        config = NetworkConfig(n_small_cells=3, n_subcarriers=6, n_users_per_cell=4)
+        ctx = sample_link_context(config, np.random.default_rng(seed))
+        expected = reference_gains(ctx.topology, ctx.channels)
+        assert list(ctx.gains.items()) == list(link_keyed(expected).items())
 
 
 class TestSinrCallCount:

@@ -58,8 +58,9 @@ class TestCombiner:
         for (cell, sc), (_, interferers, a_norm2) in ctx.gains.items():
             # ||a||^2 of the unit-norm MRC combiner
             assert a_norm2 == pytest.approx(1.0, rel=1e-12)
-            assert [other for other, _ in interferers] == \
-                [c for c in ctx.topology.cells_on(sc) if c != cell]
+            # keyed by the interferer's link, as the power profile is
+            assert [link for link, _ in interferers] == \
+                [(c, sc) for c in ctx.topology.cells_on(sc) if c != cell]
 
 
 class TestSinr:

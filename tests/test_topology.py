@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier_ee.config import NetworkConfig
+from twotier_ee.baselines import brute_force_group, ngt_best_response
+from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
+from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 from twotier_ee.topology import (
     MIN_DISTANCE_M, PlacementError, Topology, User, draw_shadowing, large_scale_gain,
     sample_channels, sample_large_scale_fading, sample_topology,
@@ -139,6 +142,13 @@ class TestShadowing:
     def test_all_positive(self):
         draws = draw_shadowing(cfg(), np.random.default_rng(5), size=10_000)
         assert np.all(draws > 0)
+
+    def test_overflowing_draw_names_the_field(self):
+        # at 1000 dB a draw above about 3083 dB overflows 10 ** (x / 10)
+        config = cfg(shadowing_std_db=1000.0)
+        with pytest.raises(ValueError, match=r"a shadowing draw of \d+\.\d+ dB overflows "
+                                             r".*shadowing_std_db = 1000\.0 is too large"):
+            draw_shadowing(config, np.random.default_rng(0), size=10_000)
 
 
 class TestFadingAndChannels:
@@ -321,3 +331,79 @@ class TestStreamPreservation:
         ref_beta, ref_shadow = reference_fading(topo, config, np.random.default_rng(3))
         assert list(fading.beta.items()) == list(ref_beta.items())
         assert list(fading.shadow.items()) == list(ref_shadow.items())
+
+
+class TestArrayDropState:
+    """Per-receiver arrays and blocks, and the keyed views built from them on read."""
+
+    @staticmethod
+    def sampled(config, seed):
+        rng = np.random.default_rng(seed)
+        topo = sample_topology(config, rng)
+        fading = sample_large_scale_fading(topo, config, rng)
+        return topo, fading, sample_channels(topo, fading, config, rng)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(config=small_configs(), seed=st.integers(0, 2**32))
+    def test_arrays_and_blocks_match_scalar_reference(self, config, seed):
+        topo, fading, channels = self.sampled(config, seed)
+        ref_rng = np.random.default_rng(seed)
+        ref_topo = reference_topology(config, ref_rng)
+        ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
+        ref_g = reference_channels(ref_topo, ref_beta, config, ref_rng)
+        links = topo.links()
+        assert fading.links == links and channels.links == links
+        assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
+        assert len(channels.blocks) == topo.n_cells
+        for rx, block in enumerate(channels.blocks):
+            n_rx = config.n_antennas_mbs if rx == 0 else config.n_antennas_sbs
+            assert block.shape == (len(links), n_rx) and block.dtype == np.complex128
+            for i, (cell, sc) in enumerate(links):
+                key = (rx, cell, sc)
+                assert fading.gain[rx, i] == ref_beta[key]
+                assert fading.shadowing[rx, i] == ref_shadow[key]
+                assert np.array_equal(block[i], ref_g[key])
+
+    def test_g_view_rows_are_the_block_rows(self):
+        topo, _, channels = self.sampled(cfg(n_users_per_cell=4), 37)
+        links = topo.links()
+        g = channels.g
+        assert list(g) == [(rx, cell, sc) for rx in range(3) for cell, sc in links]
+        for (rx, cell, sc), vector in g.items():
+            row = channels.blocks[rx][links.index((cell, sc))]
+            assert vector.tobytes() == row.tobytes()
+            assert vector.nbytes == row.nbytes == 16 * (128 if rx == 0 else 4)
+            assert np.shares_memory(vector, channels.blocks[rx])
+        assert sum(v.nbytes for v in g.values()) == sum(b.nbytes for b in channels.blocks)
+        assert channels.g is g
+        key = (1, *links[2])
+        before = channels.blocks[1][2].copy()
+        g[key] *= 3.0
+        assert np.array_equal(channels.blocks[1][2], before * 3.0)
+        assert channels.vector(*key) is g[key]
+
+    def test_beta_and_shadow_are_read_only_views_of_the_arrays(self):
+        topo, fading, _ = self.sampled(cfg(), 41)
+        keys = [(rx, cell, sc) for rx in range(3) for cell, sc in topo.links()]
+        for view, array in ((fading.beta, fading.gain), (fading.shadow, fading.shadowing)):
+            assert list(view) == keys
+            assert list(view.values()) == array.ravel().tolist()
+            assert all(type(v) is float for v in view.values())
+            with pytest.raises(TypeError):
+                view[keys[0]] = 1.0
+        assert fading.beta is fading.beta and fading.shadow is fading.shadow
+
+    def test_algorithms_and_metrics_leave_the_views_unbuilt(self):
+        config = cfg(power_levels=DEFAULT_POWER_LEVELS[:4])
+        ctx = sample_link_context(config, np.random.default_rng(43))
+        rng = np.random.default_rng(44)
+        run_algorithm1(new_games(ctx, rng), ctx, rng)
+        ngt_best_response(ctx, rng)
+        for sc in ctx.topology.occupied_subcarriers():
+            brute_force_group(sc, ctx)
+        compute_link_metrics(ctx, {link: 0.01 for link in ctx.topology.links()})
+        assert "g" not in vars(ctx.channels)
+        assert "beta" not in vars(ctx.fading) and "shadow" not in vars(ctx.fading)
+        # the guard can fail: a read builds and keeps the view
+        ctx.channels.vector(0, *ctx.topology.links()[0])
+        assert "g" in vars(ctx.channels)
