@@ -49,8 +49,8 @@ for d in (1.0, 10.0, 100.0, 1000.0):
 # a unit-norm combiner leaves the effective noise at the thermal floor
 link = ctx.topology.links()[0]
 profile = {lk: config.power_levels[0] for lk in ctx.topology.links()}
-low = sinr(ctx, profile, *link)
+low = sinr(ctx, profile, link)
 profile[link] = config.power_levels[-1]
-high = sinr(ctx, profile, *link)
+high = sinr(ctx, profile, link)
 print(f"\nSINR of link {link} at lowest/highest own power: "
       f"{10 * np.log10(low):.1f} / {10 * np.log10(high):.1f} dB")

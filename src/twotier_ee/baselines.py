@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from . import linklevel
-from .linklevel import LinkContext, user_ee
+from .linklevel import LinkContext, batch_ee
 
 __all__ = [
     "SizeGuardError", "OracleResult", "NgtResult",
@@ -46,6 +48,16 @@ class OracleResult:
     evaluations: int     # number of joint strategies enumerated
 
 
+def _first_max_rows(values: np.ndarray) -> np.ndarray:
+    """Index of the first strict maximum along the last axis of `values`.
+
+    The same pick as scanning each row with `value > best` from best = -inf
+    and index 0: the earliest of equal maxima wins, NaN is never chosen, and
+    a row where no value exceeds -inf gives 0.
+    """
+    return np.argmax(np.where(np.isnan(values), -math.inf, values), axis=-1)
+
+
 def _first_max(chunks) -> tuple:
     """Flat index and value of the first strict maximum over non-empty chunks.
 
@@ -57,11 +69,10 @@ def _first_max(chunks) -> tuple:
     best_value = -math.inf
     offset = 0
     for values in chunks:
-        masked = np.where(np.isnan(values), -math.inf, values)
-        i = int(np.argmax(masked))   # first maximum of the chunk
-        if masked[i] > best_value:
+        i = int(_first_max_rows(values))
+        if values[i] > best_value:   # False for NaN, as for the masked -inf
             best_index = offset + i
-            best_value = float(masked[i])
+            best_value = float(values[i])
         offset += len(values)
     return best_index, best_value
 
@@ -92,9 +103,9 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
         sinrs = []
         for row in power.tolist():
             profile.update(zip(links, row))
-            for cell, sc in links:
-                sinrs.append(sinr(context, profile, cell, sc))
-        ee = np.log2(1.0 + np.array(sinrs).reshape(power.shape)) / (power + circuit_power)
+            for link in links:
+                sinrs.append(sinr(context, profile, link))
+        ee = batch_ee(np.reshape(sinrs, power.shape), power, circuit_power)
         total = np.zeros(len(power))   # 0.0 + x, elementwise
         for group in groups:
             group_total = 0.0
@@ -160,52 +171,49 @@ class NgtResult:
     evaluations: int     # candidate EE evaluations consumed
 
 
-def _best_response(context: LinkContext, profile: dict, link: tuple) -> int:
-    """Index of the level maximizing this link's own EE, others held fixed.
-
-    Scans levels in ascending order with a strict improvement test, so ties
-    resolve to the smallest index.
-    """
-    levels = context.config.power_levels
-    best_idx = 0
-    best_ee = -math.inf
-    saved = profile[link]
-    for a, p in enumerate(levels):
-        profile[link] = p
-        value = user_ee(context, profile, link[0], link[1])
-        if value > best_ee:
-            best_ee = value
-            best_idx = a
-    profile[link] = saved
-    return best_idx
-
-
 def ngt_best_response(context: LinkContext, rng: np.random.Generator,
                       max_rounds: int = 64):
     """Round-robin selfish power adaptation from a random starting profile.
 
     Each pass visits every link in cell-major order (macro cell's users
     first) and moves it to the power level that maximizes its own EE given
-    everyone else's current choice.  The dynamics stop at the first pass
-    with no change, a Nash equilibrium of the discrete game.
+    everyone else's current choice, ties to the lowest level.  The dynamics
+    stop at the first pass with no change, a Nash equilibrium of the
+    discrete game.
+
+    A cell's links sit on distinct subcarriers, so none of them reads
+    another's power: their best responses are taken as one batch per cell,
+    with `sinr` called per link at every level (links, then levels,
+    ascending), then `batch_ee` and the row-wise first maximum over the
+    (links, levels) block, and the cell's moves applied after it.  That is
+    the link-by-link pass, move for move.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    sinr = linklevel.sinr   # looked up per run, so a patched sinr is seen
     levels = context.config.power_levels
     n_levels = len(levels)
+    level_array = np.array(levels)
+    circuit_power = context.config.circuit_power
     links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))
     profile = {link: levels[int(rng.integers(n_levels))] for link in links}
+    batches = [list(cell_links) for _, cell_links in groupby(links, key=itemgetter(0))]
     rounds = 0
     converged = False
     evaluations = 0
     for _ in range(max_rounds):
         changed = False
-        for link in links:
-            idx = _best_response(context, profile, link)
-            evaluations += n_levels
-            if levels[idx] != profile[link]:
-                profile[link] = levels[idx]
-                changed = True
+        for batch in batches:
+            held = [profile[link] for link in batch]
+            # each link's own power steps through the levels, in the profile itself
+            sinrs = [sinr(context, profile, link) for link in batch for profile[link] in levels]
+            ee = batch_ee(np.reshape(sinrs, (len(batch), n_levels)), level_array,
+                          circuit_power)
+            evaluations += len(sinrs)
+            for link, p, best in zip(batch, held, _first_max_rows(ee).tolist()):
+                profile[link] = levels[best]
+                if levels[best] != p:
+                    changed = True
         if changed:
             rounds += 1
         else:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linklevel import LinkContext, user_ee
+from . import linklevel
+from .linklevel import LinkContext, batch_ee
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
 
@@ -36,10 +37,10 @@ class GameState:
     converged: bool = False
 
 
-def _profile(game: GameState, levels: tuple) -> dict:
-    """Power profile for one game's links only."""
+def _profile(games: list, levels: tuple) -> dict:
+    """Power profile over the links of `games`, in game then player order."""
     return {(cell, game.subcarrier): levels[game.strategy[cell]]
-            for cell in game.players}
+            for game in games for cell in game.players}
 
 
 def new_games(context: LinkContext, rng: np.random.Generator) -> list:
@@ -58,33 +59,48 @@ def new_games(context: LinkContext, rng: np.random.Generator) -> list:
     return games
 
 
-def egt_step(game: GameState, context: LinkContext, rng: np.random.Generator) -> tuple:
-    """One synchronous adaptation round, applied to `game` in place.
+def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> list:
+    """One synchronous adaptation round of each game in `games`, in place.
 
-    Payoffs, their average and the unexplored pool are fixed at the start of
-    the round; then every player at or below the average (ties count as
-    below) draws a level from that pool, so simultaneous switchers may land
-    on the same level.  A round with no switch converges the game.  Returns
-    the `(payoffs, average)` the round acted on, payoffs keyed by cell.
+    Within a game, payoffs, their average and the unexplored pool are fixed
+    at the start of the round; then every player at or below the average
+    (ties count as below) draws a level from that pool, so simultaneous
+    switchers may land on the same level.  A round with no switch converges
+    the game.  The games must sit on distinct subcarriers, so no game's
+    payoffs read another's powers: every payoff of the round comes from
+    one `sinr` call per player (games in the given order, players
+    ascending) and one `batch_ee`, before any game draws.  The draws then
+    go game by game, players ascending.  Returns the `(payoffs, average)`
+    each game acted on, payoffs keyed by cell.
     """
-    if game.converged:
+    if any(game.converged for game in games):
         raise ValueError("cannot step a converged game")
-    profile = _profile(game, context.config.power_levels)
-    payoffs = {cell: user_ee(context, profile, cell, game.subcarrier)
-               for cell in game.players}
-    # left to right: builtin sum() of floats is compensated from Python 3.12
-    total = 0.0
-    for value in payoffs.values():
-        total += value
-    average = total / len(payoffs)
-    pool = [a for a in range(context.config.n_power_levels) if a not in game.explored]
-    switchers = [cell for cell in game.players if payoffs[cell] <= average] if pool else []
-    for cell in switchers:
-        choice = pool[int(rng.integers(len(pool)))]
-        game.strategy[cell] = choice
-        game.explored.add(choice)
-    game.converged = not switchers
-    return payoffs, average
+    profile = _profile(games, context.config.power_levels)
+    if len(profile) != sum(len(game.players) for game in games):
+        raise ValueError("games stepped together must sit on distinct subcarriers")
+    sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
+    ee = batch_ee([sinr(context, profile, link) for link in profile], list(profile.values()),
+                  context.config.circuit_power).tolist()
+    n_levels = context.config.n_power_levels
+    stepped = []
+    start = 0
+    for game in games:
+        payoffs = dict(zip(game.players, ee[start:start + len(game.players)]))
+        start += len(game.players)
+        # left to right: builtin sum() of floats is compensated from Python 3.12
+        total = 0.0
+        for value in payoffs.values():
+            total += value
+        average = total / len(payoffs)
+        pool = [a for a in range(n_levels) if a not in game.explored]
+        switchers = [cell for cell in game.players if payoffs[cell] <= average] if pool else []
+        for cell in switchers:
+            choice = pool[int(rng.integers(len(pool)))]
+            game.strategy[cell] = choice
+            game.explored.add(choice)
+        game.converged = not switchers
+        stepped.append((payoffs, average))
+    return stepped
 
 
 @dataclass
@@ -117,13 +133,10 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
         if not active:
             break
         iterations += 1
-        for game in active:
-            _, average = egt_step(game, context, rng)
+        for game, (_, average) in zip(active, egt_step(active, context, rng)):
             evaluations += len(game.players)
             traces[game.subcarrier].append(average)
-    profile = {}
-    for game in games:
-        profile.update(_profile(game, context.config.power_levels))
+    profile = _profile(games, context.config.power_levels)
     return EgtResult(profile=profile, traces=traces, iterations=iterations,
                      converged=all(g.converged for g in games),
                      evaluations=evaluations)

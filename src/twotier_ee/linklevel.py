@@ -23,7 +23,7 @@ from .topology import ChannelRealization, LargeScaleFading, Topology, sample_top
 
 __all__ = [
     "PowerProfile", "LinkMetrics", "LinkContext",
-    "mrc_combiner", "build_combiners", "sinr", "user_ee", "group_ee",
+    "mrc_combiner", "build_combiners", "sinr", "batch_ee", "user_ee", "group_ee",
     "compute_link_metrics", "sample_link_context", "validate_power_profile",
 ]
 
@@ -58,15 +58,16 @@ def _abs2(z: np.ndarray) -> list:
         return [float(x ** 2) for x in magnitudes]
 
 
-def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
+def build_combiners(topology: Topology, channels: ChannelRealization,
+                    noise_power: float) -> dict:
     """Post-combining gain table of one drop.
 
-    Maps each link (cell, subcarrier) to (own, interference, a_norm2) for
+    Maps each link (cell, subcarrier) to (own, interference, noise) for
     its MRC combiner a, built once: own = |a^H g_own|^2, interference =
     ((other link, |a^H g_other|^2), ...) over the co-channel cells in
     ascending order, each keyed by the interferer's (cell, subcarrier) as a
-    power profile is, and a_norm2 = ||a||^2, the combiner's gain on noise.
-    Every gain is a Python float.
+    power profile is, and noise = ||a||^2 * noise_power, the noise after
+    combining.  Every entry is a Python float.
 
     The links are grouped by serving cell, whose receiver sees them all.
     The channel block rows follow `topology.links()`, sorted by (subcarrier,
@@ -87,7 +88,8 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
         own_vectors = block[own_rows]
         a = mrc_combiner(own_vectors)
         own = _abs2(np.vecdot(a, own_vectors))
-        a_norm2 = np.vecdot(a, a).real.tolist()
+        # elementwise, the product of each ||a||^2 float with noise_power
+        noise = (np.vecdot(a, a).real * noise_power).tolist()
         # the served row on each subcarrier, -1 where the cell has no user
         slot = np.full(subcarriers.max() + 1, -1)
         slot[served] = np.arange(len(served))
@@ -99,7 +101,7 @@ def build_combiners(topology: Topology, channels: ChannelRealization) -> dict:
                      _abs2(np.vecdot(a[into], block[leak_rows])))
         counts = np.bincount(into, minlength=len(served)).tolist()
         for i, (row, n) in enumerate(zip(own_rows.tolist(), counts)):
-            entries[links[row]] = (own[i], tuple(islice(leaked, n)), a_norm2[i])
+            entries[links[row]] = (own[i], tuple(islice(leaked, n)), noise[i])
     return {link: entries[link] for link in links}
 
 
@@ -124,37 +126,48 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
     fading = sample_large_scale_fading(topology, config, rng)
     channels = sample_channels(topology, fading, config, rng)
     return LinkContext(config=config, topology=topology, fading=fading,
-                       channels=channels, gains=build_combiners(topology, channels))
+                       channels=channels,
+                       gains=build_combiners(topology, channels, config.noise_power))
 
 
-def sinr(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
-    """Post-combining SINR of the user served by `cell` on `subcarrier`.
+def sinr(context: LinkContext, profile: PowerProfile, link: tuple) -> float:
+    """Post-combining SINR of the user on `link`, a (cell, subcarrier) pair.
 
     Interference comes only from co-channel users of other cells; OFDMA
     keeps a cell's own users orthogonal.  Interferers are summed in
     ascending cell order, so the result is bit-reproducible.
     """
-    link = (cell, subcarrier)
-    own, interferers, a_norm2 = context.gains[link]
+    own, interferers, noise = context.gains[link]
     # one by one: a vector sum reorders the additions, and total minus signal
     # cancels under massive-MIMO gain; either changes the emitted digits
     interference = 0.0
     for other, gain in interferers:
         interference += profile[other] * gain
-    # the config rejects a noise power that is not finite and > 0, so the
-    # denominator cannot be 0
-    noise = a_norm2 * context.config.noise_power
+    # the config rejects a noise power that is not finite and > 0, and the
+    # combiner has unit norm, so the denominator cannot be 0
     return profile[link] * own / (interference + noise)
+
+
+def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
+    """`user_ee` of many links at once, from their `sinr` values and powers.
+
+    Elementwise `+` and `/` are exact IEEE operations, and vector np.log2
+    equals the scalar call bit for bit on the pinned numpy, so every value
+    is the one `user_ee` returns for the same SINR and power.
+    """
+    return np.log2(1.0 + np.asarray(sinrs)) / (np.asarray(powers) + circuit_power)
 
 
 def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
     """Energy efficiency of one link: bit/s/Hz over transmit plus circuit watts.
 
-    The package's one scalar EE, read by the metrics and every algorithm.
-    np.log2, not math.log2, which rounds differently on some inputs.
+    The scalar form of `batch_ee`, which the metrics and every algorithm
+    take after their `sinr` calls.  np.log2, not math.log2, which rounds
+    differently on some inputs.
     """
-    r = float(np.log2(1.0 + sinr(context, profile, cell, subcarrier)))
-    return r / (profile[(cell, subcarrier)] + context.config.circuit_power)
+    link = (cell, subcarrier)
+    r = float(np.log2(1.0 + sinr(context, profile, link)))
+    return r / (profile[link] + context.config.circuit_power)
 
 
 def group_ee(context: LinkContext, profile: PowerProfile, subcarrier: int) -> float:
@@ -184,15 +197,20 @@ class LinkMetrics:
 def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMetrics:
     """Every link's `user_ee`, and their sum in the fixed order the oracles use:
     each group's cells ascending, then the group totals, subcarriers ascending.
+
+    One `sinr` call per link, links in (subcarrier, cell) order, then one
+    `batch_ee` over all of them.
     """
     validate_power_profile(context, profile)
-    ee = {}
+    links = context.topology.links()
+    sinrs = [sinr(context, profile, link) for link in links]
+    powers = [profile[link] for link in links]
+    ee = dict(zip(links, batch_ee(sinrs, powers, context.config.circuit_power).tolist()))
+    groups = {}   # subcarrier -> group EE, cells ascending from 0.0
+    for (_, sc), e in ee.items():
+        groups[sc] = groups.get(sc, 0.0) + e
     total = 0.0
-    for sc in context.topology.occupied_subcarriers():
-        group = 0.0
-        for cell in context.topology.cells_on(sc):
-            ee[(cell, sc)] = e = user_ee(context, profile, cell, sc)
-            group += e
+    for group in groups.values():
         total += group
     return LinkMetrics(ee=ee, network_ee=total)
 

@@ -133,8 +133,9 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
         radius = config.macro_radius if cell == 0 else config.small_radius
         subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
         positions = _uniform_in_disc(center, radius, config.n_users_per_cell, rng)
-        for sc, (x, y) in zip(np.sort(subcarriers), positions):
-            users.append(User(cell=cell, subcarrier=int(sc), position=(x, y)))
+        # Python ints and floats, the same values as the array elements
+        for sc, (x, y) in zip(np.sort(subcarriers).tolist(), positions.tolist()):
+            users.append(User(cell=cell, subcarrier=sc, position=(x, y)))
     return Topology(mbs_position=mbs, sbs_positions=sbs, users=users)
 
 
@@ -156,11 +157,16 @@ def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.
     draws = rng.normal(0.0, config.shadowing_std_db, size=size)
     # a Python float power per value: numpy's vector power rounds some differently
     try:
-        return np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
+        values = np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
     except OverflowError:
         raise ValueError(
             f"a shadowing draw of {float(draws.max())!r} dB overflows 10 ** (x / 10); "
             f"shadowing_std_db = {config.shadowing_std_db!r} is too large") from None
+    if (values == 0.0).any():
+        raise ValueError(
+            f"a shadowing draw of {float(draws.min())!r} dB underflows 10 ** (x / 10) "
+            f"to 0; shadowing_std_db = {config.shadowing_std_db!r} is too large")
+    return values
 
 
 def _keyed(links: list, rows) -> dict:

@@ -40,7 +40,7 @@ def manual_two_player_context(channels, config):
         np.array([channels[(rx, c)] for c, _ in links], dtype=complex) for rx in (0, 1)])
     fading = LargeScaleFading(links=links, gain=np.ones((2, 2)), shadowing=np.ones((2, 2)))
     return LinkContext(config=config, topology=topo, fading=fading,
-                       channels=ch, gains=build_combiners(topo, ch))
+                       channels=ch, gains=build_combiners(topo, ch, config.noise_power))
 
 
 def hand_trace_context():
@@ -75,16 +75,19 @@ def fresh_game(players, strategy, subcarrier=0):
 
 class TestPayoffs:
     def test_player_payoff_matches_link_layer(self):
+        # one round over every game: a batch of links on many subcarriers
         ctx = make_context(1)
         rng = np.random.default_rng(2)
-        for game in new_games(ctx, rng):
-            profile = {(c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
-                       for c in game.players}
-            payoffs, _ = egt_step(game, ctx, rng)
+        games = new_games(ctx, rng)
+        profiles = [{(c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
+                     for c in game.players} for game in games]
+        stepped = egt_step(games, ctx, rng)
+        assert len(stepped) == len(games) > 1
+        for game, profile, (payoffs, _) in zip(games, profiles, stepped):
             assert list(payoffs) == game.players
             for c in game.players:
-                assert payoffs[c] == pytest.approx(
-                    user_ee(ctx, profile, c, game.subcarrier), rel=1e-12)
+                assert payoffs[c] == user_ee(ctx, profile, c, game.subcarrier)
+                assert type(payoffs[c]) is float
 
     def test_single_player_interference_free_payoff(self):
         ctx = make_context(3, n_small_cells=0, n_subcarriers=2, n_users_per_cell=1)
@@ -94,7 +97,7 @@ class TestPayoffs:
         g = ctx.channels.vector(cell, cell, sc)
         expected = math.log2(1.0 + p * np.linalg.norm(g) ** 2 / ctx.config.noise_power) \
             / (p + ctx.config.circuit_power)
-        payoffs, _ = egt_step(game, ctx, np.random.default_rng(3))
+        [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(3))
         assert payoffs[cell] == pytest.approx(expected, rel=1e-12)
 
 
@@ -105,7 +108,7 @@ class TestHandTrace:
         ctx = hand_trace_context()
         for s0, s1 in [(0, 1), (1, 0)]:
             game = fresh_game([0, 1], {0: s0, 1: s1})
-            payoffs, average = egt_step(game, ctx, np.random.default_rng(0))
+            [(payoffs, average)] = egt_step([game], ctx, np.random.default_rng(0))
             pi0, pi1 = hand_payoffs(ctx, ctx.config.power_levels[s0],
                                     ctx.config.power_levels[s1])
             assert payoffs[0] == pytest.approx(pi0, rel=1e-12)
@@ -126,7 +129,7 @@ class TestHandTrace:
         assert pi0 < pi1
         other = 1 - start
 
-        payoffs, average = egt_step(game, ctx, np.random.default_rng(0))
+        [(payoffs, average)] = egt_step([game], ctx, np.random.default_rng(0))
         rounds = 1
         assert payoffs[0] == pytest.approx(pi0, rel=1e-12)
         assert average == pytest.approx((pi0 + pi1) / 2, rel=1e-12)
@@ -134,7 +137,7 @@ class TestHandTrace:
         assert game.strategy == {0: other, 1: start}
         assert game.explored == {0, 1}
 
-        payoffs, _ = egt_step(game, ctx, np.random.default_rng(0))
+        [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(0))
         rounds += 1
         pi0b, pi1b = hand_payoffs(ctx, levels[other], levels[start])
         assert payoffs[0] == pytest.approx(pi0b, rel=1e-12)
@@ -157,12 +160,12 @@ class TestHandTrace:
         }
         ctx = manual_two_player_context(channels, config)
         game = fresh_game([0, 1], {0: 0, 1: 0})
-        payoffs, _ = egt_step(game, ctx, np.random.default_rng(0))
+        [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(0))
         assert payoffs[0] == pytest.approx(payoffs[1], rel=1e-12)
         assert game.strategy == {0: 1, 1: 1}
         assert game.explored == {0, 1}
         assert not game.converged
-        egt_step(game, ctx, np.random.default_rng(0))
+        egt_step([game], ctx, np.random.default_rng(0))
         assert game.converged
 
 
@@ -172,14 +175,37 @@ class TestStepMechanics:
         game = new_games(ctx, np.random.default_rng(8))[0]
         game.converged = True
         with pytest.raises(ValueError):
-            egt_step(game, ctx, np.random.default_rng(0))
+            egt_step([game], ctx, np.random.default_rng(0))
+
+    def test_games_sharing_a_subcarrier_rejected(self):
+        ctx = make_context(9)
+        game = new_games(ctx, np.random.default_rng(9))[0]
+        twin = fresh_game(game.players, game.strategy, subcarrier=game.subcarrier)
+        with pytest.raises(ValueError, match="distinct subcarriers"):
+            egt_step([game, twin], ctx, np.random.default_rng(0))
+
+    def test_round_of_all_games_equals_one_game_at_a_time(self):
+        ctx = make_context(10)
+        batched, single = new_games(ctx, np.random.default_rng(10)), \
+            new_games(ctx, np.random.default_rng(10))
+        rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+        while True:
+            active = [g for g in batched if not g.converged]
+            if not active:
+                break
+            stepped = egt_step(active, ctx, rng)
+            expected = [egt_step([g], ctx, single_rng)[0] for g in single if not g.converged]
+            assert stepped == expected
+            assert [(g.strategy, g.explored, g.converged) for g in batched] == \
+                [(g.strategy, g.explored, g.converged) for g in single]
+        assert rng.random() == single_rng.random()
 
     def test_tried_contains_current_strategy_along_run(self):
         ctx = make_context(10)
         rng = np.random.default_rng(10)
         for game in new_games(ctx, rng):
             while not game.converged:
-                egt_step(game, ctx, rng)
+                egt_step([game], ctx, rng)
                 for c in game.players:
                     assert game.strategy[c] in game.explored
 
@@ -188,7 +214,7 @@ class TestStepMechanics:
         rng = np.random.default_rng(11)
         for game in new_games(ctx, rng):
             strategy, explored = dict(game.strategy), set(game.explored)
-            egt_step(game, ctx, rng)
+            egt_step([game], ctx, rng)
             for c in game.players:
                 if game.strategy[c] != strategy[c]:
                     assert game.strategy[c] not in explored
@@ -225,7 +251,7 @@ class TestRunAlgorithm:
         rounds = 0
         while not game.converged:
             prev = game.strategy[cell]
-            egt_step(game, ctx, rng)
+            egt_step([game], ctx, rng)
             rounds += 1
             if game.strategy[cell] != prev:
                 seen.append(game.strategy[cell])

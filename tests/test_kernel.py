@@ -5,7 +5,11 @@ profile, so they are kept on plain float arithmetic.  TestKernelPreservation
 checks them, and the oracles and best-response dynamics built on them,
 against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
 oracles' chunked numpy objective and first-maximum pick against the scalar
-search, and the vector-equals-scalar `np.log2` it rests on.
+search, and the vector-equals-scalar `np.log2` it rests on.  TestBatchedEe
+checks `batch_ee`, which egt, ngt and the metrics take after their `sinr`
+calls, on short, strided and offset arrays and (links, levels) blocks, the
+row-wise first-maximum pick of ngt, and that each ngt batch is one cell's
+links on distinct subcarriers.
 TestStackedGainTable checks the per-receiver stacked gain table, built from
 the channel blocks with link-keyed interferers, against the link-by-link
 one, and the numpy rounding facts it rests on.
@@ -26,7 +30,7 @@ from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.linklevel import (
-    build_combiners, compute_link_metrics, group_ee, mrc_combiner,
+    batch_ee, build_combiners, compute_link_metrics, group_ee, mrc_combiner,
     sample_link_context, sinr, user_ee,
 )
 from twotier_ee.topology import ChannelRealization, Topology, User
@@ -54,12 +58,13 @@ def reference_gains(topology, channels):
     return gains
 
 
-def link_keyed(reference):
+def link_keyed(reference, noise_power):
     """`reference_gains` in the package's layout: Python floats, each
-    interferer keyed by its (cell, subcarrier) link."""
+    interferer keyed by its (cell, subcarrier) link, and the noise term
+    ||a||^2 * noise_power in place of ||a||^2."""
     return {
         (cell, sc): (float(own), tuple(((other, sc), float(gain)) for other, gain in interferers),
-                     a_norm2)
+                     a_norm2 * noise_power)
         for (cell, sc), (own, interferers, a_norm2) in reference.items()
     }
 
@@ -175,7 +180,7 @@ def assert_kernel_matches_reference(config, seed):
         trial = dict(profile)
         for p in levels:
             trial[link] = p
-            assert sinr(ctx, trial, *link) == reference_sinr(ref, trial, *link)
+            assert sinr(ctx, trial, link) == reference_sinr(ref, trial, *link)
             assert user_ee(ctx, trial, *link) == reference_user_ee(ref, trial, *link)
     for sc in ctx.topology.occupied_subcarriers():
         assert group_ee(ctx, profile, sc) == reference_group_ee(ref, profile, sc)
@@ -227,8 +232,8 @@ class TestKernelPreservation:
         ctx = sample_link_context(NetworkConfig(n_small_cells=2, n_subcarriers=4,
                                                 n_users_per_cell=4),
                                   np.random.default_rng(0))
-        for own, interferers, a_norm2 in ctx.gains.values():
-            assert type(own) is float and type(a_norm2) is float
+        for own, interferers, noise in ctx.gains.values():
+            assert type(own) is float and type(noise) is float
             assert all(type(gain) is float for _, gain in interferers)
 
 
@@ -246,6 +251,18 @@ def split(values, size):
 
 
 nan, inf = math.nan, math.inf
+
+FIRST_MAX_CASES = [
+    [1.0, 3.0, 2.0, 3.0, 3.0, 0.5, 3.0],             # equal maxima, in and across chunks
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],         # all tied
+    [nan, 2.0, 1.0, 2.0],                              # NaN at the front
+    [1.0, 2.0, nan, 5.0, nan, 5.0, 4.0],              # NaN in the middle
+    [nan, nan, nan, nan, nan],                         # NaN everywhere
+    [1.0, inf, nan, inf, 2.0, inf],                    # +inf ties
+    [-inf, -inf, -inf, -inf],                          # all -inf: nothing is picked
+    [-inf, nan, -inf, -1e308, nan],                    # one finite value among -inf and NaN
+    [2.0],
+]
 
 
 class TestBatchedOracle:
@@ -278,17 +295,7 @@ class TestBatchedOracle:
         ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
         assert_oracle_matches(brute_force_global(ctx), reference_global_oracle(ref))
 
-    @pytest.mark.parametrize("values", [
-        [1.0, 3.0, 2.0, 3.0, 3.0, 0.5, 3.0],             # equal maxima, in and across chunks
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],         # all tied
-        [nan, 2.0, 1.0, 2.0],                              # NaN at the front
-        [1.0, 2.0, nan, 5.0, nan, 5.0, 4.0],              # NaN in the middle
-        [nan, nan, nan, nan, nan],                         # NaN everywhere
-        [1.0, inf, nan, inf, 2.0, inf],                    # +inf ties
-        [-inf, -inf, -inf, -inf],                          # all -inf: nothing is picked
-        [-inf, nan, -inf, -1e308, nan],                    # one finite value among -inf and NaN
-        [2.0],
-    ])
+    @pytest.mark.parametrize("values", FIRST_MAX_CASES)
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
     def test_first_max_equals_strict_scan(self, values, size):
         index, value = baselines._first_max(split(values, size))
@@ -319,19 +326,111 @@ class TestBatchedOracle:
         )
 
 
+def assert_bit_contract(what, pairs, reader="the stacked gain table of build_combiners"):
+    mismatches = [(want, got) for want, got in pairs if want != got]
+    assert not mismatches, (
+        f"{what} differs on {len(mismatches)} of {len(pairs)} values (first: "
+        f"{mismatches[:3]}); {reader} depends on them agreeing bit for bit, so the "
+        f"numpy pin has moved (numpy {np.__version__})"
+    )
+
+
+BATCHED_EE = "the batched EE (linklevel.batch_ee) of egt, ngt, the metrics and the oracles"
+
+
+class TestBatchedEe:
+    """`batch_ee` after the pinned `sinr` calls, and the ngt pick over its blocks."""
+
+    def test_short_strided_and_offset_arrays_equal_scalar_log2(self):
+        # an EGT round can hold one link and a reference-scale ngt batch is 6 x 8;
+        # numpy may take other inner loops for short, strided and offset arrays
+        rng = np.random.default_rng(20170609)
+        pool = np.concatenate([
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300],
+            10.0 ** rng.uniform(-300.0, 300.0, 3000),
+            rng.uniform(0.0, 1e4, 3000),
+        ])
+        circuit_power = 0.01
+        for n in range(1, 65):
+            for offset in (0, 1, 3):
+                for step in (1, 2, 5):
+                    sinrs = pool[offset:offset + n * step:step]
+                    powers = rng.choice(DEFAULT_POWER_LEVELS, size=n)
+                    assert_bit_contract(
+                        f"batch_ee vs the scalar EE on {n} values (offset {offset}, "
+                        f"step {step})", [
+                            (float(np.log2(1.0 + s)) / (p + circuit_power), got)
+                            for s, p, got in zip(sinrs.tolist(), powers.tolist(),
+                                                 batch_ee(sinrs, powers, circuit_power).tolist())
+                        ], BATCHED_EE)
+                    shifted = (1.0 + pool)[offset:offset + n * step:step]
+                    assert_bit_contract(
+                        f"vector np.log2 vs scalar np.log2 on a strided view of {n} values", [
+                            (float(np.log2(x)), got)
+                            for x, got in zip(shifted.tolist(), np.log2(shifted).tolist())
+                        ], BATCHED_EE)
+        # (links, levels) blocks, the levels broadcast over the rows as ngt does
+        levels = np.array(DEFAULT_POWER_LEVELS)
+        for n_links in range(1, 9):
+            block = pool[:n_links * len(levels)].reshape(n_links, len(levels))
+            assert_bit_contract(f"batch_ee vs the scalar EE on a {n_links} x {len(levels)} block", [
+                (float(np.log2(1.0 + s)) / (p + circuit_power), got)
+                for row, got_row in zip(block.tolist(),
+                                        batch_ee(block, levels, circuit_power).tolist())
+                for s, p, got in zip(row, levels.tolist(), got_row)
+            ], BATCHED_EE)
+
+    @pytest.mark.parametrize("values", FIRST_MAX_CASES)
+    def test_row_first_max_equals_strict_scan(self, values):
+        # every rotation of the case is one row of a (links, levels) block
+        block = np.array([values[k:] + values[:k] for k in range(len(values))])
+        expected = []
+        for row in block.tolist():
+            index, _ = scalar_first_max(row)
+            # ngt's scan starts at level 0, so a row with nothing above -inf picks 0
+            expected.append(0 if index is None else index)
+        assert baselines._first_max_rows(block).tolist() == expected
+
+    @pytest.mark.parametrize("config", [
+        NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6),
+        NetworkConfig(n_small_cells=4, n_subcarriers=8, n_users_per_cell=5,
+                      power_levels=DEFAULT_POWER_LEVELS[:5]),
+    ])
+    def test_ngt_batches_one_cell_on_distinct_subcarriers(self, monkeypatch, config):
+        ctx = sample_link_context(config, np.random.default_rng(8))
+        pending, batches = [], []
+        sinr_before, batch_ee_before = linklevel.sinr, baselines.batch_ee
+
+        def recording_sinr(context, profile, link):
+            pending.append(link)
+            return sinr_before(context, profile, link)
+
+        def recording_batch_ee(sinrs, powers, circuit_power):
+            batches.append(list(pending))
+            pending.clear()
+            return batch_ee_before(sinrs, powers, circuit_power)
+
+        monkeypatch.setattr(linklevel, "sinr", recording_sinr)
+        monkeypatch.setattr(baselines, "batch_ee", recording_batch_ee)
+        result = ngt_best_response(ctx, np.random.default_rng(9))
+        n_levels = config.n_power_levels
+        assert not pending
+        assert sum(map(len, batches)) == result.evaluations
+        cells = sorted({cell for cell, _ in ctx.topology.links()})
+        assert len(batches) == len(cells) * (result.rounds + result.converged)
+        for i, calls in enumerate(batches):
+            links = calls[::n_levels]
+            # links ascending, each at every level in turn
+            assert calls == [link for link in links for _ in range(n_levels)]
+            assert links == sorted(link for link in ctx.topology.links()
+                                   if link[0] == cells[i % len(cells)])
+            assert len({sc for _, sc in links}) == len(links)
+
+
 def channel_rows(rng, n_rows, n_antennas):
     """Rayleigh rows g = sqrt(beta) h with path-loss gains from 1e-16 to 1."""
     h = rng.standard_normal((n_rows, n_antennas)) + 1j * rng.standard_normal((n_rows, n_antennas))
     return h * np.sqrt(10.0 ** rng.uniform(-16.0, 0.0, size=(n_rows, 1)))
-
-
-def assert_bit_contract(what, pairs):
-    mismatches = [(want, got) for want, got in pairs if want != got]
-    assert not mismatches, (
-        f"{what} differs on {len(mismatches)} of {len(pairs)} values (first: "
-        f"{mismatches[:3]}); the stacked gain table of build_combiners depends on them "
-        f"agreeing bit for bit, so the numpy pin has moved (numpy {np.__version__})"
-    )
 
 
 class TestStackedGainTable:
@@ -404,10 +503,12 @@ class TestStackedGainTable:
         ])
         # the row of the g view is a view of the block, so this reaches the table
         channels.g[(0, 1, 0)] *= leak_scale
+        noise_power = reference_noise_power(
+            NetworkConfig(n_small_cells=1, n_subcarriers=3, n_users_per_cell=2))
         with np.errstate(over="ignore"):
-            gains = build_combiners(topology, channels)
+            gains = build_combiners(topology, channels, noise_power)
             expected = reference_gains(topology, channels)
-        assert list(gains.items()) == list(link_keyed(expected).items())
+        assert list(gains.items()) == list(link_keyed(expected, noise_power).items())
         [(other, leak)] = gains[(0, 0)][1]
         assert other == (1, 0) and math.isinf(leak) == (leak_scale > 1.0)
         assert gains[(0, 2)][1] == ()
@@ -417,7 +518,8 @@ class TestStackedGainTable:
         config = NetworkConfig(n_small_cells=3, n_subcarriers=6, n_users_per_cell=4)
         ctx = sample_link_context(config, np.random.default_rng(seed))
         expected = reference_gains(ctx.topology, ctx.channels)
-        assert list(ctx.gains.items()) == list(link_keyed(expected).items())
+        assert list(ctx.gains.items()) == list(
+            link_keyed(expected, reference_noise_power(config)).items())
 
 
 class TestSinrCallCount:

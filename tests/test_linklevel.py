@@ -55,9 +55,9 @@ class TestCombiner:
     def test_build_covers_links(self):
         ctx = make_context(1)
         assert set(ctx.gains) == set(ctx.topology.links())
-        for (cell, sc), (_, interferers, a_norm2) in ctx.gains.items():
-            # ||a||^2 of the unit-norm MRC combiner
-            assert a_norm2 == pytest.approx(1.0, rel=1e-12)
+        for (cell, sc), (_, interferers, noise) in ctx.gains.items():
+            # the noise power times ||a||^2 = 1 of the unit-norm MRC combiner
+            assert noise == pytest.approx(ctx.config.noise_power, rel=1e-12)
             # keyed by the interferer's link, as the power profile is
             assert [link for link, _ in interferers] == \
                 [(c, sc) for c in ctx.topology.cells_on(sc) if c != cell]
@@ -70,7 +70,7 @@ class TestSinr:
         profile = {link: float(rng.choice(ctx.config.power_levels))
                    for link in ctx.topology.links()}
         for cell, sc in ctx.topology.links():
-            assert sinr(ctx, profile, cell, sc) == pytest.approx(
+            assert sinr(ctx, profile, (cell, sc)) == pytest.approx(
                 reference_sinr(ctx, profile, cell, sc), rel=1e-12)
 
     def test_interference_free_closed_form(self):
@@ -79,18 +79,19 @@ class TestSinr:
         p = 0.02
         g = ctx.channels.vector(cell, cell, sc)
         expected = p * np.linalg.norm(g) ** 2 / ctx.config.noise_power
-        assert sinr(ctx, {(cell, sc): p}, cell, sc) == pytest.approx(expected, rel=1e-12)
+        assert sinr(ctx, {(cell, sc): p}, (cell, sc)) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance_of_combiner(self, monkeypatch):
         ctx = make_context(5)
         profile = uniform_profile(ctx, 0.01)
         monkeypatch.setattr(linklevel, "mrc_combiner", lambda g: 7.3 * mrc_combiner(g))
         ctx_scaled = dataclasses.replace(
-            ctx, gains=build_combiners(ctx.topology, ctx.channels))
-        assert ctx_scaled.gains[ctx.topology.links()[0]][2] == pytest.approx(7.3 ** 2)
+            ctx, gains=build_combiners(ctx.topology, ctx.channels, ctx.config.noise_power))
+        assert ctx_scaled.gains[ctx.topology.links()[0]][2] == pytest.approx(
+            7.3 ** 2 * ctx.config.noise_power, rel=1e-12)
         for cell, sc in ctx.topology.links():
-            assert sinr(ctx_scaled, profile, cell, sc) == pytest.approx(
-                sinr(ctx, profile, cell, sc), rel=1e-12)
+            assert sinr(ctx_scaled, profile, (cell, sc)) == pytest.approx(
+                sinr(ctx, profile, (cell, sc)), rel=1e-12)
 
     def test_more_interference_power_lowers_sinr(self):
         ctx = make_context(6)
@@ -101,7 +102,7 @@ class TestSinr:
         low = uniform_profile(ctx, 0.01)
         high = dict(low)
         high[(bully, sc)] = 0.1
-        assert sinr(ctx, high, victim, sc) < sinr(ctx, low, victim, sc)
+        assert sinr(ctx, high, (victim, sc)) < sinr(ctx, low, (victim, sc))
 
     def test_own_power_scales_sinr_linearly(self):
         ctx = make_context(7)
@@ -109,8 +110,8 @@ class TestSinr:
         profile = uniform_profile(ctx, 0.01)
         boosted = dict(profile)
         boosted[(cell, sc)] = 0.03
-        assert sinr(ctx, boosted, cell, sc) == pytest.approx(
-            3.0 * sinr(ctx, profile, cell, sc), rel=1e-12)
+        assert sinr(ctx, boosted, (cell, sc)) == pytest.approx(
+            3.0 * sinr(ctx, profile, (cell, sc)), rel=1e-12)
 
     def test_cross_subcarrier_independence_is_exact(self):
         ctx = make_context(8)
@@ -121,7 +122,7 @@ class TestSinr:
         for cell in ctx.topology.cells_on(subs[1]):
             altered[(cell, subs[1])] = 0.1
         for cell in ctx.topology.cells_on(subs[0]):
-            assert sinr(ctx, altered, cell, subs[0]) == sinr(ctx, profile, cell, subs[0])
+            assert sinr(ctx, altered, (cell, subs[0])) == sinr(ctx, profile, (cell, subs[0]))
 
 
 class TestRateAndEe:
@@ -129,7 +130,7 @@ class TestRateAndEe:
         ctx = make_context(9)
         profile = uniform_profile(ctx, 0.02)
         for cell, sc in ctx.topology.links():
-            expected = float(np.log2(1 + sinr(ctx, profile, cell, sc))) / (0.02 + 0.01)
+            expected = float(np.log2(1 + sinr(ctx, profile, (cell, sc)))) / (0.02 + 0.01)
             assert user_ee(ctx, profile, cell, sc) == pytest.approx(expected, rel=1e-12)
 
     def test_group_ee_is_plain_sum(self):
@@ -153,8 +154,10 @@ class TestMetrics:
         ctx = make_context(12)
         profile = uniform_profile(ctx, 0.01)
         m = compute_link_metrics(ctx, profile)
+        assert list(m.ee) == ctx.topology.links()
         for link in ctx.topology.links():
             assert m.ee[link] == user_ee(ctx, profile, *link)
+            assert type(m.ee[link]) is float
         flat = sum(group_ee(ctx, profile, sc) for sc in ctx.topology.occupied_subcarriers())
         assert m.network_ee == pytest.approx(flat, rel=1e-12)
 

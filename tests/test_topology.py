@@ -150,6 +150,15 @@ class TestShadowing:
                                              r".*shadowing_std_db = 1000\.0 is too large"):
             draw_shadowing(config, np.random.default_rng(0), size=10_000)
 
+    def test_underflowing_draw_names_the_field(self):
+        # at 1000 dB a draw below about -3233 dB underflows 10 ** (x / 10) to 0;
+        # seed 4 draws one at -3267 dB and none that overflows
+        config = cfg(shadowing_std_db=1000.0)
+        with pytest.raises(ValueError, match=r"a shadowing draw of -3266\.98\d* dB underflows "
+                                             r"10 \*\* \(x / 10\) to 0; "
+                                             r"shadowing_std_db = 1000\.0 is too large"):
+            draw_shadowing(config, np.random.default_rng(4), size=1000)
+
 
 class TestFadingAndChannels:
     def test_fading_covers_all_receiver_link_pairs(self):
