@@ -48,9 +48,10 @@ for d in (1.0, 10.0, 100.0, 1000.0):
 
 # a unit-norm combiner leaves the effective noise at the thermal floor
 link = ctx.topology.links()[0]
-profile = {lk: config.power_levels[0] for lk in ctx.topology.links()}
-low = sinr(ctx, profile, link)
-profile[link] = config.power_levels[-1]
-high = sinr(ctx, profile, link)
+i = ctx.topology.position(link)
+powers = [config.power_levels[0]] * len(ctx.topology.links())   # by link position
+low = sinr(ctx, powers, i)
+powers[i] = config.power_levels[-1]
+high = sinr(ctx, powers, i)
 print(f"\nSINR of link {link} at lowest/highest own power: "
       f"{10 * np.log10(low):.1f} / {10 * np.log10(high):.1f} dB")

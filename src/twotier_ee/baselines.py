@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice, product
 from operator import itemgetter
 
 import numpy as np
@@ -82,29 +82,39 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
 
     The objective of a profile is the sum over `groups` (lists of positions
     in `links`) of each group's summed link EE, added left to right from 0.0
-    exactly as `group_ee` and `compute_link_metrics` add them.  Profiles go in chunks
-    of _CHUNK_PROFILES: `sinr` is called once per link per profile, in link
-    order, on one profile dict updated in place; rate, EE, the sums and the
-    first-maximum pick then run on the whole chunk in numpy.
+    exactly as `group_ee` and `compute_link_metrics` add them.  A head is a
+    level choice of every link but the last, taken from one `product`
+    iterator; for each head, one inner run steps the last link through the
+    levels and calls `sinr` once per link, in link order, on one power list
+    by link position.  That is the lexicographic order, call for call.  Heads
+    go in chunks of max(1, _CHUNK_PROFILES // L): rate, EE, the sums and the
+    first-maximum pick then run on the chunk's profiles in numpy.
     """
     sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
     levels = context.config.power_levels
+    n_levels = len(levels)
     circuit_power = context.config.circuit_power
-    grid_shape = (len(levels),) * len(links)
+    grid_shape = (n_levels,) * len(links)
     n_profiles = math.prod(grid_shape)
     level_array = np.array(levels)
-    profile = dict.fromkeys(links)
+    rows = [context.topology.position(link) for link in links]
+    *head_rows, last = rows
+    # one power list by link position; links outside `links` are never read
+    powers = [None] * len(context.gains)
+    heads = product(levels, repeat=len(head_rows))
+    heads_per_chunk = max(1, _CHUNK_PROFILES // n_levels)
 
-    def objective(start: int) -> np.ndarray:
-        stop = min(start + _CHUNK_PROFILES, n_profiles)
-        # profile x link powers of the chunk, from its lexicographic indices
-        power = level_array[np.stack(np.unravel_index(np.arange(start, stop), grid_shape),
-                                     axis=1)]
+    def objective(chunk: list) -> np.ndarray:
         sinrs = []
-        for row in power.tolist():
-            profile.update(zip(links, row))
-            for link in links:
-                sinrs.append(sinr(context, profile, link))
+        for head in chunk:
+            for r, p in zip(head_rows, head):
+                powers[r] = p
+            sinrs += [sinr(context, powers, r) for powers[last] in levels for r in rows]
+        # profile x link powers of the chunk: each head repeated per level, then the level
+        power = np.empty((len(chunk), n_levels, len(rows)))
+        power[:, :, :-1] = np.reshape(chunk, (len(chunk), 1, len(head_rows)))
+        power[:, :, -1] = level_array
+        power = power.reshape(-1, len(rows))
         ee = batch_ee(np.reshape(sinrs, power.shape), power, circuit_power)
         total = np.zeros(len(power))   # 0.0 + x, elementwise
         for group in groups:
@@ -114,8 +124,8 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
             total = total + group_total
         return total
 
-    best, value = _first_max(objective(start)
-                             for start in range(0, n_profiles, _CHUNK_PROFILES))
+    best, value = _first_max(objective(list(islice(heads, heads_per_chunk)))
+                             for _ in range(0, n_profiles // n_levels, heads_per_chunk))
     best_profile = None
     if best is not None:
         best_profile = dict(zip(links, (levels[int(d)]
@@ -184,9 +194,10 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     A cell's links sit on distinct subcarriers, so none of them reads
     another's power: their best responses are taken as one batch per cell,
     with `sinr` called per link at every level (links, then levels,
-    ascending), then `batch_ee` and the row-wise first maximum over the
-    (links, levels) block, and the cell's moves applied after it.  That is
-    the link-by-link pass, move for move.
+    ascending) on one power list by link position, then `batch_ee` and the
+    row-wise first maximum over the (links, levels) block, and the cell's
+    moves applied after it.  That is the link-by-link pass, move for move.
+    The result profile keys the links cell-major, as they were visited.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -196,22 +207,27 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     level_array = np.array(levels)
     circuit_power = context.config.circuit_power
     links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))
-    profile = {link: levels[int(rng.integers(n_levels))] for link in links}
-    batches = [list(cell_links) for _, cell_links in groupby(links, key=itemgetter(0))]
+    rows = [context.topology.position(link) for link in links]
+    # one power list by link position, drawn in cell-major order
+    powers = [None] * len(rows)
+    for i in rows:
+        powers[i] = levels[int(rng.integers(n_levels))]
+    batches = [[context.topology.position(link) for link in cell_links]
+               for _, cell_links in groupby(links, key=itemgetter(0))]
     rounds = 0
     converged = False
     evaluations = 0
     for _ in range(max_rounds):
         changed = False
         for batch in batches:
-            held = [profile[link] for link in batch]
-            # each link's own power steps through the levels, in the profile itself
-            sinrs = [sinr(context, profile, link) for link in batch for profile[link] in levels]
+            held = [powers[i] for i in batch]
+            # each link's own power steps through the levels, in the power list itself
+            sinrs = [sinr(context, powers, i) for i in batch for powers[i] in levels]
             ee = batch_ee(np.reshape(sinrs, (len(batch), n_levels)), level_array,
                           circuit_power)
             evaluations += len(sinrs)
-            for link, p, best in zip(batch, held, _first_max_rows(ee).tolist()):
-                profile[link] = levels[best]
+            for i, p, best in zip(batch, held, _first_max_rows(ee).tolist()):
+                powers[i] = levels[best]
                 if levels[best] != p:
                     changed = True
         if changed:
@@ -219,5 +235,5 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
         else:
             converged = True
             break
-    return NgtResult(profile=profile, rounds=rounds, converged=converged,
-                     evaluations=evaluations)
+    return NgtResult(profile={link: powers[i] for link, i in zip(links, rows)},
+                     rounds=rounds, converged=converged, evaluations=evaluations)

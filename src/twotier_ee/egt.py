@@ -69,17 +69,26 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     the game.  The games must sit on distinct subcarriers, so no game's
     payoffs read another's powers: every payoff of the round comes from
     one `sinr` call per player (games in the given order, players
-    ascending) and one `batch_ee`, before any game draws.  The draws then
-    go game by game, players ascending.  Returns the `(payoffs, average)`
-    each game acted on, payoffs keyed by cell.
+    ascending) on one power list by link position and one `batch_ee`,
+    before any game draws.  The draws then go game by game, players
+    ascending.  Returns the `(payoffs, average)` each game acted on, payoffs
+    keyed by cell.
     """
     if any(game.converged for game in games):
         raise ValueError("cannot step a converged game")
-    profile = _profile(games, context.config.power_levels)
-    if len(profile) != sum(len(game.players) for game in games):
+    levels = context.config.power_levels
+    # one power list by link position; links outside `games` are never read
+    powers = [None] * len(context.gains)
+    rows = []
+    for game in games:
+        for cell in game.players:
+            i = context.topology.position((cell, game.subcarrier))
+            powers[i] = levels[game.strategy[cell]]
+            rows.append(i)
+    if len(set(rows)) != len(rows):
         raise ValueError("games stepped together must sit on distinct subcarriers")
     sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
-    ee = batch_ee([sinr(context, profile, link) for link in profile], list(profile.values()),
+    ee = batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
                   context.config.circuit_power).tolist()
     n_levels = context.config.n_power_levels
     stepped = []

@@ -171,7 +171,7 @@ def _run_one(config: NetworkConfig, algorithm: str, seed: int, max_iterations: i
     profile, iterations, evaluations, converged, traces = _solve(
         context, algorithm_rng(seed, algorithm), algorithm, max_iterations)
     metrics = compute_link_metrics(context, profile)
-    cell_ee = [metrics.cell_ee(k) for k in range(config.n_cells)]
+    cell_ee = metrics.cell_totals(config.n_cells)
     jain = jain_index(cell_ee)
     # an SINR can overflow (a subnormal noise power passes the config check);
     # such a drop is an error, not a row of inf and nan

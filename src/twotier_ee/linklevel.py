@@ -8,6 +8,9 @@ combining.  Energy efficiency is spectral efficiency per watt of total
 
 Within a drop only the transmit powers change, so every evaluation reads
 one per-drop table of post-combining gains built once from the channels.
+The table and the evaluators' power lists are indexed by link position,
+the index in `Topology.links()`; a power profile dict keyed by (cell,
+subcarrier) appears only at the boundary of the algorithms and metrics.
 """
 
 from __future__ import annotations
@@ -59,15 +62,15 @@ def _abs2(z: np.ndarray) -> list:
 
 
 def build_combiners(topology: Topology, channels: ChannelRealization,
-                    noise_power: float) -> dict:
-    """Post-combining gain table of one drop.
+                    noise_power: float) -> list:
+    """Post-combining gain table of one drop, indexed by link position.
 
-    Maps each link (cell, subcarrier) to (own, interference, noise) for
-    its MRC combiner a, built once: own = |a^H g_own|^2, interference =
-    ((other link, |a^H g_other|^2), ...) over the co-channel cells in
-    ascending order, each keyed by the interferer's (cell, subcarrier) as a
-    power profile is, and noise = ||a||^2 * noise_power, the noise after
-    combining.  Every entry is a Python float.
+    Entry i belongs to link i of `topology.links()` and holds (own,
+    interference, noise) for its MRC combiner a, built once: own =
+    |a^H g_own|^2, interference = ((position, |a^H g_other|^2), ...) over the
+    co-channel cells in ascending order, each keyed by the interferer's
+    position in `links()`, and noise = ||a||^2 * noise_power, the noise after
+    combining.  Every gain is a Python float.
 
     The links are grouped by serving cell, whose receiver sees them all.
     The channel block rows follow `topology.links()`, sorted by (subcarrier,
@@ -80,7 +83,7 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
     links = topology.links()
     cells = np.array([cell for cell, _ in links])
     subcarriers = np.array([sc for _, sc in links])
-    entries = {}
+    table = [None] * len(links)
     for cell in sorted({cell for cell, _ in links}):
         own_rows = np.flatnonzero(cells == cell)
         served = subcarriers[own_rows]
@@ -97,12 +100,11 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
         # (subcarrier, other cell) ascending, and the served row each one leaks into
         leak_rows = np.flatnonzero((into >= 0) & (cells != cell))
         into = into[leak_rows]
-        leaked = zip([links[i] for i in leak_rows.tolist()],
-                     _abs2(np.vecdot(a[into], block[leak_rows])))
+        leaked = zip(leak_rows.tolist(), _abs2(np.vecdot(a[into], block[leak_rows])))
         counts = np.bincount(into, minlength=len(served)).tolist()
         for i, (row, n) in enumerate(zip(own_rows.tolist(), counts)):
-            entries[links[row]] = (own[i], tuple(islice(leaked, n)), noise[i])
-    return {link: entries[link] for link in links}
+            table[row] = (own[i], tuple(islice(leaked, n)), noise[i])
+    return table
 
 
 @dataclass
@@ -117,7 +119,7 @@ class LinkContext:
     topology: Topology
     fading: LargeScaleFading
     channels: ChannelRealization
-    gains: dict           # (cell, subcarrier) -> post-combining gains, see build_combiners
+    gains: list           # link position -> post-combining gains, see build_combiners
 
 
 def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> LinkContext:
@@ -130,22 +132,23 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
                        gains=build_combiners(topology, channels, config.noise_power))
 
 
-def sinr(context: LinkContext, profile: PowerProfile, link: tuple) -> float:
-    """Post-combining SINR of the user on `link`, a (cell, subcarrier) pair.
+def sinr(context: LinkContext, powers: list, i: int) -> float:
+    """Post-combining SINR of the user on the link at position `i`.
 
+    `powers` holds transmit powers by link position, as `gains` does.
     Interference comes only from co-channel users of other cells; OFDMA
     keeps a cell's own users orthogonal.  Interferers are summed in
     ascending cell order, so the result is bit-reproducible.
     """
-    own, interferers, noise = context.gains[link]
+    own, interferers, noise = context.gains[i]
     # one by one: a vector sum reorders the additions, and total minus signal
     # cancels under massive-MIMO gain; either changes the emitted digits
     interference = 0.0
-    for other, gain in interferers:
-        interference += profile[other] * gain
+    for j, gain in interferers:
+        interference += powers[j] * gain
     # the config rejects a noise power that is not finite and > 0, and the
     # combiner has unit norm, so the denominator cannot be 0
-    return profile[link] * own / (interference + noise)
+    return powers[i] * own / (interference + noise)
 
 
 def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
@@ -158,23 +161,46 @@ def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
     return np.log2(1.0 + np.asarray(sinrs)) / (np.asarray(powers) + circuit_power)
 
 
+def _power_list(context: LinkContext, profile: PowerProfile, evaluated: list) -> list:
+    """`profile` as a power list by link position, None where it holds no power.
+
+    Raises ValueError naming the link when a link of `evaluated` (positions)
+    or one of its interferers has no power in `profile`.
+    """
+    links = context.topology.links()
+    powers = [profile.get(link) for link in links]
+    for i in evaluated:
+        for j in (i, *(j for j, _ in context.gains[i][1])):
+            if powers[j] is None:
+                raise ValueError(f"power profile has no power for link {links[j]}, "
+                                 f"which the evaluation of link {links[i]} reads")
+    return powers
+
+
+def _ee(context: LinkContext, powers: list, i: int) -> float:
+    # np.log2, not math.log2, which rounds differently on some inputs
+    r = float(np.log2(1.0 + sinr(context, powers, i)))
+    return r / (powers[i] + context.config.circuit_power)
+
+
 def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
     """Energy efficiency of one link: bit/s/Hz over transmit plus circuit watts.
 
     The scalar form of `batch_ee`, which the metrics and every algorithm
-    take after their `sinr` calls.  np.log2, not math.log2, which rounds
-    differently on some inputs.
+    take after their `sinr` calls.
     """
-    link = (cell, subcarrier)
-    r = float(np.log2(1.0 + sinr(context, profile, link)))
-    return r / (profile[link] + context.config.circuit_power)
+    i = context.topology.position((cell, subcarrier))
+    return _ee(context, _power_list(context, profile, [i]), i)
 
 
 def group_ee(context: LinkContext, profile: PowerProfile, subcarrier: int) -> float:
     """Sum energy efficiency of the co-channel group on one subcarrier."""
+    group = [context.topology.position((cell, subcarrier))
+             for cell in context.topology.cells_on(subcarrier)]
+    powers = _power_list(context, profile, group)
     total = 0.0
-    for cell in context.topology.cells_on(subcarrier):
-        total += user_ee(context, profile, cell, subcarrier)
+    for i in group:
+        total += _ee(context, powers, i)
     return total
 
 
@@ -185,26 +211,29 @@ class LinkMetrics:
     ee: dict            # (cell, subcarrier) -> user_ee, bit/s/Hz/W
     network_ee: float   # sum over subcarriers of each co-channel group's EE
 
-    def cell_ee(self, cell: int) -> float:
-        """Sum EE over one cell's links, subcarriers ascending (insertion order)."""
-        total = 0.0   # left to right: builtin sum() of floats is compensated from 3.12
-        for (c, _), v in self.ee.items():
-            if c == cell:
-                total += v
-        return total
+    def cell_totals(self, n_cells: int) -> list:
+        """Summed EE of each cell 0..n_cells-1, in one pass over `ee`.
+
+        Insertion order puts each cell's links subcarriers ascending, and
+        each total adds them left to right from 0.0: builtin sum() of
+        floats is compensated from Python 3.12.
+        """
+        totals = [0.0] * n_cells
+        for (cell, _), v in self.ee.items():
+            totals[cell] += v
+        return totals
 
 
 def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMetrics:
     """Every link's `user_ee`, and their sum in the fixed order the oracles use:
     each group's cells ascending, then the group totals, subcarriers ascending.
 
-    One `sinr` call per link, links in (subcarrier, cell) order, then one
-    `batch_ee` over all of them.
+    One `sinr` call per link position, then one `batch_ee` over all of them.
     """
     validate_power_profile(context, profile)
     links = context.topology.links()
-    sinrs = [sinr(context, profile, link) for link in links]
     powers = [profile[link] for link in links]
+    sinrs = [sinr(context, powers, i) for i in range(len(links))]
     ee = dict(zip(links, batch_ee(sinrs, powers, context.config.circuit_power).tolist()))
     groups = {}   # subcarrier -> group EE, cells ascending from 0.0
     for (_, sc), e in ee.items():

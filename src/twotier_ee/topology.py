@@ -53,6 +53,7 @@ class Topology:
     _by_link: dict = field(init=False, repr=False)
     _cells_on: dict = field(init=False, repr=False)
     _links: list = field(init=False, repr=False)
+    _positions: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_link = {(u.cell, u.subcarrier): u for u in self.users}
@@ -63,6 +64,7 @@ class Topology:
             cells_on.setdefault(u.subcarrier, []).append(u.cell)
         self._cells_on = {sc: tuple(sorted(cells)) for sc, cells in cells_on.items()}
         self._links = sorted(self._by_link, key=lambda ks: (ks[1], ks[0]))
+        self._positions = {link: i for i, link in enumerate(self._links)}
 
     @property
     def n_small_cells(self) -> int:
@@ -95,6 +97,10 @@ class Topology:
         Sorted once at construction; each call returns a fresh list.
         """
         return list(self._links)
+
+    def position(self, link: tuple) -> int:
+        """Index of a (cell, subcarrier) link in `links()`: its row in the gain table."""
+        return self._positions[link]
 
 
 def _uniform_in_disc(center, radius: float, n: int, rng: np.random.Generator) -> np.ndarray:

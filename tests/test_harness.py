@@ -109,7 +109,7 @@ class TestRunDrops:
             direct = brute_force_global(ctx)
             metrics = compute_link_metrics(ctx, direct.profile)
             assert rec.network_ee == metrics.network_ee
-            assert rec.cell_ee == [metrics.cell_ee(k) for k in range(2)]
+            assert rec.cell_ee == metrics.cell_totals(2)
             assert rec.jain == jain_index(rec.cell_ee)
             assert rec.evaluations == direct.evaluations
             assert rec.converged and rec.iterations == 0 and rec.traces == {}

@@ -11,10 +11,12 @@ calls, on short, strided and offset arrays and (links, levels) blocks, the
 row-wise first-maximum pick of ngt, and that each ngt batch is one cell's
 links on distinct subcarriers.
 TestStackedGainTable checks the per-receiver stacked gain table, built from
-the channel blocks with link-keyed interferers, against the link-by-link
-one, and the numpy rounding facts it rests on.
+the channel blocks and laid out by link position with position-keyed
+interferers, against the link-by-link one, and the numpy rounding facts it
+rests on.
 TestSinrCallCount pins how many `sinr` calls each algorithm makes, the count
-the benchmark reports.
+the benchmark reports, and TestSinrCallSequence pins each call's link and the
+powers it sees against the dict-keyed evaluators' order.
 """
 
 import dataclasses
@@ -28,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from twotier_ee import baselines, linklevel
 from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best_response
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.egt import egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     batch_ee, build_combiners, compute_link_metrics, group_ee, mrc_combiner,
     sample_link_context, sinr, user_ee,
@@ -58,15 +60,23 @@ def reference_gains(topology, channels):
     return gains
 
 
-def link_keyed(reference, noise_power):
-    """`reference_gains` in the package's layout: Python floats, each
-    interferer keyed by its (cell, subcarrier) link, and the noise term
-    ||a||^2 * noise_power in place of ||a||^2."""
-    return {
-        (cell, sc): (float(own), tuple(((other, sc), float(gain)) for other, gain in interferers),
-                     a_norm2 * noise_power)
-        for (cell, sc), (own, interferers, a_norm2) in reference.items()
-    }
+def position_keyed(topology, reference, noise_power):
+    """`reference_gains` in the package's layout: a list in `links()` order
+    of Python floats, each interferer keyed by its link position, and the
+    noise term ||a||^2 * noise_power in place of ||a||^2."""
+    table = []
+    for cell, sc in topology.links():
+        own, interferers, a_norm2 = reference[(cell, sc)]
+        table.append((float(own),
+                      tuple((topology.position((other, sc)), float(gain))
+                            for other, gain in interferers),
+                      a_norm2 * noise_power))
+    return table
+
+
+def power_list(context, profile):
+    """`profile` by link position, the layout `sinr` reads."""
+    return [profile[link] for link in context.topology.links()]
 
 
 def reference_noise_power(config):
@@ -176,11 +186,11 @@ def assert_kernel_matches_reference(config, seed):
     profile = {link: levels[int(rng.integers(len(levels)))] for link in ctx.topology.links()}
 
     # every link at every level of its own power, the others held fixed
-    for link in ctx.topology.links():
+    for i, link in enumerate(ctx.topology.links()):
         trial = dict(profile)
         for p in levels:
             trial[link] = p
-            assert sinr(ctx, trial, link) == reference_sinr(ref, trial, *link)
+            assert sinr(ctx, power_list(ctx, trial), i) == reference_sinr(ref, trial, *link)
             assert user_ee(ctx, trial, *link) == reference_user_ee(ref, trial, *link)
     for sc in ctx.topology.occupied_subcarriers():
         assert group_ee(ctx, profile, sc) == reference_group_ee(ref, profile, sc)
@@ -232,7 +242,8 @@ class TestKernelPreservation:
         ctx = sample_link_context(NetworkConfig(n_small_cells=2, n_subcarriers=4,
                                                 n_users_per_cell=4),
                                   np.random.default_rng(0))
-        for own, interferers, noise in ctx.gains.values():
+        for own, interferers, noise in ctx.gains:
+            assert all(type(j) is int for j, _ in interferers)
             assert type(own) is float and type(noise) is float
             assert all(type(gain) is float for _, gain in interferers)
 
@@ -401,9 +412,9 @@ class TestBatchedEe:
         pending, batches = [], []
         sinr_before, batch_ee_before = linklevel.sinr, baselines.batch_ee
 
-        def recording_sinr(context, profile, link):
-            pending.append(link)
-            return sinr_before(context, profile, link)
+        def recording_sinr(context, powers, i):
+            pending.append(context.topology.links()[i])
+            return sinr_before(context, powers, i)
 
         def recording_batch_ee(sinrs, powers, circuit_power):
             batches.append(list(pending))
@@ -508,18 +519,18 @@ class TestStackedGainTable:
         with np.errstate(over="ignore"):
             gains = build_combiners(topology, channels, noise_power)
             expected = reference_gains(topology, channels)
-        assert list(gains.items()) == list(link_keyed(expected, noise_power).items())
-        [(other, leak)] = gains[(0, 0)][1]
-        assert other == (1, 0) and math.isinf(leak) == (leak_scale > 1.0)
-        assert gains[(0, 2)][1] == ()
+        assert gains == position_keyed(topology, expected, noise_power)
+        [(other, leak)] = gains[topology.position((0, 0))][1]
+        assert other == topology.position((1, 0)) and math.isinf(leak) == (leak_scale > 1.0)
+        assert gains[topology.position((0, 2))][1] == ()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_table_from_sampled_blocks_equals_reference(self, seed):
         config = NetworkConfig(n_small_cells=3, n_subcarriers=6, n_users_per_cell=4)
         ctx = sample_link_context(config, np.random.default_rng(seed))
         expected = reference_gains(ctx.topology, ctx.channels)
-        assert list(ctx.gains.items()) == list(
-            link_keyed(expected, reference_noise_power(config)).items())
+        assert ctx.gains == position_keyed(ctx.topology, expected,
+                                           reference_noise_power(config))
 
 
 class TestSinrCallCount:
@@ -577,3 +588,143 @@ class TestSinrCallCount:
     def test_metrics_call_once_per_link(self, ctx, calls):
         compute_link_metrics(ctx, {link: 0.01 for link in ctx.topology.links()})
         assert calls[0] == len(ctx.topology.links())
+
+
+# Reference call sequences: the order in which the dict-keyed evaluators
+# called `sinr`, each call as (position of the link, every power by link
+# position, None where the profile held none).  The oracles walked the
+# lexicographic profiles on one updated dict, ngt stepped each cell's links
+# through the levels in the profile itself and moved them after the cell's
+# batch, an EGT round read one dict over the active games, and the metrics
+# read the whole profile link by link.
+
+def snapshot(context, profile, link):
+    return (context.topology.position(link),
+            tuple(profile.get(other) for other in context.topology.links()))
+
+
+def reference_oracle_calls(context, links):
+    profile = {}
+    calls = []
+    for combo in itertools.product(context.config.power_levels, repeat=len(links)):
+        profile.update(zip(links, combo))
+        calls.extend(snapshot(context, profile, link) for link in links)
+    return calls
+
+
+def reference_ngt_calls(context, ref, rng, max_rounds=64):
+    levels = context.config.power_levels
+    links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))
+    profile = {link: levels[int(rng.integers(len(levels)))] for link in links}
+    calls = []
+    for _ in range(max_rounds):
+        changed = False
+        for _, batch in itertools.groupby(links, key=lambda ks: ks[0]):
+            batch = list(batch)
+            held = [profile[link] for link in batch]
+            picks = []
+            for link in batch:
+                best_idx, best_ee = 0, -math.inf
+                # the link stays at the last level until the batch has moved
+                for a, p in enumerate(levels):
+                    profile[link] = p
+                    calls.append(snapshot(context, profile, link))
+                    value = reference_user_ee(ref, profile, *link)
+                    if value > best_ee:
+                        best_ee, best_idx = value, a
+                picks.append(best_idx)
+            for link, p, best in zip(batch, held, picks):
+                profile[link] = levels[best]
+                changed |= levels[best] != p
+        if not changed:
+            break
+    return calls
+
+
+def reference_egt_round_calls(context, games):
+    levels = context.config.power_levels
+    profile = {(cell, game.subcarrier): levels[game.strategy[cell]]
+               for game in games for cell in game.players}
+    return [snapshot(context, profile, link) for link in profile]
+
+
+@pytest.fixture
+def sinr_calls(monkeypatch):
+    calls = []
+    original = linklevel.sinr
+
+    def recording(context, powers, i):
+        calls.append((i, tuple(powers)))
+        return original(context, powers, i)
+
+    monkeypatch.setattr(linklevel, "sinr", recording)
+    return calls
+
+
+SEQUENCE_CONFIGS = [
+    pytest.param(dict(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6), id="reference"),
+    pytest.param(dict(n_small_cells=4, n_subcarriers=8, n_users_per_cell=5,
+                      power_levels=DEFAULT_POWER_LEVELS[:5]), id="five-cells"),
+    pytest.param(dict(n_small_cells=1, n_subcarriers=3, n_users_per_cell=2,
+                      power_levels=DEFAULT_POWER_LEVELS[:1]), id="one-level"),
+]
+
+
+class TestSinrCallSequence:
+    """Every `sinr` call, its link and the powers it sees, as the dict-keyed order made them."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("n_levels", [1, 5, 8])
+    @pytest.mark.parametrize("group_size", [1, 2, 3, 4])
+    def test_oracles(self, monkeypatch, sinr_calls, chunk, n_levels, group_size):
+        # one co-channel group of `group_size` links, then one drop with several groups
+        monkeypatch.setattr(baselines, "_CHUNK_PROFILES", chunk)
+        levels = DEFAULT_POWER_LEVELS[:n_levels]
+        for config in (
+            NetworkConfig(n_small_cells=group_size - 1, n_subcarriers=1, n_users_per_cell=1,
+                          power_levels=levels),
+            NetworkConfig(n_small_cells=group_size - 1, n_subcarriers=3, n_users_per_cell=2,
+                          power_levels=levels),
+        ):
+            ctx = sample_link_context(config, np.random.default_rng(group_size))
+            for sc in ctx.topology.occupied_subcarriers():
+                links = [(cell, sc) for cell in ctx.topology.cells_on(sc)]
+                sinr_calls.clear()
+                brute_force_group(sc, ctx)
+                assert sinr_calls == reference_oracle_calls(ctx, links)
+            links = ctx.topology.links()
+            if n_levels ** len(links) <= _ORACLE_CAP:
+                sinr_calls.clear()
+                brute_force_global(ctx)
+                assert sinr_calls == reference_oracle_calls(ctx, links)
+
+    @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
+    def test_ngt(self, sinr_calls, config):
+        ctx = sample_link_context(NetworkConfig(**config), np.random.default_rng(8))
+        ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
+        ngt_best_response(ctx, np.random.default_rng(9))
+        assert sinr_calls == reference_ngt_calls(ctx, ref, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
+    def test_egt_rounds(self, sinr_calls, config):
+        ctx = sample_link_context(NetworkConfig(**config), np.random.default_rng(10))
+        rng = np.random.default_rng(11)
+        games = new_games(ctx, rng)
+        rounds = 0
+        while active := [game for game in games if not game.converged]:
+            expected = reference_egt_round_calls(ctx, active)
+            sinr_calls.clear()
+            egt_step(active, ctx, rng)
+            assert sinr_calls == expected
+            rounds += 1
+        assert rounds >= 1
+
+    @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
+    def test_metrics(self, sinr_calls, config):
+        config = NetworkConfig(**config)
+        ctx = sample_link_context(config, np.random.default_rng(12))
+        rng = np.random.default_rng(13)
+        profile = {link: config.power_levels[int(rng.integers(config.n_power_levels))]
+                   for link in ctx.topology.links()}
+        compute_link_metrics(ctx, profile)
+        assert sinr_calls == [snapshot(ctx, profile, link) for link in ctx.topology.links()]

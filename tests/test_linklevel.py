@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ def make_context(seed=0, **kw):
 
 def uniform_profile(context, power):
     return {link: power for link in context.topology.links()}
+
+
+def power_list(context, profile):
+    """`profile` by link position, the layout `sinr` reads."""
+    return [profile[link] for link in context.topology.links()]
+
+
+def position_sinr(context, profile, link):
+    return sinr(context, power_list(context, profile), context.topology.position(link))
 
 
 def reference_sinr(context, profile, cell, sc):
@@ -54,13 +64,15 @@ class TestCombiner:
 
     def test_build_covers_links(self):
         ctx = make_context(1)
-        assert set(ctx.gains) == set(ctx.topology.links())
-        for (cell, sc), (_, interferers, noise) in ctx.gains.items():
+        links = ctx.topology.links()
+        assert len(ctx.gains) == len(links)
+        for i, ((cell, sc), (_, interferers, noise)) in enumerate(zip(links, ctx.gains)):
+            assert ctx.topology.position((cell, sc)) == i
             # the noise power times ||a||^2 = 1 of the unit-norm MRC combiner
             assert noise == pytest.approx(ctx.config.noise_power, rel=1e-12)
-            # keyed by the interferer's link, as the power profile is
-            assert [link for link, _ in interferers] == \
-                [(c, sc) for c in ctx.topology.cells_on(sc) if c != cell]
+            # keyed by the interferer's link position, as the power list is
+            assert [j for j, _ in interferers] == \
+                [ctx.topology.position((c, sc)) for c in ctx.topology.cells_on(sc) if c != cell]
 
 
 class TestSinr:
@@ -69,8 +81,9 @@ class TestSinr:
         rng = np.random.default_rng(3)
         profile = {link: float(rng.choice(ctx.config.power_levels))
                    for link in ctx.topology.links()}
-        for cell, sc in ctx.topology.links():
-            assert sinr(ctx, profile, (cell, sc)) == pytest.approx(
+        powers = power_list(ctx, profile)
+        for i, (cell, sc) in enumerate(ctx.topology.links()):
+            assert sinr(ctx, powers, i) == pytest.approx(
                 reference_sinr(ctx, profile, cell, sc), rel=1e-12)
 
     def test_interference_free_closed_form(self):
@@ -79,7 +92,7 @@ class TestSinr:
         p = 0.02
         g = ctx.channels.vector(cell, cell, sc)
         expected = p * np.linalg.norm(g) ** 2 / ctx.config.noise_power
-        assert sinr(ctx, {(cell, sc): p}, (cell, sc)) == pytest.approx(expected, rel=1e-12)
+        assert sinr(ctx, [p], 0) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance_of_combiner(self, monkeypatch):
         ctx = make_context(5)
@@ -87,11 +100,12 @@ class TestSinr:
         monkeypatch.setattr(linklevel, "mrc_combiner", lambda g: 7.3 * mrc_combiner(g))
         ctx_scaled = dataclasses.replace(
             ctx, gains=build_combiners(ctx.topology, ctx.channels, ctx.config.noise_power))
-        assert ctx_scaled.gains[ctx.topology.links()[0]][2] == pytest.approx(
+        assert ctx_scaled.gains[0][2] == pytest.approx(
             7.3 ** 2 * ctx.config.noise_power, rel=1e-12)
-        for cell, sc in ctx.topology.links():
-            assert sinr(ctx_scaled, profile, (cell, sc)) == pytest.approx(
-                sinr(ctx, profile, (cell, sc)), rel=1e-12)
+        powers = power_list(ctx, profile)
+        for i in range(len(ctx.topology.links())):
+            assert sinr(ctx_scaled, powers, i) == pytest.approx(
+                sinr(ctx, powers, i), rel=1e-12)
 
     def test_more_interference_power_lowers_sinr(self):
         ctx = make_context(6)
@@ -102,7 +116,7 @@ class TestSinr:
         low = uniform_profile(ctx, 0.01)
         high = dict(low)
         high[(bully, sc)] = 0.1
-        assert sinr(ctx, high, (victim, sc)) < sinr(ctx, low, (victim, sc))
+        assert position_sinr(ctx, high, (victim, sc)) < position_sinr(ctx, low, (victim, sc))
 
     def test_own_power_scales_sinr_linearly(self):
         ctx = make_context(7)
@@ -110,8 +124,8 @@ class TestSinr:
         profile = uniform_profile(ctx, 0.01)
         boosted = dict(profile)
         boosted[(cell, sc)] = 0.03
-        assert sinr(ctx, boosted, (cell, sc)) == pytest.approx(
-            3.0 * sinr(ctx, profile, (cell, sc)), rel=1e-12)
+        assert position_sinr(ctx, boosted, (cell, sc)) == pytest.approx(
+            3.0 * position_sinr(ctx, profile, (cell, sc)), rel=1e-12)
 
     def test_cross_subcarrier_independence_is_exact(self):
         ctx = make_context(8)
@@ -122,7 +136,8 @@ class TestSinr:
         for cell in ctx.topology.cells_on(subs[1]):
             altered[(cell, subs[1])] = 0.1
         for cell in ctx.topology.cells_on(subs[0]):
-            assert sinr(ctx, altered, (cell, subs[0])) == sinr(ctx, profile, (cell, subs[0]))
+            assert position_sinr(ctx, altered, (cell, subs[0])) == \
+                position_sinr(ctx, profile, (cell, subs[0]))
 
 
 class TestRateAndEe:
@@ -130,7 +145,7 @@ class TestRateAndEe:
         ctx = make_context(9)
         profile = uniform_profile(ctx, 0.02)
         for cell, sc in ctx.topology.links():
-            expected = float(np.log2(1 + sinr(ctx, profile, (cell, sc)))) / (0.02 + 0.01)
+            expected = float(np.log2(1 + position_sinr(ctx, profile, (cell, sc)))) / (0.02 + 0.01)
             assert user_ee(ctx, profile, cell, sc) == pytest.approx(expected, rel=1e-12)
 
     def test_group_ee_is_plain_sum(self):
@@ -149,6 +164,45 @@ class TestRateAndEe:
         assert compute_link_metrics(ctx, profile).network_ee == pytest.approx(flat, rel=1e-12)
 
 
+class TestMissingPower:
+    """A profile without a power the evaluation reads is named, not a TypeError."""
+
+    def co_channel_pair(self, ctx):
+        sc = next(sc for sc in ctx.topology.occupied_subcarriers()
+                  if len(ctx.topology.cells_on(sc)) >= 2)
+        victim, other = ctx.topology.cells_on(sc)[:2]
+        return (victim, sc), (other, sc)
+
+    def test_missing_interferer_named_by_user_ee(self):
+        ctx = make_context(15)
+        victim, other = self.co_channel_pair(ctx)
+        profile = uniform_profile(ctx, 0.01)
+        del profile[other]
+        with pytest.raises(ValueError, match=re.escape(
+                f"no power for link {other}, which the evaluation of link {victim} reads")):
+            user_ee(ctx, profile, *victim)
+
+    def test_missing_own_power_named_by_user_ee_and_group_ee(self):
+        ctx = make_context(16)
+        victim, _ = self.co_channel_pair(ctx)
+        profile = uniform_profile(ctx, 0.01)
+        del profile[victim]
+        for evaluate in (lambda: user_ee(ctx, profile, *victim),
+                         lambda: group_ee(ctx, profile, victim[1])):
+            with pytest.raises(ValueError, match=re.escape(f"no power for link {victim}")):
+                evaluate()
+
+    def test_profile_of_what_is_read_is_enough(self):
+        # a group's powers are all its evaluation reads: other subcarriers may be absent
+        ctx = make_context(17)
+        profile = uniform_profile(ctx, 0.02)
+        for sc in ctx.topology.occupied_subcarriers():
+            group = {(cell, sc): profile[(cell, sc)] for cell in ctx.topology.cells_on(sc)}
+            assert group_ee(ctx, group, sc) == group_ee(ctx, profile, sc)
+            for cell in ctx.topology.cells_on(sc):
+                assert user_ee(ctx, group, cell, sc) == user_ee(ctx, profile, cell, sc)
+
+
 class TestMetrics:
     def test_metrics_match_pointwise_functions(self):
         ctx = make_context(12)
@@ -161,10 +215,33 @@ class TestMetrics:
         flat = sum(group_ee(ctx, profile, sc) for sc in ctx.topology.occupied_subcarriers())
         assert m.network_ee == pytest.approx(flat, rel=1e-12)
 
+    @pytest.mark.parametrize("seed, kw", [
+        (18, {}),
+        (19, dict(n_small_cells=4, n_subcarriers=8, n_users_per_cell=5)),
+        (20, dict(n_small_cells=8, n_subcarriers=16, n_users_per_cell=12)),
+    ])
+    def test_cell_totals_equal_per_cell_scan(self, seed, kw):
+        ctx = make_context(seed, **kw)
+        rng = np.random.default_rng(seed)
+        levels = ctx.config.power_levels
+        m = compute_link_metrics(ctx, {link: levels[int(rng.integers(len(levels)))]
+                                       for link in ctx.topology.links()})
+        # one cell past the last holds no link, so its total is 0.0
+        n_cells = ctx.config.n_cells + 1
+        expected = []
+        for cell in range(n_cells):
+            total = 0.0
+            for (c, _), v in m.ee.items():
+                if c == cell:
+                    total += v
+            expected.append(total)
+        assert m.cell_totals(n_cells) == expected
+        assert m.cell_totals(n_cells)[-1] == 0.0
+
     def test_cell_decomposition_matches_network_total(self):
         ctx = make_context(13)
         m = compute_link_metrics(ctx, uniform_profile(ctx, 0.01))
-        total = sum(m.cell_ee(k) for k in range(ctx.config.n_cells))
+        total = sum(m.cell_totals(ctx.config.n_cells))
         assert total == pytest.approx(m.network_ee, rel=1e-12)
 
     def test_profile_validation(self):
