@@ -18,12 +18,12 @@ ctx = sample_link_context(config, np.random.default_rng(config.rng_seed))
 
 print("link geometry and large-scale state (one drop, seed 3)")
 print(f"{'cell':>4} {'sc':>3} {'dist_m':>8} {'beta':>10} {'norm2/ant':>10}")
-for cell, sc in ctx.topology.links():
+for i, (cell, sc) in enumerate(ctx.topology.links()):   # i: the link's position
     user = ctx.topology.user(cell, sc)
     bs = ctx.topology.bs_position(cell)
     dist = float(np.hypot(*(np.asarray(user.position) - bs)))
-    beta = ctx.fading.beta[(cell, cell, sc)]
-    g = ctx.channels.vector(cell, cell, sc)
+    beta = ctx.fading.gain[cell, i]
+    g = ctx.channels.blocks[cell][i]
     per_antenna = float(np.linalg.norm(g) ** 2 / g.size)
     print(f"{cell:>4} {sc:>3} {dist:>8.1f} {beta:>10.3e} {per_antenna:>10.3e}")
 
@@ -34,9 +34,8 @@ probe = NetworkConfig(n_small_cells=0, n_subcarriers=1, n_users_per_cell=1,
 samples = []
 for _ in range(200):
     c = sample_link_context(probe, rng)
-    g = c.channels.vector(0, 0, 0)
-    samples.append(float(np.linalg.norm(g) ** 2 / g.size
-                         / c.fading.beta[(0, 0, 0)]))
+    g = c.channels.blocks[0][0]
+    samples.append(float(np.linalg.norm(g) ** 2 / g.size / c.fading.gain[0, 0]))
 mean = float(np.mean(samples))
 print(f"\nE[|g|^2] / (antennas * beta) over 200 drops x 4096 antennas: "
       f"{mean:.4f} (expect 1)")

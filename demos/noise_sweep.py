@@ -16,9 +16,8 @@ rows = {}
 for n_users in (2, 6):
     config = NetworkConfig(n_small_cells=2, n_subcarriers=12,
                            n_users_per_cell=n_users, rng_seed=0)
-    spec = ExperimentSpec(config=config, algorithm="egt", n_drops=100,
-                          sweep=SweepSpec("noise_psd_dbm_per_hz", NOISE_DBM))
-    rows[n_users] = sweep(spec)
+    spec = ExperimentSpec(config=config, algorithm="egt", n_drops=100)
+    rows[n_users] = sweep(spec, SweepSpec("noise_psd_dbm_per_hz", NOISE_DBM))
 
 print("mean network EE (bit/J) over 100 shared drops, 2 small cells, "
       "12 subcarriers\n")

@@ -12,7 +12,7 @@ from twotier_ee.baselines import brute_force_group
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.harness import algorithm_rng, child_seed, scenario_rng
-from twotier_ee.linklevel import group_ee, sample_link_context
+from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 
 
 def levels(n):
@@ -32,11 +32,12 @@ for s in range(20):
     rng = algorithm_rng(seed, "egt")
     egt = run_algorithm1(new_games(ctx, rng), ctx, rng)
     egt_evals.append(egt.evaluations)
+    group_ee = compute_link_metrics(ctx, egt.profile).group_ee
     per_drop = 0
     for sc in ctx.topology.occupied_subcarriers():
         oracle = brute_force_group(sc, ctx)
         per_drop += oracle.evaluations
-        achieved = group_ee(ctx, egt.profile, sc)
+        achieved = group_ee[sc]
         if achieved > oracle.objective * (1 + 1e-12):
             violations += 1
         gaps.append((oracle.objective - achieved) / oracle.objective)

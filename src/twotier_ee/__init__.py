@@ -14,8 +14,8 @@ from .topology import ChannelRealization, LargeScaleFading, PlacementError, \
     Topology, User, draw_shadowing, large_scale_gain, sample_channels, \
     sample_large_scale_fading, sample_topology
 from .linklevel import LinkContext, LinkMetrics, \
-    build_combiners, compute_link_metrics, group_ee, mrc_combiner, \
-    sample_link_context, sinr, user_ee, validate_power_profile
+    build_combiners, compute_link_metrics, mrc_combiner, \
+    sample_link_context, sinr, validate_power_profile
 from .egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from .replicator import Trajectory, equilibrium_stability, integrate_replicator, \
     replicator_rhs

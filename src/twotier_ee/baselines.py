@@ -5,7 +5,7 @@ every joint strategy instead of exploiting any structure; size guards keep
 them at desk scale.  Each profile still gets one link-level `sinr` call per
 link, but the objective after it (rate, EE, the group and network sums) and
 the pick of the maximizer run batched in numpy over chunks of profiles,
-bit for bit as `group_ee` and the metrics' network sum compute them.  Ties are
+bit for bit as the metrics' group and network sums compute them.  Ties are
 broken toward the lexicographically smallest strategy-index tuple, which
 makes the global and per-group searches agree on instances where the
 objective decomposes.
@@ -43,7 +43,7 @@ class SizeGuardError(ValueError):
 class OracleResult:
     """Outcome of one exhaustive search."""
 
-    profile: dict        # PowerProfile of the maximizer
+    profile: dict        # (cell, subcarrier) -> power of the maximizer
     objective: float     # EE aggregate achieved by profile
     evaluations: int     # number of joint strategies enumerated
 
@@ -82,13 +82,13 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
 
     The objective of a profile is the sum over `groups` (lists of positions
     in `links`) of each group's summed link EE, added left to right from 0.0
-    exactly as `group_ee` and `compute_link_metrics` add them.  A head is a
-    level choice of every link but the last, taken from one `product`
-    iterator; for each head, one inner run steps the last link through the
-    levels and calls `sinr` once per link, in link order, on one power list
-    by link position.  That is the lexicographic order, call for call.  Heads
-    go in chunks of max(1, _CHUNK_PROFILES // L): rate, EE, the sums and the
-    first-maximum pick then run on the chunk's profiles in numpy.
+    exactly as `compute_link_metrics` adds them.  A head is a level choice
+    of every link but the last, taken from one `product` iterator; for each
+    head, one inner run steps the last link through the levels and calls
+    `sinr` once per link, in link order, on one power list by link position.
+    That is the lexicographic order, call for call.  Heads go in chunks of
+    max(1, _CHUNK_PROFILES // L): rate, EE, the sums and the first-maximum
+    pick then run on the chunk's profiles in numpy.
     """
     sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
     levels = context.config.power_levels
@@ -175,7 +175,7 @@ def brute_force_global(context: LinkContext) -> OracleResult:
 class NgtResult:
     """Outcome of the selfish best-response dynamics."""
 
-    profile: dict        # final PowerProfile
+    profile: dict        # (cell, subcarrier) -> final power
     rounds: int          # passes in which at least one player moved
     converged: bool      # a full quiet pass was observed before the cap
     evaluations: int     # candidate EE evaluations consumed

@@ -118,10 +118,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args, args.algorithm)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
-    spec = dataclasses.replace(
-        spec, sweep=SweepSpec(parameter=args.param, values=tuple(values))
-    )
-    rows = sweep(spec)
+    rows = sweep(spec, SweepSpec(parameter=args.param, values=tuple(values)))
     for row in rows:
         print(f"{row.parameter}={row.value:g}: mean_network_ee={row.mean_network_ee:.6g} "
               f"(±{row.ee_ci95:.3g}) mean_jain={row.mean_jain:.4f} "

@@ -116,7 +116,7 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
 class EgtResult:
     """Outcome of one full adaptation run across all games."""
 
-    profile: dict        # joint PowerProfile over every active link
+    profile: dict        # (cell, subcarrier) -> power, every active link
     traces: dict         # subcarrier -> [average payoff at each round played]
     iterations: int      # rounds until the slowest game settled
     converged: bool      # False when max_iterations cut the run short

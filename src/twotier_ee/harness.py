@@ -78,7 +78,6 @@ class ExperimentSpec:
     config: NetworkConfig
     algorithm: str = "egt"
     n_drops: int = 1
-    sweep: SweepSpec = None
     max_iterations: int = 64
 
     def __post_init__(self):
@@ -88,10 +87,6 @@ class ExperimentSpec:
             raise ValueError("n_drops must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.sweep is not None:
-            for v in self.sweep.values:
-                # raises early if a value breaks a config invariant
-                config_for_value(self.config, self.sweep.parameter, v)
 
 
 def config_for_value(config: NetworkConfig, parameter: str, value) -> NetworkConfig:
@@ -237,19 +232,21 @@ def _mean_ci(values: list) -> tuple:
     return mean, half
 
 
-def sweep(spec: ExperimentSpec) -> list:
-    """One SweepRow per sweep value, all values sharing child seeds."""
-    if spec.sweep is None:
-        raise ValueError("spec has no sweep section")
+def sweep(spec: ExperimentSpec, grid: SweepSpec) -> list:
+    """One SweepRow per value of `grid`, all values sharing child seeds.
+
+    Every value's config is built before the first drop runs, so a value
+    that breaks a config invariant fails the sweep up front.
+    """
+    configs = [config_for_value(spec.config, grid.parameter, v) for v in grid.values]
     rows = []
-    for value in spec.sweep.values:
-        config = config_for_value(spec.config, spec.sweep.parameter, value)
-        records = run_drops(dataclasses.replace(spec, config=config, sweep=None))
+    for value, config in zip(grid.values, configs):
+        records = run_drops(dataclasses.replace(spec, config=config))
         ee_mean, ee_ci = _mean_ci([r.network_ee for r in records])
         jain_mean, jain_ci = _mean_ci([r.jain for r in records])
         failures = failure_counts(records)
         rows.append(SweepRow(
-            parameter=spec.sweep.parameter, value=float(value),
+            parameter=grid.parameter, value=float(value),
             n_drops=len(records) - sum(failures.values()), mean_network_ee=ee_mean,
             ee_ci95=ee_ci, mean_jain=jain_mean, jain_ci95=jain_ci, failures=failures,
         ))

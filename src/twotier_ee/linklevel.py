@@ -25,13 +25,9 @@ from .topology import ChannelRealization, LargeScaleFading, Topology, sample_top
     sample_large_scale_fading, sample_channels
 
 __all__ = [
-    "PowerProfile", "LinkMetrics", "LinkContext",
-    "mrc_combiner", "build_combiners", "sinr", "batch_ee", "user_ee", "group_ee",
+    "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "batch_ee",
     "compute_link_metrics", "sample_link_context", "validate_power_profile",
 ]
-
-# mapping (cell, subcarrier) -> transmit power in watts, one entry per active link
-PowerProfile = dict
 
 
 def mrc_combiner(g: np.ndarray) -> np.ndarray:
@@ -152,64 +148,23 @@ def sinr(context: LinkContext, powers: list, i: int) -> float:
 
 
 def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
-    """`user_ee` of many links at once, from their `sinr` values and powers.
+    """Energy efficiency of many links at once, from their `sinr` values and
+    powers: bit/s/Hz over transmit plus circuit watts.
 
     Elementwise `+` and `/` are exact IEEE operations, and vector np.log2
     equals the scalar call bit for bit on the pinned numpy, so every value
-    is the one `user_ee` returns for the same SINR and power.
+    is the one the scalar arithmetic gives for the same SINR and power.
     """
     return np.log2(1.0 + np.asarray(sinrs)) / (np.asarray(powers) + circuit_power)
-
-
-def _power_list(context: LinkContext, profile: PowerProfile, evaluated: list) -> list:
-    """`profile` as a power list by link position, None where it holds no power.
-
-    Raises ValueError naming the link when a link of `evaluated` (positions)
-    or one of its interferers has no power in `profile`.
-    """
-    links = context.topology.links()
-    powers = [profile.get(link) for link in links]
-    for i in evaluated:
-        for j in (i, *(j for j, _ in context.gains[i][1])):
-            if powers[j] is None:
-                raise ValueError(f"power profile has no power for link {links[j]}, "
-                                 f"which the evaluation of link {links[i]} reads")
-    return powers
-
-
-def _ee(context: LinkContext, powers: list, i: int) -> float:
-    # np.log2, not math.log2, which rounds differently on some inputs
-    r = float(np.log2(1.0 + sinr(context, powers, i)))
-    return r / (powers[i] + context.config.circuit_power)
-
-
-def user_ee(context: LinkContext, profile: PowerProfile, cell: int, subcarrier: int) -> float:
-    """Energy efficiency of one link: bit/s/Hz over transmit plus circuit watts.
-
-    The scalar form of `batch_ee`, which the metrics and every algorithm
-    take after their `sinr` calls.
-    """
-    i = context.topology.position((cell, subcarrier))
-    return _ee(context, _power_list(context, profile, [i]), i)
-
-
-def group_ee(context: LinkContext, profile: PowerProfile, subcarrier: int) -> float:
-    """Sum energy efficiency of the co-channel group on one subcarrier."""
-    group = [context.topology.position((cell, subcarrier))
-             for cell in context.topology.cells_on(subcarrier)]
-    powers = _power_list(context, profile, group)
-    total = 0.0
-    for i in group:
-        total += _ee(context, powers, i)
-    return total
 
 
 @dataclass
 class LinkMetrics:
     """Per-link and aggregate metrics for one power profile on one drop."""
 
-    ee: dict            # (cell, subcarrier) -> user_ee, bit/s/Hz/W
-    network_ee: float   # sum over subcarriers of each co-channel group's EE
+    ee: dict            # (cell, subcarrier) -> the link's EE, bit/s/Hz/W
+    group_ee: dict      # subcarrier -> its co-channel group's EE, cells ascending
+    network_ee: float   # the group EEs summed, subcarriers ascending
 
     def cell_totals(self, n_cells: int) -> list:
         """Summed EE of each cell 0..n_cells-1, in one pass over `ee`.
@@ -224,11 +179,13 @@ class LinkMetrics:
         return totals
 
 
-def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMetrics:
-    """Every link's `user_ee`, and their sum in the fixed order the oracles use:
-    each group's cells ascending, then the group totals, subcarriers ascending.
+def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
+    """Every link's EE, each co-channel group's and the network's, summed in
+    the fixed order the oracles use: each group's cells ascending, then the
+    group totals, subcarriers ascending.
 
-    One `sinr` call per link position, then one `batch_ee` over all of them.
+    `profile` maps each (cell, subcarrier) link to its transmit power in
+    watts.  One `sinr` call per link position, then one `batch_ee` over all.
     """
     validate_power_profile(context, profile)
     links = context.topology.links()
@@ -241,10 +198,10 @@ def compute_link_metrics(context: LinkContext, profile: PowerProfile) -> LinkMet
     total = 0.0
     for group in groups.values():
         total += group
-    return LinkMetrics(ee=ee, network_ee=total)
+    return LinkMetrics(ee=ee, group_ee=groups, network_ee=total)
 
 
-def validate_power_profile(context: LinkContext, profile: PowerProfile) -> None:
+def validate_power_profile(context: LinkContext, profile: dict) -> None:
     """Profile must cover exactly the active links with positive powers."""
     links = set(context.topology.links())
     keys = set(profile)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -188,22 +187,12 @@ class LargeScaleFading:
     Row r is receiver cell r, column i the i-th entry of `links`
     (`Topology.links()` order).  `gain` holds beta; `shadowing` holds the
     sampled shadowing values, kept so a drop can be reproduced or re-derived
-    exactly.  `beta` and `shadow` are read-only views of the two arrays keyed
-    by (receiver cell, tx cell, subcarrier), holding Python floats; each is
-    built the first time it is read.
+    exactly.
     """
 
     links: list
     gain: np.ndarray
     shadowing: np.ndarray
-
-    @cached_property
-    def beta(self) -> MappingProxyType:
-        return MappingProxyType(_keyed(self.links, self.gain.tolist()))
-
-    @cached_property
-    def shadow(self) -> MappingProxyType:
-        return MappingProxyType(_keyed(self.links, self.shadowing.tolist()))
 
 
 def sample_large_scale_fading(
@@ -225,12 +214,9 @@ def sample_large_scale_fading(
     # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
     distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
                           MIN_DISTANCE_M)
+    # large_scale_gain's conditions hold: every distance is clamped to >= MIN_DISTANCE_M,
+    # and draw_shadowing rejects a draw that under- or overflows, so every value is > 0
     varsigma = draw_shadowing(config, rng, size=distance.shape)
-    # the checks of large_scale_gain, on the clamped block
-    for name, values in (("distance", distance), ("shadow draw", varsigma)):
-        bad = np.flatnonzero(values <= 0)
-        if bad.size:
-            raise ValueError(f"{name} must be > 0, got {values.flat[bad[0]]}")
     alpha = config.path_loss_exponent
     path_loss = np.reshape([d ** alpha for d in distance.ravel().tolist()], distance.shape)
     gain = config.antenna_constant * varsigma / path_loss
@@ -255,9 +241,6 @@ class ChannelRealization:
     @cached_property
     def g(self) -> dict:
         return _keyed(self.links, self.blocks)
-
-    def vector(self, receiver: int, cell: int, subcarrier: int) -> np.ndarray:
-        return self.g[(receiver, cell, subcarrier)]
 
 
 def sample_channels(

@@ -20,7 +20,7 @@ from twotier_ee.harness import (
     ExperimentSpec, SweepSpec, algorithm_rng, child_seed, emit_results,
     emit_sweep, parse_results, run_drops, scenario_rng, sweep,
 )
-from twotier_ee.linklevel import group_ee, sample_link_context
+from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 from twotier_ee.replicator import (
     equilibrium_stability, integrate_replicator, replicator_rhs,
 )
@@ -66,9 +66,10 @@ def test_criterion_2_exhaustive_group_search_dominates_egt(verdict):
         ctx = sample_link_context(config, scenario_rng(seed))
         rng = algorithm_rng(seed, "egt")
         egt = run_algorithm1(new_games(ctx, rng), ctx, rng)
+        group_ee = compute_link_metrics(ctx, egt.profile).group_ee
         for sc in ctx.topology.occupied_subcarriers():
             cap = brute_force_group(sc, ctx).objective
-            ach = group_ee(ctx, egt.profile, sc)
+            ach = group_ee[sc]
             if ach > cap * (1 + 1e-12):
                 dominated = False
             gaps.append((cap - ach) / cap)
@@ -132,10 +133,9 @@ def test_criterion_5_noise_and_load_trends(verdict):
     for n_users in (2, 6):
         config = NetworkConfig(n_small_cells=2, n_subcarriers=12,
                                n_users_per_cell=n_users, rng_seed=0)
-        spec = ExperimentSpec(
-            config=config, algorithm="egt", n_drops=100,
-            sweep=SweepSpec("noise_psd_dbm_per_hz", noise_values))
-        means[n_users] = [row.mean_network_ee for row in sweep(spec)]
+        spec = ExperimentSpec(config=config, algorithm="egt", n_drops=100)
+        grid = SweepSpec("noise_psd_dbm_per_hz", noise_values)
+        means[n_users] = [row.mean_network_ee for row in sweep(spec, grid)]
     decreasing = all(means[nu][0] > means[nu][1] > means[nu][2] for nu in (2, 6))
     load_gain = all(means[6][i] > means[2][i] for i in range(3))
     elapsed = time.perf_counter() - t0
@@ -241,13 +241,12 @@ def test_criterion_8_deterministic_csv_schema(verdict, tmp_path):
     emit_results(parse_results(out), reemitted)
     round_trip = out.read_bytes() == reemitted.read_bytes()
 
-    sweep_spec = ExperimentSpec(
-        config=config, algorithm="egt", n_drops=3,
-        sweep=SweepSpec("n_users_per_cell", (1, 2)))
+    sweep_spec = ExperimentSpec(config=config, algorithm="egt", n_drops=3)
+    grid = SweepSpec("n_users_per_cell", (1, 2))
     sweep_bytes = []
     for tag in ("sa", "sb"):
         p = tmp_path / f"{tag}.csv"
-        emit_sweep(sweep(sweep_spec), p)
+        emit_sweep(sweep(sweep_spec, grid), p)
         sweep_bytes.append(p.read_bytes())
     sweep_identical = sweep_bytes[0] == sweep_bytes[1]
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ from twotier_ee.baselines import (
 )
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
-from twotier_ee.linklevel import compute_link_metrics, group_ee, sample_link_context, user_ee
+from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 
 
 def cfg(**kw):
@@ -24,13 +24,18 @@ def make_context(seed=0, **kw):
 
 
 def enumerate_group(context, subcarrier):
-    """Reference search: list every joint choice with its group EE."""
+    """Reference search: list every joint choice with its group EE.
+
+    The other groups' links hold the lowest level; a group's EE reads only
+    its own powers.
+    """
     players = context.topology.cells_on(subcarrier)
     levels = context.config.power_levels
+    profile = {link: levels[0] for link in context.topology.links()}
     out = []
     for combo in itertools.product(range(len(levels)), repeat=len(players)):
-        profile = {(c, subcarrier): levels[a] for c, a in zip(players, combo)}
-        out.append((combo, group_ee(context, profile, subcarrier)))
+        profile.update({(c, subcarrier): levels[a] for c, a in zip(players, combo)})
+        out.append((combo, compute_link_metrics(context, profile).group_ee[subcarrier]))
     return out
 
 
@@ -70,10 +75,12 @@ class TestGroupOracle:
             rng = np.random.default_rng(seed + 50)
             egt = run_algorithm1(new_games(ctx, rng), ctx, rng)
             ngt = ngt_best_response(ctx, np.random.default_rng(seed + 90))
+            egt_ee = compute_link_metrics(ctx, egt.profile).group_ee
+            ngt_ee = compute_link_metrics(ctx, ngt.profile).group_ee
             for sc in ctx.topology.occupied_subcarriers():
                 cap = brute_force_group(sc, ctx).objective
-                assert group_ee(ctx, egt.profile, sc) <= cap * (1 + 1e-12)
-                assert group_ee(ctx, ngt.profile, sc) <= cap * (1 + 1e-12)
+                assert egt_ee[sc] <= cap * (1 + 1e-12)
+                assert ngt_ee[sc] <= cap * (1 + 1e-12)
 
     def test_empty_subcarrier_rejected(self):
         ctx = make_context(4, n_subcarriers=6, n_users_per_cell=1)
@@ -143,7 +150,7 @@ class TestBestResponseDynamics:
         assert res.converged
         assert res.rounds <= 1
         (link,) = ctx.topology.links()
-        values = [user_ee(ctx, {link: p}, link[0], link[1])
+        values = [compute_link_metrics(ctx, {link: p}).ee[link]
                   for p in ctx.config.power_levels]
         assert res.profile[link] == ctx.config.power_levels[int(np.argmax(values))]
 
@@ -153,13 +160,14 @@ class TestBestResponseDynamics:
                                n_users_per_cell=3)
             res = ngt_best_response(ctx, np.random.default_rng(seed))
             assert res.converged
+            base = compute_link_metrics(ctx, res.profile).ee
             for link in ctx.topology.links():
                 held = res.profile[link]
-                base = user_ee(ctx, res.profile, link[0], link[1])
                 for p in ctx.config.power_levels:
                     trial = dict(res.profile)
                     trial[link] = p
-                    assert user_ee(ctx, trial, link[0], link[1]) <= base * (1 + 1e-12)
+                    assert compute_link_metrics(ctx, trial).ee[link] <= \
+                        base[link] * (1 + 1e-12)
                 assert res.profile[link] == held
 
     def test_evaluation_count_per_pass(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
-    LinkContext, build_combiners, sample_link_context, user_ee,
+    LinkContext, build_combiners, compute_link_metrics, sample_link_context,
 )
 from twotier_ee.topology import ChannelRealization, LargeScaleFading, Topology, User
 
@@ -79,14 +79,16 @@ class TestPayoffs:
         ctx = make_context(1)
         rng = np.random.default_rng(2)
         games = new_games(ctx, rng)
-        profiles = [{(c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
-                     for c in game.players} for game in games]
+        # the union of the games' profiles holds every link
+        ee = compute_link_metrics(ctx, {
+            (c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
+            for game in games for c in game.players}).ee
         stepped = egt_step(games, ctx, rng)
         assert len(stepped) == len(games) > 1
-        for game, profile, (payoffs, _) in zip(games, profiles, stepped):
+        for game, (payoffs, _) in zip(games, stepped):
             assert list(payoffs) == game.players
             for c in game.players:
-                assert payoffs[c] == user_ee(ctx, profile, c, game.subcarrier)
+                assert payoffs[c] == ee[(c, game.subcarrier)]
                 assert type(payoffs[c]) is float
 
     def test_single_player_interference_free_payoff(self):
@@ -94,7 +96,7 @@ class TestPayoffs:
         (cell, sc), = ctx.topology.links()
         game = fresh_game([cell], {cell: 2}, subcarrier=sc)
         p = ctx.config.power_levels[2]
-        g = ctx.channels.vector(cell, cell, sc)
+        g = ctx.channels.blocks[cell][ctx.topology.position((cell, sc))]
         expected = math.log2(1.0 + p * np.linalg.norm(g) ** 2 / ctx.config.noise_power) \
             / (p + ctx.config.circuit_power)
         [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(3))
@@ -369,14 +371,13 @@ def reference_new_games(context, rng):
     return games
 
 
-def reference_step(game, context, rng):
+def reference_step(game, context, rng, ee):
+    """One round of `game`; `ee` maps each link to its EE at the round's start."""
     state = ReferenceGame(subcarrier=game.subcarrier, players=list(game.players),
                           strategy=dict(game.strategy),
                           tried={cell: set(s) for cell, s in game.tried.items()},
                           iteration=game.iteration)
-    profile = state.profile(context)
-    state.payoffs = {cell: user_ee(context, profile, cell, state.subcarrier)
-                     for cell in state.players}
+    state.payoffs = {cell: ee[(cell, state.subcarrier)] for cell in state.players}
     total = 0.0
     for value in state.payoffs.values():
         total += value
@@ -406,8 +407,14 @@ def reference_run(games, context, rng, max_iterations):
         if not active:
             break
         iterations += 1
+        # a link's EE reads only its own group's powers, so one evaluation of
+        # the joint profile at the round's start serves every game of the round
+        joint = {}
+        for g in games:
+            joint.update(g.profile(context))
+        ee = compute_link_metrics(context, joint).ee
         for i in active:
-            games[i] = reference_step(games[i], context, rng)
+            games[i] = reference_step(games[i], context, rng, ee)
             evaluations += len(games[i].players)
             traces[games[i].subcarrier].append(games[i].average_payoff)
     profile = {}

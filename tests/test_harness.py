@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,11 +86,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(parameter="n_users_per_cell", values=())
 
-    def test_sweep_values_checked_against_config_invariants(self):
-        # a user count above the subcarrier count must fail at spec build
+    def test_sweep_values_checked_against_config_invariants(self, monkeypatch):
+        # a user count above the subcarrier count must fail before any drop runs
+        ran = []
+        monkeypatch.setattr(harness, "run_drops", lambda spec: ran.append(spec) or [])
         bad = SweepSpec(parameter="n_users_per_cell", values=(1, 5))
-        with pytest.raises(Exception):
-            ExperimentSpec(config=cfg(), sweep=bad)
+        with pytest.raises(ValueError, match="n_users_per_cell must be <= n_subcarriers"):
+            sweep(ExperimentSpec(config=cfg()), bad)
+        assert ran == []
+
+    def test_spec_holds_no_sweep(self):
+        # a sweep is an argument of sweep(), so run_drops cannot be handed one it ignores
+        assert [f.name for f in dataclasses.fields(ExperimentSpec)] == \
+            ["config", "algorithm", "n_drops", "max_iterations"]
 
     def test_config_for_value_coerces_types(self):
         base = cfg()
@@ -192,8 +201,7 @@ class TestRunDrops:
 class TestSweep:
     def test_swept_values_share_scenarios(self):
         config = cfg()
-        spec = ExperimentSpec(config=config, algorithm="egt", n_drops=2,
-                              sweep=SweepSpec("noise_psd_dbm_per_hz", (-194, -174)))
+        spec = ExperimentSpec(config=config, algorithm="egt", n_drops=2)
         seed = child_seed(config.rng_seed, 0)
         ctx_a = sample_link_context(config_for_value(config, "noise_psd_dbm_per_hz", -194),
                                     scenario_rng(seed))
@@ -202,15 +210,14 @@ class TestSweep:
         pos_a = [u.position for u in ctx_a.topology.users]
         pos_b = [u.position for u in ctx_b.topology.users]
         assert pos_a == pos_b
-        rows = sweep(spec)
+        rows = sweep(spec, SweepSpec("noise_psd_dbm_per_hz", (-194, -174)))
         assert [r.value for r in rows] == [-194.0, -174.0]
         assert all(r.n_drops == 2 for r in rows)
 
     def test_single_value_sweep_equals_plain_batch(self):
         config = cfg()
-        spec = ExperimentSpec(config=config, algorithm="egt", n_drops=4,
-                              sweep=SweepSpec("n_users_per_cell", (2,)))
-        row, = sweep(spec)
+        spec = ExperimentSpec(config=config, algorithm="egt", n_drops=4)
+        row, = sweep(spec, SweepSpec("n_users_per_cell", (2,)))
         records = run_drops(ExperimentSpec(config=config, algorithm="egt", n_drops=4))
         assert row.mean_network_ee == pytest.approx(
             np.mean([r.network_ee for r in records]), rel=1e-12)
@@ -221,15 +228,10 @@ class TestSweep:
         spec = ExperimentSpec(
             config=cfg(n_small_cells=5, n_subcarriers=5, n_users_per_cell=1,
                        macro_radius=150.0),
-            algorithm="egt", n_drops=2,
-            sweep=SweepSpec("n_users_per_cell", (1,)))
-        row, = sweep(spec)
+            algorithm="egt", n_drops=2)
+        row, = sweep(spec, SweepSpec("n_users_per_cell", (1,)))
         assert math.isnan(row.mean_network_ee)
         assert row.n_drops == 0
-
-    def test_sweep_requires_sweep_section(self):
-        with pytest.raises(ValueError):
-            sweep(ExperimentSpec(config=cfg(), algorithm="egt"))
 
 
 class TestEmitAndParse:
@@ -348,10 +350,9 @@ class TestEmitAndParse:
             emit_results([], tmp_path / "r.csv")
 
     def test_sweep_table_layout(self, tmp_path):
-        spec = ExperimentSpec(config=cfg(), algorithm="egt", n_drops=2,
-                              sweep=SweepSpec("n_users_per_cell", (1, 2)))
+        spec = ExperimentSpec(config=cfg(), algorithm="egt", n_drops=2)
         out = tmp_path / "sweep.csv"
-        emit_sweep(sweep(spec), out)
+        emit_sweep(sweep(spec, SweepSpec("n_users_per_cell", (1, 2))), out)
         lines = out.read_text().splitlines()
         assert lines[0] == "parameter,value,n_drops,mean_network_ee,ee_ci95,mean_jain,jain_ci95"
         assert len(lines) == 3

@@ -1,9 +1,9 @@
 """The evaluation kernel: bit-exact against the numpy-scalar kernel, at a fixed call count.
 
-`sinr` -> `user_ee` -> `group_ee` and the metrics run once per evaluated
-profile, so they are kept on plain float arithmetic.  TestKernelPreservation
-checks them, and the oracles and best-response dynamics built on them,
-against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
+`sinr` and the EE after it run once per evaluated profile, so they are
+kept on plain float arithmetic.  TestKernelPreservation checks them, the
+metrics' link, group and network EE, and the oracles and best-response
+dynamics built on them, against the numpy-scalar kernel they replaced.  TestBatchedOracle checks the
 oracles' chunked numpy objective and first-maximum pick against the scalar
 search, and the vector-equals-scalar `np.log2` it rests on.  TestBatchedEe
 checks `batch_ee`, which egt, ngt and the metrics take after their `sinr`
@@ -32,8 +32,7 @@ from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
-    batch_ee, build_combiners, compute_link_metrics, group_ee, mrc_combiner,
-    sample_link_context, sinr, user_ee,
+    batch_ee, build_combiners, compute_link_metrics, mrc_combiner, sample_link_context, sinr,
 )
 from twotier_ee.topology import ChannelRealization, Topology, User
 
@@ -49,10 +48,11 @@ _ORACLE_CAP = 4096
 def reference_gains(topology, channels):
     gains = {}
     for cell, sc in topology.links():
-        g_own = channels.vector(cell, cell, sc)
+        block = channels.blocks[cell]   # every user's channel to this cell's BS
+        g_own = block[topology.position((cell, sc))]
         a = mrc_combiner(g_own)
         interference = tuple(
-            (other, np.abs(np.vdot(a, channels.vector(cell, other, sc))) ** 2)
+            (other, np.abs(np.vdot(a, block[topology.position((other, sc))])) ** 2)
             for other in topology.cells_on(sc) if other != cell
         )
         gains[(cell, sc)] = (np.abs(np.vdot(a, g_own)) ** 2, interference,
@@ -178,12 +178,19 @@ def assert_oracle_matches(result, reference):
     assert result.evaluations == count
 
 
-def assert_kernel_matches_reference(config, seed):
+def kernel_case(config, seed):
+    """A drop, the same drop on the reference gain table, and a random level profile."""
     ctx = sample_link_context(config, np.random.default_rng(seed))
     ref = dataclasses.replace(ctx, gains=reference_gains(ctx.topology, ctx.channels))
     levels = config.power_levels
     rng = np.random.default_rng(seed + 1)
     profile = {link: levels[int(rng.integers(len(levels)))] for link in ctx.topology.links()}
+    return ctx, ref, profile
+
+
+def assert_kernel_matches_reference(config, seed):
+    ctx, ref, profile = kernel_case(config, seed)
+    levels = config.power_levels
 
     # every link at every level of its own power, the others held fixed
     for i, link in enumerate(ctx.topology.links()):
@@ -191,9 +198,8 @@ def assert_kernel_matches_reference(config, seed):
         for p in levels:
             trial[link] = p
             assert sinr(ctx, power_list(ctx, trial), i) == reference_sinr(ref, trial, *link)
-            assert user_ee(ctx, trial, *link) == reference_user_ee(ref, trial, *link)
-    for sc in ctx.topology.occupied_subcarriers():
-        assert group_ee(ctx, profile, sc) == reference_group_ee(ref, profile, sc)
+            assert compute_link_metrics(ctx, trial).ee[link] == \
+                reference_user_ee(ref, trial, *link)
     metrics = compute_link_metrics(ctx, profile)
     for link in ctx.topology.links():
         assert metrics.ee[link] == reference_user_ee(ref, profile, *link)
@@ -227,6 +233,21 @@ def small_configs(draw):
     )
 
 
+def assert_group_ee_matches_reference(config, seed):
+    """The metrics' group EE: the reference's, and each group oracle's objective."""
+    ctx, ref, profile = kernel_case(config, seed)
+    levels = config.power_levels
+    group_ee = compute_link_metrics(ctx, profile).group_ee
+    assert list(group_ee) == ctx.topology.occupied_subcarriers()
+    for sc in ctx.topology.occupied_subcarriers():
+        assert group_ee[sc] == reference_group_ee(ref, profile, sc)
+        if len(levels) ** len(ctx.topology.cells_on(sc)) <= _ORACLE_CAP:
+            # on the oracle's own profile, its objective is the metrics' group EE
+            oracle = brute_force_group(sc, ctx)
+            assert oracle.objective == \
+                compute_link_metrics(ctx, {**profile, **oracle.profile}).group_ee[sc]
+
+
 class TestKernelPreservation:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(config=small_configs(), seed=st.integers(0, 2**32))
@@ -237,6 +258,16 @@ class TestKernelPreservation:
     def test_float_kernel_matches_numpy_scalar_reference_at_reference_scale(self, seed):
         config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
         assert_kernel_matches_reference(config, seed)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=small_configs(), seed=st.integers(0, 2**32))
+    def test_group_ee_matches_reference_and_oracle_objective(self, config, seed):
+        assert_group_ee_matches_reference(config, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_group_ee_matches_reference_and_oracle_objective_at_reference_scale(self, seed):
+        config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
+        assert_group_ee_matches_reference(config, seed)
 
     def test_gain_table_holds_python_floats(self):
         ctx = sample_link_context(NetworkConfig(n_small_cells=2, n_subcarriers=4,

@@ -7,8 +7,8 @@ import pytest
 from twotier_ee import linklevel
 from twotier_ee.config import NetworkConfig
 from twotier_ee.linklevel import (
-    build_combiners, compute_link_metrics, group_ee, mrc_combiner,
-    sample_link_context, sinr, user_ee, validate_power_profile,
+    build_combiners, compute_link_metrics, mrc_combiner, sample_link_context, sinr,
+    validate_power_profile,
 )
 
 
@@ -35,18 +35,23 @@ def position_sinr(context, profile, link):
     return sinr(context, power_list(context, profile), context.topology.position(link))
 
 
+def channel(context, receiver, cell, sc):
+    """The channel vector from the user on link (cell, sc) to `receiver`'s BS."""
+    return context.channels.blocks[receiver][context.topology.position((cell, sc))]
+
+
 def reference_sinr(context, profile, cell, sc):
     """Straight-line re-derivation with an unnormalized MRC combiner.
 
     Uses a = g (not g/||g||); the SINR must agree because it is invariant
     to combiner scaling.
     """
-    a = context.channels.vector(cell, cell, sc)
+    a = channel(context, cell, cell, sc)
     num = profile[(cell, sc)] * abs(np.vdot(a, a)) ** 2
     den = float(np.vdot(a, a).real) * context.config.noise_power
     for other in context.topology.cells_on(sc):
         if other != cell:
-            g = context.channels.vector(cell, other, sc)
+            g = channel(context, cell, other, sc)
             den += profile[(other, sc)] * abs(np.vdot(a, g)) ** 2
     return num / den
 
@@ -90,7 +95,7 @@ class TestSinr:
         ctx = make_context(4, n_small_cells=0, n_subcarriers=2, n_users_per_cell=1)
         (cell, sc), = ctx.topology.links()
         p = 0.02
-        g = ctx.channels.vector(cell, cell, sc)
+        g = channel(ctx, cell, cell, sc)
         expected = p * np.linalg.norm(g) ** 2 / ctx.config.noise_power
         assert sinr(ctx, [p], 0) == pytest.approx(expected, rel=1e-12)
 
@@ -141,31 +146,30 @@ class TestSinr:
 
 
 class TestRateAndEe:
-    def test_user_ee_is_rate_over_total_power(self):
+    def test_link_ee_is_rate_over_total_power(self):
         ctx = make_context(9)
         profile = uniform_profile(ctx, 0.02)
+        m = compute_link_metrics(ctx, profile)
         for cell, sc in ctx.topology.links():
             expected = float(np.log2(1 + position_sinr(ctx, profile, (cell, sc)))) / (0.02 + 0.01)
-            assert user_ee(ctx, profile, cell, sc) == pytest.approx(expected, rel=1e-12)
+            assert m.ee[(cell, sc)] == pytest.approx(expected, rel=1e-12)
 
     def test_group_ee_is_plain_sum(self):
         ctx = make_context(10)
-        profile = uniform_profile(ctx, 0.01)
+        m = compute_link_metrics(ctx, uniform_profile(ctx, 0.01))
+        assert list(m.group_ee) == ctx.topology.occupied_subcarriers()
         for sc in ctx.topology.occupied_subcarriers():
-            flat = sum(user_ee(ctx, profile, cell, sc)
-                       for cell in ctx.topology.cells_on(sc))
-            assert group_ee(ctx, profile, sc) == pytest.approx(flat, rel=1e-12)
+            flat = sum(m.ee[(cell, sc)] for cell in ctx.topology.cells_on(sc))
+            assert m.group_ee[sc] == pytest.approx(flat, rel=1e-12)
 
     def test_network_ee_is_sum_of_groups(self):
         ctx = make_context(11)
-        profile = uniform_profile(ctx, 0.01)
-        flat = sum(group_ee(ctx, profile, sc)
-                   for sc in ctx.topology.occupied_subcarriers())
-        assert compute_link_metrics(ctx, profile).network_ee == pytest.approx(flat, rel=1e-12)
+        m = compute_link_metrics(ctx, uniform_profile(ctx, 0.01))
+        assert m.network_ee == pytest.approx(sum(m.group_ee.values()), rel=1e-12)
 
 
 class TestMissingPower:
-    """A profile without a power the evaluation reads is named, not a TypeError."""
+    """A profile without a power the evaluation reads is named, not a KeyError."""
 
     def co_channel_pair(self, ctx):
         sc = next(sc for sc in ctx.topology.occupied_subcarriers()
@@ -173,47 +177,45 @@ class TestMissingPower:
         victim, other = ctx.topology.cells_on(sc)[:2]
         return (victim, sc), (other, sc)
 
-    def test_missing_interferer_named_by_user_ee(self):
+    def test_missing_interferer_named_by_the_metrics(self):
         ctx = make_context(15)
         victim, other = self.co_channel_pair(ctx)
         profile = uniform_profile(ctx, 0.01)
         del profile[other]
-        with pytest.raises(ValueError, match=re.escape(
-                f"no power for link {other}, which the evaluation of link {victim} reads")):
-            user_ee(ctx, profile, *victim)
+        with pytest.raises(ValueError, match=re.escape(f"missing [{other}], extra []")):
+            compute_link_metrics(ctx, profile)
 
-    def test_missing_own_power_named_by_user_ee_and_group_ee(self):
+    def test_missing_own_power_named_by_the_metrics(self):
         ctx = make_context(16)
         victim, _ = self.co_channel_pair(ctx)
         profile = uniform_profile(ctx, 0.01)
         del profile[victim]
-        for evaluate in (lambda: user_ee(ctx, profile, *victim),
-                         lambda: group_ee(ctx, profile, victim[1])):
-            with pytest.raises(ValueError, match=re.escape(f"no power for link {victim}")):
-                evaluate()
-
-    def test_profile_of_what_is_read_is_enough(self):
-        # a group's powers are all its evaluation reads: other subcarriers may be absent
-        ctx = make_context(17)
-        profile = uniform_profile(ctx, 0.02)
-        for sc in ctx.topology.occupied_subcarriers():
-            group = {(cell, sc): profile[(cell, sc)] for cell in ctx.topology.cells_on(sc)}
-            assert group_ee(ctx, group, sc) == group_ee(ctx, profile, sc)
-            for cell in ctx.topology.cells_on(sc):
-                assert user_ee(ctx, group, cell, sc) == user_ee(ctx, profile, cell, sc)
+        with pytest.raises(ValueError, match=re.escape(f"missing [{victim}], extra []")):
+            compute_link_metrics(ctx, profile)
 
 
 class TestMetrics:
-    def test_metrics_match_pointwise_functions(self):
+    def test_metrics_match_pointwise_arithmetic(self):
         ctx = make_context(12)
         profile = uniform_profile(ctx, 0.01)
         m = compute_link_metrics(ctx, profile)
         assert list(m.ee) == ctx.topology.links()
-        for link in ctx.topology.links():
-            assert m.ee[link] == user_ee(ctx, profile, *link)
+        powers = power_list(ctx, profile)
+        for i, link in enumerate(ctx.topology.links()):
+            # the scalar EE: np.log2 of one SINR, over transmit plus circuit power
+            rate = float(np.log2(1.0 + sinr(ctx, powers, i)))
+            assert m.ee[link] == rate / (profile[link] + ctx.config.circuit_power)
             assert type(m.ee[link]) is float
-        flat = sum(group_ee(ctx, profile, sc) for sc in ctx.topology.occupied_subcarriers())
-        assert m.network_ee == pytest.approx(flat, rel=1e-12)
+        for sc in ctx.topology.occupied_subcarriers():
+            total = 0.0
+            for cell in ctx.topology.cells_on(sc):
+                total += m.ee[(cell, sc)]
+            assert m.group_ee[sc] == total
+            assert type(m.group_ee[sc]) is float
+        total = 0.0
+        for sc in ctx.topology.occupied_subcarriers():
+            total += m.group_ee[sc]
+        assert m.network_ee == total
 
     @pytest.mark.parametrize("seed, kw", [
         (18, {}),

@@ -166,20 +166,21 @@ class TestFadingAndChannels:
         rng = np.random.default_rng(11)
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
-        links = topo.links()
-        assert set(fading.beta) == {(rx, c, sc) for rx in range(3) for c, sc in links}
-        assert all(v > 0 for v in fading.beta.values())
+        assert fading.links == topo.links()
+        assert fading.gain.shape == (3, len(topo.links()))
+        assert (fading.gain > 0).all()
 
     def test_beta_consistent_with_distance_and_shadow(self):
         config = cfg()
         rng = np.random.default_rng(13)
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
-        for (rx, c, sc), beta in fading.beta.items():
-            user = topo.user(c, sc)
-            d = max(np.linalg.norm(topo.bs_position(rx) - np.asarray(user.position)), 1.0)
-            expected = config.antenna_constant * fading.shadow[(rx, c, sc)] / d ** 3.8
-            assert beta == pytest.approx(expected, rel=1e-12)
+        for rx in range(topo.n_cells):
+            for i, (c, sc) in enumerate(topo.links()):
+                user = topo.user(c, sc)
+                d = max(np.linalg.norm(topo.bs_position(rx) - np.asarray(user.position)), 1.0)
+                expected = config.antenna_constant * fading.shadowing[rx, i] / d ** 3.8
+                assert fading.gain[rx, i] == pytest.approx(expected, rel=1e-12)
 
     def test_channel_dimensions_follow_receiver(self):
         config = cfg()
@@ -187,9 +188,10 @@ class TestFadingAndChannels:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
-        for (rx, c, sc), g in ch.g.items():
-            assert g.shape == (128 if rx == 0 else 4,)
-            assert g.dtype == np.complex128
+        assert len(ch.blocks) == topo.n_cells
+        for rx, block in enumerate(ch.blocks):
+            assert block.shape == (len(topo.links()), 128 if rx == 0 else 4)
+            assert block.dtype == np.complex128
 
     def test_rayleigh_moments(self):
         # h entries are CN(0,1): unit variance, zero mean
@@ -199,7 +201,7 @@ class TestFadingAndChannels:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
-        h = ch.vector(0, 0, 0) / np.sqrt(fading.beta[(0, 0, 0)])
+        h = ch.blocks[0][0] / np.sqrt(fading.gain[0, 0])   # the one link, at the MBS
         assert np.var(h) == pytest.approx(1.0, rel=0.05)
         assert abs(np.mean(h)) < 0.02
 
@@ -211,9 +213,8 @@ class TestFadingAndChannels:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
-        g = ch.vector(0, 0, 0)
-        assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(
-            fading.beta[(0, 0, 0)], rel=0.05)
+        g = ch.blocks[0][0]   # the one link, at the MBS
+        assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(fading.gain[0, 0], rel=0.05)
 
     def test_full_pipeline_determinism(self):
         config = cfg()
@@ -225,9 +226,9 @@ class TestFadingAndChannels:
             return sample_channels(topo, fading, config, rng)
 
         a, b = run(29), run(29)
-        assert set(a.g) == set(b.g)
-        for key in a.g:
-            assert np.array_equal(a.g[key], b.g[key])
+        assert len(a.blocks) == len(b.blocks)
+        for block_a, block_b in zip(a.blocks, b.blocks):
+            assert np.array_equal(block_a, block_b)
 
 
 # Reference sampler: one user, one link and one vector at a time, in the order
@@ -283,6 +284,12 @@ def reference_channels(topology, beta, config, rng):
     return g
 
 
+def by_position(topology, keyed):
+    """A reference dict keyed (receiver, cell, subcarrier) as (receiver, link position) rows."""
+    return [[keyed[(rx, cell, sc)] for cell, sc in topology.links()]
+            for rx in range(topology.n_cells)]
+
+
 def assert_matches_reference(config, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     topo, ref_topo = sample_topology(config, rng), reference_topology(config, ref_rng)
@@ -290,16 +297,21 @@ def assert_matches_reference(config, seed):
     assert np.array_equal([u.position for u in topo.users],
                           [u.position for u in ref_topo.users])
     assert np.array_equal(topo.sbs_positions, ref_topo.sbs_positions)
+    links = topo.links()
     fading = sample_large_scale_fading(topo, config, rng)
     ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
-    assert list(fading.beta.items()) == list(ref_beta.items())
-    assert list(fading.shadow.items()) == list(ref_shadow.items())
-    g = sample_channels(topo, fading, config, rng).g
+    assert fading.links == links
+    assert fading.gain.tolist() == by_position(topo, ref_beta)
+    assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
+    channels = sample_channels(topo, fading, config, rng)
     ref_g = reference_channels(ref_topo, ref_beta, config, ref_rng)
-    assert list(g) == list(ref_g)
-    for key, vector in g.items():
-        assert vector.shape == ref_g[key].shape
-        assert np.array_equal(vector, ref_g[key])
+    assert channels.links == links
+    assert len(channels.blocks) == topo.n_cells
+    for rx, block in enumerate(channels.blocks):
+        n_rx = config.n_antennas_mbs if rx == 0 else config.n_antennas_sbs
+        assert block.shape == (len(links), n_rx) and block.dtype == np.complex128
+        for i, (cell, sc) in enumerate(links):
+            assert np.array_equal(block[i], ref_g[(rx, cell, sc)])
     assert rng.random() == ref_rng.random()
 
 
@@ -333,17 +345,18 @@ class TestStreamPreservation:
                         users=[User(cell=0, subcarrier=0, position=(0.0, 0.0)),
                                User(cell=1, subcarrier=0, position=(300.0, 400.0))])
         fading = sample_large_scale_fading(topo, config, np.random.default_rng(3))
+        assert topo.links() == [(0, 0), (1, 0)]   # cell c's user at position c
         for cell in (0, 1):
-            key = (cell, cell, 0)
-            assert fading.beta[key] == large_scale_gain(1.0, config, fading.shadow[key])
-        assert fading.beta[(0, 1, 0)] == large_scale_gain(500.0, config, fading.shadow[(0, 1, 0)])
+            assert fading.gain[cell, cell] == large_scale_gain(
+                1.0, config, fading.shadowing[cell, cell])
+        assert fading.gain[0, 1] == large_scale_gain(500.0, config, fading.shadowing[0, 1])
         ref_beta, ref_shadow = reference_fading(topo, config, np.random.default_rng(3))
-        assert list(fading.beta.items()) == list(ref_beta.items())
-        assert list(fading.shadow.items()) == list(ref_shadow.items())
+        assert fading.gain.tolist() == by_position(topo, ref_beta)
+        assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
 
 
 class TestArrayDropState:
-    """Per-receiver arrays and blocks, and the keyed views built from them on read."""
+    """The keyed `g` view of the channel blocks, built only when read."""
 
     @staticmethod
     def sampled(config, seed):
@@ -351,27 +364,6 @@ class TestArrayDropState:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         return topo, fading, sample_channels(topo, fading, config, rng)
-
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(config=small_configs(), seed=st.integers(0, 2**32))
-    def test_arrays_and_blocks_match_scalar_reference(self, config, seed):
-        topo, fading, channels = self.sampled(config, seed)
-        ref_rng = np.random.default_rng(seed)
-        ref_topo = reference_topology(config, ref_rng)
-        ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
-        ref_g = reference_channels(ref_topo, ref_beta, config, ref_rng)
-        links = topo.links()
-        assert fading.links == links and channels.links == links
-        assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
-        assert len(channels.blocks) == topo.n_cells
-        for rx, block in enumerate(channels.blocks):
-            n_rx = config.n_antennas_mbs if rx == 0 else config.n_antennas_sbs
-            assert block.shape == (len(links), n_rx) and block.dtype == np.complex128
-            for i, (cell, sc) in enumerate(links):
-                key = (rx, cell, sc)
-                assert fading.gain[rx, i] == ref_beta[key]
-                assert fading.shadowing[rx, i] == ref_shadow[key]
-                assert np.array_equal(block[i], ref_g[key])
 
     def test_g_view_rows_are_the_block_rows(self):
         topo, _, channels = self.sampled(cfg(n_users_per_cell=4), 37)
@@ -389,18 +381,6 @@ class TestArrayDropState:
         before = channels.blocks[1][2].copy()
         g[key] *= 3.0
         assert np.array_equal(channels.blocks[1][2], before * 3.0)
-        assert channels.vector(*key) is g[key]
-
-    def test_beta_and_shadow_are_read_only_views_of_the_arrays(self):
-        topo, fading, _ = self.sampled(cfg(), 41)
-        keys = [(rx, cell, sc) for rx in range(3) for cell, sc in topo.links()]
-        for view, array in ((fading.beta, fading.gain), (fading.shadow, fading.shadowing)):
-            assert list(view) == keys
-            assert list(view.values()) == array.ravel().tolist()
-            assert all(type(v) is float for v in view.values())
-            with pytest.raises(TypeError):
-                view[keys[0]] = 1.0
-        assert fading.beta is fading.beta and fading.shadow is fading.shadow
 
     def test_algorithms_and_metrics_leave_the_views_unbuilt(self):
         config = cfg(power_levels=DEFAULT_POWER_LEVELS[:4])
@@ -412,7 +392,6 @@ class TestArrayDropState:
             brute_force_group(sc, ctx)
         compute_link_metrics(ctx, {link: 0.01 for link in ctx.topology.links()})
         assert "g" not in vars(ctx.channels)
-        assert "beta" not in vars(ctx.fading) and "shadow" not in vars(ctx.fading)
         # the guard can fail: a read builds and keeps the view
-        ctx.channels.vector(0, *ctx.topology.links()[0])
+        assert ctx.channels.g
         assert "g" in vars(ctx.channels)
