@@ -19,9 +19,8 @@ ctx = sample_link_context(config, np.random.default_rng(config.rng_seed))
 print("link geometry and large-scale state (one drop, seed 3)")
 print(f"{'cell':>4} {'sc':>3} {'dist_m':>8} {'beta':>10} {'norm2/ant':>10}")
 for i, (cell, sc) in enumerate(ctx.topology.links()):   # i: the link's position
-    user = ctx.topology.user(cell, sc)
-    bs = ctx.topology.bs_position(cell)
-    dist = float(np.hypot(*(np.asarray(user.position) - bs)))
+    user = np.asarray(ctx.topology.users[(cell, sc)])
+    dist = float(np.hypot(*(user - ctx.topology.bs_positions[cell])))
     beta = ctx.fading.gain[cell, i]
     g = ctx.channels.blocks[cell][i]
     per_antenna = float(np.linalg.norm(g) ** 2 / g.size)

@@ -11,7 +11,7 @@ baselines, and a seeded experiment harness with a CSV-emitting CLI.
 from .config import ConfigError, DEFAULT_POWER_LEVELS, NetworkConfig, \
     format_config, load_config, parse_config
 from .topology import ChannelRealization, LargeScaleFading, PlacementError, \
-    Topology, User, draw_shadowing, large_scale_gain, sample_channels, \
+    Topology, draw_shadowing, large_scale_gain, sample_channels, \
     sample_large_scale_fading, sample_topology
 from .linklevel import LinkContext, LinkMetrics, \
     build_combiners, compute_link_metrics, mrc_combiner, \

@@ -202,7 +202,7 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
 
 
 def validate_power_profile(context: LinkContext, profile: dict) -> None:
-    """Profile must cover exactly the active links with positive powers."""
+    """Profile must cover exactly the active links with finite positive powers."""
     links = set(context.topology.links())
     keys = set(profile)
     if keys != links:
@@ -210,5 +210,5 @@ def validate_power_profile(context: LinkContext, profile: dict) -> None:
         extra = sorted(keys - links)
         raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
     for link, p in profile.items():
-        if p <= 0:
-            raise ValueError(f"non-positive power {p} on link {link}")
+        if not 0.0 < p < np.inf:
+            raise ValueError(f"power {p} on link {link} is not finite and > 0")

@@ -45,8 +45,8 @@ def replicator_rhs(x, payoffs, avg: float) -> np.ndarray:
 
 
 def _check_simplex(x: np.ndarray) -> None:
-    if np.any(x < 0):
-        raise ValueError("share vector has negative entries")
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ValueError(f"share vector {x.tolist()} has negative or non-finite entries")
     if abs(float(x.sum()) - 1.0) > _SIMPLEX_TOL:
         raise ValueError(f"share vector sums to {x.sum()}, not 1")
 
@@ -74,6 +74,9 @@ def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0)
     reached = False
     for k in range(1, n_steps + 1):
         pi = np.asarray(payoff_fn(x), dtype=float)
+        if pi.shape != x.shape or not np.isfinite(pi).all():
+            raise ValueError(f"payoff_fn returned {pi.tolist()} at shares {x.tolist()}, "
+                             f"t = {(k - 1) * dt:g}; need {x.size} finite payoffs")
         avg = float(pi @ x)
         rhs = replicator_rhs(x, pi, avg)
         x = x + dt * rhs

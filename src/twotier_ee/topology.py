@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .config import NetworkConfig
 
 __all__ = [
-    "PlacementError", "User", "Topology", "LargeScaleFading", "ChannelRealization",
+    "PlacementError", "Topology", "LargeScaleFading", "ChannelRealization",
     "sample_topology", "large_scale_gain", "draw_shadowing",
     "sample_large_scale_fading", "sample_channels",
 ]
@@ -32,55 +34,33 @@ class PlacementError(RuntimeError):
     """Geometry could not be sampled (overconstrained configuration)."""
 
 
-@dataclass(frozen=True)
-class User:
-    cell: int          # serving cell, 0 = macro
-    subcarrier: int    # 0-based subcarrier index
-    position: tuple    # (x, y) in meters
-
-
 @dataclass
 class Topology:
     """One placement of base stations and users.
 
+    `bs_positions` is (K+1, 2): row c is cell c's BS, row 0 the macro BS.
+    `users` maps each (cell, subcarrier) link to its user's (x, y) in meters.
     Treated as read-only after construction; lookup tables are built once.
     """
 
-    mbs_position: np.ndarray
-    sbs_positions: np.ndarray          # (K, 2)
-    users: list
-    _by_link: dict = field(init=False, repr=False)
+    bs_positions: np.ndarray
+    users: dict
     _cells_on: dict = field(init=False, repr=False)
     _links: list = field(init=False, repr=False)
     _positions: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._by_link = {(u.cell, u.subcarrier): u for u in self.users}
-        if len(self._by_link) != len(self.users):
-            raise ValueError("more than one user on a (cell, subcarrier) pair")
-        cells_on = {}
-        for u in self.users:
-            cells_on.setdefault(u.subcarrier, []).append(u.cell)
-        self._cells_on = {sc: tuple(sorted(cells)) for sc, cells in cells_on.items()}
-        self._links = sorted(self._by_link, key=lambda ks: (ks[1], ks[0]))
+        self._links = sorted(self.users, key=lambda ks: (ks[1], ks[0]))
         self._positions = {link: i for i, link in enumerate(self._links)}
-
-    @property
-    def n_small_cells(self) -> int:
-        return len(self.sbs_positions)
+        self._cells_on = {sc: tuple(cell for cell, _ in group)
+                          for sc, group in groupby(self._links, key=itemgetter(1))}
 
     @property
     def n_cells(self) -> int:
-        return len(self.sbs_positions) + 1
-
-    def bs_position(self, cell: int) -> np.ndarray:
-        return self.mbs_position if cell == 0 else self.sbs_positions[cell - 1]
+        return len(self.bs_positions)
 
     def has_user(self, cell: int, subcarrier: int) -> bool:
-        return (cell, subcarrier) in self._by_link
-
-    def user(self, cell: int, subcarrier: int) -> User:
-        return self._by_link[(cell, subcarrier)]
+        return (cell, subcarrier) in self.users
 
     def cells_on(self, subcarrier: int) -> tuple:
         """Cells with a user on this subcarrier, ascending: the co-channel group, shared."""
@@ -88,7 +68,7 @@ class Topology:
 
     def occupied_subcarriers(self) -> list:
         """Subcarriers carrying at least one user, ascending."""
-        return sorted(self._cells_on)
+        return list(self._cells_on)
 
     def links(self) -> list:
         """All (cell, subcarrier) pairs carrying a user, sorted by (subcarrier, cell).
@@ -132,16 +112,16 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
         if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
             sbs = np.vstack([sbs, candidate])
 
-    users = []
-    for cell in range(config.n_cells):
-        center = mbs if cell == 0 else sbs[cell - 1]
+    bs_positions = np.vstack([mbs, sbs])
+    users = {}
+    for cell, center in enumerate(bs_positions):
         radius = config.macro_radius if cell == 0 else config.small_radius
         subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
         positions = _uniform_in_disc(center, radius, config.n_users_per_cell, rng)
         # Python ints and floats, the same values as the array elements
         for sc, (x, y) in zip(np.sort(subcarriers).tolist(), positions.tolist()):
-            users.append(User(cell=cell, subcarrier=sc, position=(x, y)))
-    return Topology(mbs_position=mbs, sbs_positions=sbs, users=users)
+            users[(cell, sc)] = (x, y)
+    return Topology(bs_positions=bs_positions, users=users)
 
 
 def large_scale_gain(distance: float, config: NetworkConfig, shadow_draw: float) -> float:
@@ -184,13 +164,12 @@ def _keyed(links: list, rows) -> dict:
 class LargeScaleFading:
     """Per-link large-scale gains of one drop, as (receiver cell, link) arrays.
 
-    Row r is receiver cell r, column i the i-th entry of `links`
-    (`Topology.links()` order).  `gain` holds beta; `shadowing` holds the
+    Row r is receiver cell r, column i the link at position i in
+    `Topology.links()`.  `gain` holds beta; `shadowing` holds the
     sampled shadowing values, kept so a drop can be reproduced or re-derived
     exactly.
     """
 
-    links: list
     gain: np.ndarray
     shadowing: np.ndarray
 
@@ -207,10 +186,8 @@ def sample_large_scale_fading(
     products run as array operations, `d ** alpha` as a Python float power
     per value (numpy's vector power rounds some values differently).
     """
-    links = topology.links()
-    receivers = np.vstack([topology.mbs_position, topology.sbs_positions])
-    users = np.array([topology.user(cell, sc).position for cell, sc in links])
-    offset = (receivers[:, None, :] - users[None, :, :])[:, :, None, :]
+    users = np.array([topology.users[link] for link in topology.links()])
+    offset = (topology.bs_positions[:, None, :] - users[None, :, :])[:, :, None, :]
     # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
     distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
                           MIN_DISTANCE_M)
@@ -220,7 +197,7 @@ def sample_large_scale_fading(
     alpha = config.path_loss_exponent
     path_loss = np.reshape([d ** alpha for d in distance.ravel().tolist()], distance.shape)
     gain = config.antenna_constant * varsigma / path_loss
-    return LargeScaleFading(links=links, gain=gain, shadowing=varsigma)
+    return LargeScaleFading(gain=gain, shadowing=varsigma)
 
 
 @dataclass

@@ -11,7 +11,6 @@ identities), not absolute curve values.
 import time
 
 import numpy as np
-from scipy import stats
 
 from twotier_ee.baselines import brute_force_global, brute_force_group
 from twotier_ee.config import NetworkConfig
@@ -104,7 +103,10 @@ def test_criterion_3_convergence_within_level_count(verdict):
 def test_criterion_4_fairness_paired_comparison(verdict):
     # paired drops, evolutionary vs best-response: the evolutionary Jain
     # index must win at least 80 of 100 drops and be greater in the mean
-    # with one-sided 95% confidence
+    # with one-sided 95% confidence; scipy is imported here so that, without
+    # it, only this criterion fails and the other seven still collect and run
+    from scipy import stats
+
     t0 = time.perf_counter()
     config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6,
                            rng_seed=0)

@@ -10,7 +10,7 @@ from twotier_ee.egt import EgtResult, GameState, egt_step, new_games, run_algori
 from twotier_ee.linklevel import (
     LinkContext, build_combiners, compute_link_metrics, sample_link_context,
 )
-from twotier_ee.topology import ChannelRealization, LargeScaleFading, Topology, User
+from twotier_ee.topology import ChannelRealization, LargeScaleFading, Topology
 
 
 def cfg(**kw):
@@ -30,15 +30,12 @@ def manual_two_player_context(channels, config):
     receiver in link order; the large-scale arrays are placeholders because
     the link-level math reads only the channels.
     """
-    users = [User(cell=0, subcarrier=0, position=(100.0, 0.0)),
-             User(cell=1, subcarrier=0, position=(520.0, 0.0))]
-    topo = Topology(mbs_position=np.zeros(2),
-                    sbs_positions=np.array([[500.0, 0.0]]),
-                    users=users)
+    topo = Topology(bs_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
+                    users={(0, 0): (100.0, 0.0), (1, 0): (520.0, 0.0)})
     links = topo.links()
     ch = ChannelRealization(links=links, blocks=[
         np.array([channels[(rx, c)] for c, _ in links], dtype=complex) for rx in (0, 1)])
-    fading = LargeScaleFading(links=links, gain=np.ones((2, 2)), shadowing=np.ones((2, 2)))
+    fading = LargeScaleFading(gain=np.ones((2, 2)), shadowing=np.ones((2, 2)))
     return LinkContext(config=config, topology=topo, fading=fading,
                        channels=ch, gains=build_combiners(topo, ch, config.noise_power))
 

@@ -207,9 +207,8 @@ class TestSweep:
                                     scenario_rng(seed))
         ctx_b = sample_link_context(config_for_value(config, "noise_psd_dbm_per_hz", -174),
                                     scenario_rng(seed))
-        pos_a = [u.position for u in ctx_a.topology.users]
-        pos_b = [u.position for u in ctx_b.topology.users]
-        assert pos_a == pos_b
+        assert list(ctx_a.topology.users.items()) == list(ctx_b.topology.users.items())
+        assert np.array_equal(ctx_a.topology.bs_positions, ctx_b.topology.bs_positions)
         rows = sweep(spec, SweepSpec("noise_psd_dbm_per_hz", (-194, -174)))
         assert [r.value for r in rows] == [-194.0, -174.0]
         assert all(r.n_drops == 2 for r in rows)

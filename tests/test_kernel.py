@@ -34,7 +34,7 @@ from twotier_ee.egt import egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     batch_ee, build_combiners, compute_link_metrics, mrc_combiner, sample_link_context, sinr,
 )
-from twotier_ee.topology import ChannelRealization, Topology, User
+from twotier_ee.topology import ChannelRealization, Topology
 
 # oracle runs in the property test are capped so that one example stays cheap
 _ORACLE_CAP = 4096
@@ -532,11 +532,9 @@ class TestStackedGainTable:
     @pytest.mark.parametrize("leak_scale", [1.0, 1e160])   # 1e160: |a^H g|^2 overflows
     def test_hand_built_two_player_table_equals_reference(self, leak_scale):
         # two cells sharing subcarrier 0; the macro cell alone on subcarrier 2
-        users = [User(cell=0, subcarrier=0, position=(100.0, 0.0)),
-                 User(cell=0, subcarrier=2, position=(0.0, 80.0)),
-                 User(cell=1, subcarrier=0, position=(520.0, 0.0))]
-        topology = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[500.0, 0.0]]),
-                            users=users)
+        topology = Topology(bs_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
+                            users={(0, 0): (100.0, 0.0), (0, 2): (0.0, 80.0),
+                                   (1, 0): (520.0, 0.0)})
         rng = np.random.default_rng(20170607)
         links = topology.links()
         channels = ChannelRealization(links=links, blocks=[

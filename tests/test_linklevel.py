@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -257,8 +258,13 @@ class TestMetrics:
         extra[(99, 99)] = 0.01
         with pytest.raises(ValueError, match="extra"):
             validate_power_profile(ctx, extra)
-        bad = dict(profile)
-        bad[ctx.topology.links()[0]] = 0.0
-        with pytest.raises(ValueError, match="power"):
-            validate_power_profile(ctx, bad)
+        link = ctx.topology.links()[0]
+        for p in (0.0, -0.01, math.nan, math.inf, -math.inf):
+            bad = dict(profile)
+            bad[link] = p
+            message = re.escape(f"power {p} on link {link} is not finite and > 0")
+            with pytest.raises(ValueError, match=message):
+                validate_power_profile(ctx, bad)
+            with pytest.raises(ValueError, match=message):
+                compute_link_metrics(ctx, bad)
 

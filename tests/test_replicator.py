@@ -109,6 +109,20 @@ class TestIntegration:
             integrate_replicator([0.5, 0.5], payoff, dt=0.0)
         with pytest.raises(ValueError):
             integrate_replicator([0.5, 0.5], payoff, horizon=-1.0)
+        for shares in ([np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="has negative or non-finite entries"):
+                integrate_replicator(shares, payoff)
+        for bad_payoff in (constant_payoffs([np.nan, 1.0]), constant_payoffs([1.0, np.inf]),
+                           constant_payoffs([1.0, 2.0, 3.0]), lambda x: 1.0):
+            with pytest.raises(ValueError, match=r"payoff_fn returned .* at shares \[0\.5, 0\.5\], "
+                                                 r"t = 0; need 2 finite payoffs"):
+                integrate_replicator([0.5, 0.5], bad_payoff)
+        # a payoff that turns NaN mid-run is caught at that step
+        def late_nan(x):
+            return np.array([1.0, np.nan]) if x[0] > 0.6 else np.array([2.0, 1.0])
+
+        with pytest.raises(ValueError, match=r"payoff_fn returned \[1\.0, nan\]"):
+            integrate_replicator([0.5, 0.5], late_nan)
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="dt must be finite"):
                 integrate_replicator([0.5, 0.5], payoff, dt=bad)

@@ -9,7 +9,7 @@ from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 from twotier_ee.topology import (
-    MIN_DISTANCE_M, PlacementError, Topology, User, draw_shadowing, large_scale_gain,
+    MIN_DISTANCE_M, PlacementError, Topology, draw_shadowing, large_scale_gain,
     sample_channels, sample_large_scale_fading, sample_topology,
 )
 
@@ -24,7 +24,7 @@ class TestSampleTopology:
     def test_counts_and_uniqueness(self):
         config = cfg()
         topo = sample_topology(config, np.random.default_rng(0))
-        assert topo.n_small_cells == 2
+        assert topo.bs_positions.shape == (3, 2)
         assert topo.n_cells == 3
         assert len(topo.users) == 3 * 6
         links = topo.links()
@@ -39,23 +39,25 @@ class TestSampleTopology:
         config = cfg(n_small_cells=3, n_subcarriers=8, n_users_per_cell=4)
         for seed in range(300):
             topo = sample_topology(config, np.random.default_rng(seed))
-            assert np.allclose(topo.mbs_position, 0.0)
-            for p in topo.sbs_positions:
+            assert topo.bs_positions.shape == (4, 2)
+            assert np.allclose(topo.bs_positions[0], 0.0)
+            sbs = topo.bs_positions[1:]
+            for p in sbs:
                 assert np.linalg.norm(p) <= config.macro_radius + 1e-9
-            for i in range(len(topo.sbs_positions)):
-                for j in range(i + 1, len(topo.sbs_positions)):
-                    d = np.linalg.norm(topo.sbs_positions[i] - topo.sbs_positions[j])
+            for i in range(len(sbs)):
+                for j in range(i + 1, len(sbs)):
+                    d = np.linalg.norm(sbs[i] - sbs[j])
                     assert d >= 2.0 * config.small_radius - 1e-9
-            for u in topo.users:
-                center = topo.bs_position(u.cell)
-                radius = config.macro_radius if u.cell == 0 else config.small_radius
-                assert np.linalg.norm(np.asarray(u.position) - center) <= radius + 1e-9
+            for (cell, _), position in topo.users.items():
+                center = topo.bs_positions[cell]
+                radius = config.macro_radius if cell == 0 else config.small_radius
+                assert np.linalg.norm(np.asarray(position) - center) <= radius + 1e-9
 
     def test_determinism(self):
         config = cfg()
         a = sample_topology(config, np.random.default_rng(42))
         b = sample_topology(config, np.random.default_rng(42))
-        assert np.array_equal(a.sbs_positions, b.sbs_positions)
+        assert np.array_equal(a.bs_positions, b.bs_positions)
         assert a.users == b.users
 
     def test_overconstrained_placement_raises(self):
@@ -81,7 +83,7 @@ class TestSampleTopology:
         for sc in range(6):
             group = topo.cells_on(sc)
             assert isinstance(group, tuple)
-            assert group == tuple(sorted(u.cell for u in topo.users if u.subcarrier == sc))
+            assert group == tuple(sorted(cell for cell, s in topo.users if s == sc))
             assert topo.cells_on(sc) is group
         assert any(topo.cells_on(sc) == () for sc in range(6))
 
@@ -98,12 +100,15 @@ class TestSampleTopology:
         fraction = hits / (n_drops * 6)
         assert fraction == pytest.approx(0.125, abs=0.01)
 
-    def test_duplicate_link_rejected(self):
-        users = [User(cell=0, subcarrier=0, position=(1.0, 2.0)),
-                 User(cell=0, subcarrier=0, position=(3.0, 4.0))]
-        with pytest.raises(ValueError):
-            Topology(mbs_position=np.zeros(2), sbs_positions=np.zeros((0, 2)),
-                     users=users)
+    def test_has_user_is_membership_in_links(self):
+        for seed, config in enumerate([cfg(), cfg(n_users_per_cell=2),
+                                       cfg(n_small_cells=3, n_subcarriers=5, n_users_per_cell=3),
+                                       cfg(n_small_cells=0, n_subcarriers=1, n_users_per_cell=1)]):
+            topo = sample_topology(config, np.random.default_rng(seed))
+            links = set(topo.links())
+            for cell in range(config.n_cells + 1):
+                for sc in range(config.n_subcarriers + 1):
+                    assert topo.has_user(cell, sc) == ((cell, sc) in links)
 
 
 class TestLargeScaleGain:
@@ -166,8 +171,7 @@ class TestFadingAndChannels:
         rng = np.random.default_rng(11)
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
-        assert fading.links == topo.links()
-        assert fading.gain.shape == (3, len(topo.links()))
+        assert fading.gain.shape == fading.shadowing.shape == (3, len(topo.links()))
         assert (fading.gain > 0).all()
 
     def test_beta_consistent_with_distance_and_shadow(self):
@@ -177,8 +181,8 @@ class TestFadingAndChannels:
         fading = sample_large_scale_fading(topo, config, rng)
         for rx in range(topo.n_cells):
             for i, (c, sc) in enumerate(topo.links()):
-                user = topo.user(c, sc)
-                d = max(np.linalg.norm(topo.bs_position(rx) - np.asarray(user.position)), 1.0)
+                user = np.asarray(topo.users[(c, sc)])
+                d = max(np.linalg.norm(topo.bs_positions[rx] - user), 1.0)
                 expected = config.antenna_constant * fading.shadowing[rx, i] / d ** 3.8
                 assert fading.gain[rx, i] == pytest.approx(expected, rel=1e-12)
 
@@ -248,25 +252,24 @@ def reference_topology(config, rng):
         candidate = reference_point_in_disc(mbs, config.macro_radius, rng)
         if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
             sbs.append(candidate)
-    sbs_positions = np.array(sbs) if sbs else np.zeros((0, 2))
-    users = []
+    bs_positions = np.array([mbs, *sbs])
+    users = {}
     for cell in range(config.n_cells):
-        center = mbs if cell == 0 else sbs_positions[cell - 1]
+        center = bs_positions[cell]
         radius = config.macro_radius if cell == 0 else config.small_radius
         subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
         for sc in np.sort(subcarriers):
             pos = reference_point_in_disc(center, radius, rng)
-            users.append(User(cell=cell, subcarrier=int(sc), position=(pos[0], pos[1])))
-    return Topology(mbs_position=mbs, sbs_positions=sbs_positions, users=users)
+            users[(cell, int(sc))] = (pos[0], pos[1])
+    return Topology(bs_positions=bs_positions, users=users)
 
 
 def reference_fading(topology, config, rng):
     beta, shadow = {}, {}
     for receiver in range(topology.n_cells):
-        rx_pos = topology.bs_position(receiver)
+        rx_pos = topology.bs_positions[receiver]
         for cell, sc in topology.links():
-            user = topology.user(cell, sc)
-            distance = float(np.linalg.norm(rx_pos - np.asarray(user.position)))
+            distance = float(np.linalg.norm(rx_pos - np.asarray(topology.users[(cell, sc)])))
             varsigma = float(10.0 ** (rng.normal(0.0, config.shadowing_std_db) / 10.0))
             shadow[(receiver, cell, sc)] = varsigma
             beta[(receiver, cell, sc)] = large_scale_gain(
@@ -293,14 +296,13 @@ def by_position(topology, keyed):
 def assert_matches_reference(config, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     topo, ref_topo = sample_topology(config, rng), reference_topology(config, ref_rng)
-    assert topo.users == ref_topo.users
-    assert np.array_equal([u.position for u in topo.users],
-                          [u.position for u in ref_topo.users])
-    assert np.array_equal(topo.sbs_positions, ref_topo.sbs_positions)
+    assert list(topo.users.items()) == list(ref_topo.users.items())
+    assert np.array_equal(list(topo.users.values()), list(ref_topo.users.values()))
+    assert np.array_equal(topo.bs_positions, ref_topo.bs_positions)
     links = topo.links()
     fading = sample_large_scale_fading(topo, config, rng)
     ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
-    assert fading.links == links
+    assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
     assert fading.gain.tolist() == by_position(topo, ref_beta)
     assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
     channels = sample_channels(topo, fading, config, rng)
@@ -341,9 +343,8 @@ class TestStreamPreservation:
 
     def test_user_at_its_base_station(self):
         config = cfg(n_small_cells=1, n_subcarriers=1, n_users_per_cell=1)
-        topo = Topology(mbs_position=np.zeros(2), sbs_positions=np.array([[300.0, 400.0]]),
-                        users=[User(cell=0, subcarrier=0, position=(0.0, 0.0)),
-                               User(cell=1, subcarrier=0, position=(300.0, 400.0))])
+        topo = Topology(bs_positions=np.array([[0.0, 0.0], [300.0, 400.0]]),
+                        users={(0, 0): (0.0, 0.0), (1, 0): (300.0, 400.0)})
         fading = sample_large_scale_fading(topo, config, np.random.default_rng(3))
         assert topo.links() == [(0, 0), (1, 0)]   # cell c's user at position c
         for cell in (0, 1):
