@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import linklevel
-from .linklevel import LinkContext, batch_ee
+from .linklevel import LinkContext, batch_ee, ordered_sum
 
 __all__ = [
     "SizeGuardError", "OracleResult", "NgtResult",
@@ -81,8 +81,8 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
     """Enumerate every joint level choice of `links` in lexicographic order.
 
     The objective of a profile is the sum over `groups` (lists of positions
-    in `links`) of each group's summed link EE, added left to right from 0.0
-    exactly as `compute_link_metrics` adds them.  A head is a level choice
+    in `links`) of each group's summed link EE, both sums the `ordered_sum`
+    that `compute_link_metrics` takes.  A head is a level choice
     of every link but the last, taken from one `product` iterator; for each
     head, one inner run steps the last link through the levels and calls
     `sinr` once per link, in link order, on one power list by link position.
@@ -116,13 +116,7 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
         power[:, :, -1] = level_array
         power = power.reshape(-1, len(rows))
         ee = batch_ee(np.reshape(sinrs, power.shape), power, circuit_power)
-        total = np.zeros(len(power))   # 0.0 + x, elementwise
-        for group in groups:
-            group_total = 0.0
-            for j in group:
-                group_total = group_total + ee[:, j]
-            total = total + group_total
-        return total
+        return ordered_sum(ordered_sum(ee[:, j] for j in group) for group in groups)
 
     best, value = _first_max(objective(list(islice(heads, heads_per_chunk)))
                              for _ in range(0, n_profiles // n_levels, heads_per_chunk))
@@ -165,10 +159,9 @@ def brute_force_global(context: LinkContext) -> OracleResult:
             f"global search of {n_levels}^{len(links)} = {total} profiles "
             f"exceeds the 2^20 guard"
         )
-    groups = {}
-    for j, (_, sc) in enumerate(links):
-        groups.setdefault(sc, []).append(j)
-    return _exhaustive(context, links, list(groups.values()))
+    groups = [[context.topology.position((cell, sc)) for cell in context.topology.cells_on(sc)]
+              for sc in context.topology.occupied_subcarriers()]
+    return _exhaustive(context, links, groups)
 
 
 @dataclass

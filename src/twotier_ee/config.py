@@ -50,8 +50,7 @@ class NetworkConfig:
         # (n_cells == 2.5) fails only deep in a drop; bool is an Integral
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _INT_FIELDS and (isinstance(value, bool)
-                                          or not isinstance(value, numbers.Integral)):
+            if f.name in _INT_FIELDS and not _is_integer(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             values = value if f.name in _LIST_FIELDS else (value,)
             if not all(math.isfinite(v) for v in values):
@@ -133,11 +132,13 @@ class NetworkConfig:
         return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) / 10.0) * self.subcarrier_bandwidth_hz
 
 
-_INT_FIELDS = {
-    "n_small_cells", "n_subcarriers", "n_users_per_cell",
-    "n_antennas_mbs", "n_antennas_sbs", "rng_seed",
-}
-_LIST_FIELDS = {"power_levels"}
+def _is_integer(value) -> bool:
+    """An integer count: numpy integers pass, bool (an Integral) does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_INT_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "int"}
+_LIST_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "tuple"}
 _FIELD_NAMES = {f.name for f in fields(NetworkConfig)}
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linklevel
-from .linklevel import LinkContext, batch_ee
+from .linklevel import LinkContext, batch_ee, ordered_sum
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
 
@@ -96,11 +96,7 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     for game in games:
         payoffs = dict(zip(game.players, ee[start:start + len(game.players)]))
         start += len(game.players)
-        # left to right: builtin sum() of floats is compensated from Python 3.12
-        total = 0.0
-        for value in payoffs.values():
-            total += value
-        average = total / len(payoffs)
+        average = ordered_sum(payoffs.values()) / len(payoffs)
         pool = [a for a in range(n_levels) if a not in game.explored]
         switchers = [cell for cell in game.players if payoffs[cell] <= average] if pool else []
         for cell in switchers:

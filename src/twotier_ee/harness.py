@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
-from .config import NetworkConfig
+from .config import _INT_FIELDS, NetworkConfig, _is_integer
 from .egt import new_games, run_algorithm1
 from .linklevel import LinkContext, compute_link_metrics, sample_link_context
 
@@ -30,11 +30,10 @@ __all__ = [
     "trace_path_for",
 ]
 
-ALGORITHMS = ("egt", "ngt", "brute-group", "brute-global")
-SWEEP_PARAMETERS = ("noise_psd_dbm_per_hz", "n_users_per_cell", "n_small_cells")
-
 # stream separators so one child seed feeds independent per-algorithm draws
 _ALGO_CODE = {"egt": 1, "ngt": 2, "brute-group": 3, "brute-global": 4}
+ALGORITHMS = tuple(_ALGO_CODE)
+SWEEP_PARAMETERS = ("noise_psd_dbm_per_hz", "n_users_per_cell", "n_small_cells")
 
 _BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,"
                 "iterations,evaluations,converged")
@@ -46,17 +45,29 @@ def jain_index(values) -> float:
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("jain index of an empty list is undefined")
-    if np.any(v < 0):
-        raise ValueError("jain index requires nonnegative values")
+    if not np.all((v >= 0) & (v < np.inf)):
+        raise ValueError("jain index requires finite nonnegative values")
     denom = float(v.size * np.sum(v * v))
     if denom == 0.0:
         raise ValueError("jain index of an all-zero list is undefined")
     return float(np.sum(v)) ** 2 / denom
 
 
+def _typed(parameter: str, value):
+    """A sweep value as its field's type; an int field also takes an integral float or string."""
+    kind = int if parameter in _INT_FIELDS else float
+    try:
+        if kind is float or isinstance(value, str) or _is_integer(value) or (
+                not isinstance(value, (bool, np.bool_)) and float(value).is_integer()):
+            return kind(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{parameter} value {value!r} is not a valid {kind.__name__}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter and the values to visit."""
+    """One swept parameter and the values to visit, each as its field's type."""
 
     parameter: str
     values: tuple
@@ -68,7 +79,7 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(_typed(self.parameter, v) for v in self.values))
 
 
 @dataclass
@@ -83,23 +94,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        if self.n_drops < 1:
-            raise ValueError("n_drops must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-def config_for_value(config: NetworkConfig, parameter: str, value) -> NetworkConfig:
-    """Base config with one swept field replaced (validated on construction)."""
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"cannot sweep {parameter!r}")
-    kind = int if parameter in ("n_users_per_cell", "n_small_cells") else float
-    try:
-        value = kind(value)
-    except ValueError:
-        raise ValueError(f"{parameter} value {value!r} is not a valid {kind.__name__}") \
-            from None
-    return dataclasses.replace(config, **{parameter: value})
+        for name in ("n_drops", "max_iterations"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def child_seed(rng_seed: int, drop: int) -> int:
@@ -167,14 +166,15 @@ def _run_one(config: NetworkConfig, algorithm: str, seed: int, max_iterations: i
         context, algorithm_rng(seed, algorithm), algorithm, max_iterations)
     metrics = compute_link_metrics(context, profile)
     cell_ee = metrics.cell_totals(config.n_cells)
-    jain = jain_index(cell_ee)
     # an SINR can overflow (a subnormal noise power passes the config check);
     # such a drop is an error, not a row of inf and nan
     for name, value in [("network_ee", metrics.network_ee),
-                        *((f"cell_ee_{k}", v) for k, v in enumerate(cell_ee)),
-                        ("jain", jain)]:
+                        *((f"cell_ee_{k}", v) for k, v in enumerate(cell_ee))]:
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} = {value}")
+    jain = jain_index(cell_ee)
+    if not math.isfinite(jain):
+        raise ValueError(f"non-finite jain = {jain}")
     return dict(network_ee=metrics.network_ee, cell_ee=cell_ee, jain=jain,
                 iterations=iterations, evaluations=evaluations, converged=converged,
                 traces=traces)
@@ -238,7 +238,7 @@ def sweep(spec: ExperimentSpec, grid: SweepSpec) -> list:
     Every value's config is built before the first drop runs, so a value
     that breaks a config invariant fails the sweep up front.
     """
-    configs = [config_for_value(spec.config, grid.parameter, v) for v in grid.values]
+    configs = [dataclasses.replace(spec.config, **{grid.parameter: v}) for v in grid.values]
     rows = []
     for value, config in zip(grid.values, configs):
         records = run_drops(dataclasses.replace(spec, config=config))
@@ -306,6 +306,12 @@ def emit_results(records: list, path) -> Path:
     return trace_path
 
 
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 def parse_results(path) -> list:
     """Read back a results CSV written by emit_results.
 
@@ -328,20 +334,26 @@ def parse_results(path) -> list:
         if len(parts) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, "
                              f"got {len(parts)}")
+
+        def cell(k, convert=int):
+            try:
+                return convert(parts[k])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: column {header[k]}: {exc}") from None
         records.append(RunRecord(
             drop=-1,
-            seed=int(parts[0]),
+            seed=cell(0),
             algorithm=parts[1],
-            n_small_cells=int(parts[2]),
-            n_subcarriers=int(parts[3]),
-            n_users=int(parts[4]),
-            noise_dbm=float(parts[5]),
-            network_ee=float(parts[6]),
-            jain=float(parts[7]),
-            iterations=int(parts[8]),
-            evaluations=int(parts[9]),
-            converged=parts[10] == "true",
-            cell_ee=[float(p) for p in parts[11:]],
+            n_small_cells=cell(2),
+            n_subcarriers=cell(3),
+            n_users=cell(4),
+            noise_dbm=cell(5, float),
+            network_ee=cell(6, float),
+            jain=cell(7, float),
+            iterations=cell(8),
+            evaluations=cell(9),
+            converged=cell(10, _flag),
+            cell_ee=[cell(k, float) for k in range(11, len(parts))],
         ))
     return records
 

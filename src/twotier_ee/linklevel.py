@@ -26,7 +26,7 @@ from .topology import ChannelRealization, LargeScaleFading, Topology, sample_top
 
 __all__ = [
     "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "batch_ee",
-    "compute_link_metrics", "sample_link_context", "validate_power_profile",
+    "ordered_sum", "compute_link_metrics", "sample_link_context", "validate_power_profile",
 ]
 
 
@@ -158,6 +158,17 @@ def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
     return np.log2(1.0 + np.asarray(sinrs)) / (np.asarray(powers) + circuit_power)
 
 
+def ordered_sum(terms):
+    """`terms` added left to right from 0.0, floats or arrays elementwise: the
+    one order of every EE total, so the metrics equal the oracles' objective
+    bit for bit.  Builtin sum() of floats is compensated from Python 3.12.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 @dataclass
 class LinkMetrics:
     """Per-link and aggregate metrics for one power profile on one drop."""
@@ -169,9 +180,8 @@ class LinkMetrics:
     def cell_totals(self, n_cells: int) -> list:
         """Summed EE of each cell 0..n_cells-1, in one pass over `ee`.
 
-        Insertion order puts each cell's links subcarriers ascending, and
-        each total adds them left to right from 0.0: builtin sum() of
-        floats is compensated from Python 3.12.
+        Insertion order puts each cell's links subcarriers ascending, so each
+        total is the `ordered_sum` of its links, interleaved by cell.
         """
         totals = [0.0] * n_cells
         for (cell, _), v in self.ee.items():
@@ -180,8 +190,8 @@ class LinkMetrics:
 
 
 def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
-    """Every link's EE, each co-channel group's and the network's, summed in
-    the fixed order the oracles use: each group's cells ascending, then the
+    """Every link's EE, each co-channel group's and the network's, each an
+    `ordered_sum` as the oracles take it: a group's cells ascending, then the
     group totals, subcarriers ascending.
 
     `profile` maps each (cell, subcarrier) link to its transmit power in
@@ -192,13 +202,9 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     powers = [profile[link] for link in links]
     sinrs = [sinr(context, powers, i) for i in range(len(links))]
     ee = dict(zip(links, batch_ee(sinrs, powers, context.config.circuit_power).tolist()))
-    groups = {}   # subcarrier -> group EE, cells ascending from 0.0
-    for (_, sc), e in ee.items():
-        groups[sc] = groups.get(sc, 0.0) + e
-    total = 0.0
-    for group in groups.values():
-        total += group
-    return LinkMetrics(ee=ee, group_ee=groups, network_ee=total)
+    groups = {sc: ordered_sum(ee[(cell, sc)] for cell in context.topology.cells_on(sc))
+              for sc in context.topology.occupied_subcarriers()}
+    return LinkMetrics(ee=ee, group_ee=groups, network_ee=ordered_sum(groups.values()))
 
 
 def validate_power_profile(context: LinkContext, profile: dict) -> None:

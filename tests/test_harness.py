@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from twotier_ee.baselines import brute_force_global
 from twotier_ee.config import NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.harness import (
-    ALGORITHMS, ExperimentSpec, SweepSpec, algorithm_rng, child_seed, config_for_value,
-    emit_results, emit_sweep, jain_index, parse_results, run_drops,
-    scenario_rng, sweep, trace_path_for,
+    ALGORITHMS, ExperimentSpec, SweepSpec, algorithm_rng, child_seed, emit_results,
+    emit_sweep, jain_index, parse_results, run_drops, scenario_rng, sweep, trace_path_for,
 )
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 
@@ -21,6 +21,10 @@ def cfg(**kw):
                 power_levels=(0.01, 0.1), rng_seed=42)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+ROW_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
+              "evaluations,converged,cell_ee_0\n")
 
 
 class TestJainIndex:
@@ -46,6 +50,9 @@ class TestJainIndex:
             jain_index([1.0, -0.5])
         with pytest.raises(ValueError):
             jain_index([0.0, 0.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                jain_index([bad, 1.0])
 
 
 class TestSeeding:
@@ -80,6 +87,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(config=cfg(), max_iterations=0)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"])
+    @pytest.mark.parametrize("name", ["n_drops", "max_iterations"])
+    def test_counts_must_be_integers(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(config=cfg(), **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = ExperimentSpec(config=cfg(), n_drops=np.int64(2), max_iterations=np.int32(3))
+        assert [r.error for r in run_drops(spec)] == [None, None]
+
     def test_sweep_parameter_whitelisted(self):
         with pytest.raises(ValueError):
             SweepSpec(parameter="macro_radius", values=(1.0,))
@@ -100,13 +118,27 @@ class TestSpecValidation:
         assert [f.name for f in dataclasses.fields(ExperimentSpec)] == \
             ["config", "algorithm", "n_drops", "max_iterations"]
 
-    def test_config_for_value_coerces_types(self):
-        base = cfg()
-        assert config_for_value(base, "n_users_per_cell", 1.0).n_users_per_cell == 1
-        noisy = config_for_value(base, "noise_psd_dbm_per_hz", -184)
-        assert noisy.noise_psd_dbm_per_hz == -184.0
-        with pytest.raises(ValueError):
-            config_for_value(base, "circuit_power", 0.02)
+    def test_sweep_values_take_their_field_type(self):
+        users = SweepSpec("n_users_per_cell", (1.0, "2", np.int64(2)))
+        assert users.values == (1, 2, 2) and all(type(v) is int for v in users.values)
+        noisy = SweepSpec("noise_psd_dbm_per_hz", (-184, "-174", np.float32(-0.5)))
+        assert noisy.values == (-184.0, -174.0, -0.5)
+        assert all(type(v) is float for v in noisy.values)
+        with pytest.raises(ValueError, match="cannot sweep 'circuit_power'"):
+            SweepSpec("circuit_power", (0.02,))
+
+    @pytest.mark.parametrize("value", [1.7, "2.5", True, np.True_, math.nan, math.inf, "nan",
+                                       "abc"])
+    def test_int_field_rejects_non_integral_values(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_users_per_cell value {value!r} is not a valid int")):
+            SweepSpec("n_users_per_cell", (1, value))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "-inf"])
+    def test_non_finite_float_value_reaches_the_config_check(self, value):
+        grid = SweepSpec("noise_psd_dbm_per_hz", (value,))
+        with pytest.raises(ValueError, match="noise_psd_dbm_per_hz must be finite"):
+            sweep(ExperimentSpec(config=cfg()), grid)
 
 
 class TestRunDrops:
@@ -203,9 +235,9 @@ class TestSweep:
         config = cfg()
         spec = ExperimentSpec(config=config, algorithm="egt", n_drops=2)
         seed = child_seed(config.rng_seed, 0)
-        ctx_a = sample_link_context(config_for_value(config, "noise_psd_dbm_per_hz", -194),
+        ctx_a = sample_link_context(dataclasses.replace(config, noise_psd_dbm_per_hz=-194.0),
                                     scenario_rng(seed))
-        ctx_b = sample_link_context(config_for_value(config, "noise_psd_dbm_per_hz", -174),
+        ctx_b = sample_link_context(dataclasses.replace(config, noise_psd_dbm_per_hz=-174.0),
                                     scenario_rng(seed))
         assert list(ctx_a.topology.users.items()) == list(ctx_b.topology.users.items())
         assert np.array_equal(ctx_a.topology.bs_positions, ctx_b.topology.bs_positions)
@@ -330,12 +362,21 @@ class TestEmitAndParse:
         ("time,value\n1,2\n", "unexpected header 'time,value'"),
         ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
          "evaluations,converged,cell_ee_0\n1,egt,1\n", ":2: expected 12 fields, got 3"),
-    ], ids=["empty", "foreign-header", "ragged-row"])
+        *((ROW_HEADER + f"1,egt,1,2,2,-194,1.5,0.9,1,4,{flag},0.75\n",
+           f":2: column converged: expected true or false, got '{flag}'")
+          for flag in ("TRUE", "yes", "1", "")),
+        (ROW_HEADER + "1,egt,1.5,2,2,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column K: invalid literal for int"),
+        (ROW_HEADER + "1,egt,1,2,2,-194,1.5,0.9,1,4,true,x\n",
+         ":2: column cell_ee_0: could not convert string to float: 'x'"),
+    ], ids=["empty", "foreign-header", "ragged-row", "TRUE", "yes", "1", "blank-flag",
+            "fractional-count", "bad-cell"])
     def test_parse_rejects_malformed_files(self, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
             parse_results(bad)
+        assert str(info.value).startswith(f"{bad}:")
 
     @pytest.mark.parametrize("emit, what", [(emit_results, "results"),
                                             (emit_sweep, "sweep table")])
