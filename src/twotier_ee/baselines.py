@@ -55,7 +55,8 @@ def _first_max_rows(values: np.ndarray) -> np.ndarray:
     and index 0: the earliest of equal maxima wins, NaN is never chosen, and
     a row where no value exceeds -inf gives 0.
     """
-    return np.argmax(np.where(np.isnan(values), -math.inf, values), axis=-1)
+    # fmax takes the non-NaN operand, so each NaN becomes -inf and all else stays
+    return np.argmax(np.fmax(values, -math.inf), axis=-1)
 
 
 def _first_max(chunks) -> tuple:
@@ -115,7 +116,8 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
         power[:, :, :-1] = np.reshape(chunk, (len(chunk), 1, len(head_rows)))
         power[:, :, -1] = level_array
         power = power.reshape(-1, len(rows))
-        ee = batch_ee(np.reshape(sinrs, power.shape), power, circuit_power)
+        ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(power.shape), power,
+                      circuit_power)
         return ordered_sum(ordered_sum(ee[:, j] for j in group) for group in groups)
 
     best, value = _first_max(objective(list(islice(heads, heads_per_chunk)))
@@ -190,6 +192,8 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     ascending) on one power list by link position, then `batch_ee` and the
     row-wise first maximum over the (links, levels) block, and the cell's
     moves applied after it.  That is the link-by-link pass, move for move.
+    The start levels are one vector draw, cell-major: the values and
+    generator state of one scalar draw per link (the same stream).
     The result profile keys the links cell-major, as they were visited.
     """
     if max_rounds < 1:
@@ -203,8 +207,8 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     rows = [context.topology.position(link) for link in links]
     # one power list by link position, drawn in cell-major order
     powers = [None] * len(rows)
-    for i in rows:
-        powers[i] = levels[int(rng.integers(n_levels))]
+    for i, level in zip(rows, rng.integers(n_levels, size=len(rows)).tolist()):
+        powers[i] = levels[level]
     batches = [[context.topology.position(link) for link in cell_links]
                for _, cell_links in groupby(links, key=itemgetter(0))]
     rounds = 0
@@ -216,13 +220,13 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
             held = [powers[i] for i in batch]
             # each link's own power steps through the levels, in the power list itself
             sinrs = [sinr(context, powers, i) for i in batch for powers[i] in levels]
-            ee = batch_ee(np.reshape(sinrs, (len(batch), n_levels)), level_array,
-                          circuit_power)
+            ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(len(batch), n_levels),
+                          level_array, circuit_power)
             evaluations += len(sinrs)
-            for i, p, best in zip(batch, held, _first_max_rows(ee).tolist()):
-                powers[i] = levels[best]
-                if levels[best] != p:
-                    changed = True
+            moved = list(map(levels.__getitem__, _first_max_rows(ee).tolist()))
+            for i, p in zip(batch, moved):
+                powers[i] = p
+            changed = changed or moved != held
         if changed:
             rounds += 1
         else:

@@ -47,16 +47,62 @@ def new_games(context: LinkContext, rng: np.random.Generator) -> list:
     """One game per occupied subcarrier, uniformly random initial strategies.
 
     Initialization order is fixed (subcarriers ascending, players ascending)
-    so a given generator state always produces the same games.
+    so a given generator state always produces the same games.  That is
+    `Topology.links()` order, so the levels are one vector draw: the values
+    and generator state of one scalar draw per player (the same stream).
     """
-    n_levels = context.config.n_power_levels
+    topology = context.topology
+    draws = iter(rng.integers(context.config.n_power_levels, size=len(topology.users)).tolist())
     games = []
-    for sc in context.topology.occupied_subcarriers():
-        players = list(context.topology.cells_on(sc))
-        strategy = {cell: int(rng.integers(n_levels)) for cell in players}
+    for sc in topology.occupied_subcarriers():
+        players = list(topology.cells_on(sc))
+        strategy = dict(zip(players, draws))
         games.append(GameState(subcarrier=sc, players=players, strategy=strategy,
                                explored=set(strategy.values())))
     return games
+
+
+def _with_positions(games: list, context: LinkContext) -> list:
+    """(game, its link positions, players ascending) pairs of games on distinct subcarriers."""
+    if len({game.subcarrier for game in games}) != len(games):
+        raise ValueError("games stepped together must sit on distinct subcarriers")
+    position = context.topology.position
+    return [(game, [position((cell, game.subcarrier)) for cell in game.players])
+            for game in games]
+
+
+def _round(active: list, context: LinkContext, rng: np.random.Generator) -> list:
+    """`egt_step` over (game, link positions) pairs: each game's (payoff list, average)."""
+    levels = context.config.power_levels
+    # one power list by link position; links outside the games are never read
+    powers = [None] * len(context.gains)
+    rows = []
+    for game, game_rows in active:
+        for cell, i in zip(game.players, game_rows):
+            powers[i] = levels[game.strategy[cell]]
+        rows += game_rows
+    sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
+    ee = batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
+                  context.config.circuit_power).tolist()
+    stepped = []
+    switches = []   # (game, cell, pool) of every switcher, games then players in order
+    start = 0
+    for game, game_rows in active:
+        payoffs = ee[start:start + len(game_rows)]
+        start += len(game_rows)
+        average = ordered_sum(payoffs) / len(payoffs)
+        pool = [a for a in range(len(levels)) if a not in game.explored]
+        switchers = [cell for cell, v in zip(game.players, payoffs) if v <= average] \
+            if pool else []
+        switches += [(game, cell, pool) for cell in switchers]
+        game.converged = not switchers
+        stepped.append((payoffs, average))
+    if switches:
+        draws = rng.integers([len(pool) for _, _, pool in switches]).tolist()
+        for (game, cell, pool), d in zip(switches, draws):
+            game.strategy[cell] = pool[d]
+            game.explored.add(pool[d])
+    return stepped
 
 
 def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> list:
@@ -70,42 +116,16 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     payoffs read another's powers: every payoff of the round comes from
     one `sinr` call per player (games in the given order, players
     ascending) on one power list by link position and one `batch_ee`,
-    before any game draws.  The draws then go game by game, players
-    ascending.  Returns the `(payoffs, average)` each game acted on, payoffs
-    keyed by cell.
+    before any game draws.  The draws are one vector draw over the round's
+    switchers, games in order and players ascending, and none if nobody
+    switches: the values and generator state of one scalar draw per switch
+    (the same stream).  Returns the `(payoffs, average)` each game acted
+    on, payoffs keyed by cell.
     """
     if any(game.converged for game in games):
         raise ValueError("cannot step a converged game")
-    levels = context.config.power_levels
-    # one power list by link position; links outside `games` are never read
-    powers = [None] * len(context.gains)
-    rows = []
-    for game in games:
-        for cell in game.players:
-            i = context.topology.position((cell, game.subcarrier))
-            powers[i] = levels[game.strategy[cell]]
-            rows.append(i)
-    if len(set(rows)) != len(rows):
-        raise ValueError("games stepped together must sit on distinct subcarriers")
-    sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
-    ee = batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
-                  context.config.circuit_power).tolist()
-    n_levels = context.config.n_power_levels
-    stepped = []
-    start = 0
-    for game in games:
-        payoffs = dict(zip(game.players, ee[start:start + len(game.players)]))
-        start += len(game.players)
-        average = ordered_sum(payoffs.values()) / len(payoffs)
-        pool = [a for a in range(n_levels) if a not in game.explored]
-        switchers = [cell for cell in game.players if payoffs[cell] <= average] if pool else []
-        for cell in switchers:
-            choice = pool[int(rng.integers(len(pool)))]
-            game.strategy[cell] = choice
-            game.explored.add(choice)
-        game.converged = not switchers
-        stepped.append((payoffs, average))
-    return stepped
+    return [(dict(zip(game.players, payoffs)), average) for game, (payoffs, average)
+            in zip(games, _round(_with_positions(games, context), context, rng))]
 
 
 @dataclass
@@ -133,13 +153,14 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
         raise ValueError("max_iterations must be >= 1")
     traces = {g.subcarrier: [] for g in games}
     evaluations = iterations = 0
+    pairs = _with_positions(games, context)   # once per run, not once per round
     for _ in range(max_iterations):
-        active = [g for g in games if not g.converged]
+        active = [pair for pair in pairs if not pair[0].converged]
         if not active:
             break
         iterations += 1
-        for game, (_, average) in zip(active, egt_step(active, context, rng)):
-            evaluations += len(game.players)
+        for (game, _), (payoffs, average) in zip(active, _round(active, context, rng)):
+            evaluations += len(payoffs)
             traces[game.subcarrier].append(average)
     profile = _profile(games, context.config.power_levels)
     return EgtResult(profile=profile, traces=traces, iterations=iterations,

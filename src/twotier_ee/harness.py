@@ -312,6 +312,30 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
+def _algorithm(text: str) -> str:
+    if text not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {text!r}; choose from {ALGORITHMS}")
+    return text
+
+
+def _count(low: int):
+    """Parser of an integer column whose values are at least `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _jain(text: str) -> float:
+    """A Jain index in (0, 1], with room for rounding, or NaN from a failed drop."""
+    value = float(text)
+    if not (math.isnan(value) or 0.0 < value <= 1.0 + 1e-12):
+        raise ValueError(f"expected NaN or a value in (0, 1], got {text}")
+    return value
+
+
 def parse_results(path) -> list:
     """Read back a results CSV written by emit_results.
 
@@ -343,15 +367,15 @@ def parse_results(path) -> list:
         records.append(RunRecord(
             drop=-1,
             seed=cell(0),
-            algorithm=parts[1],
-            n_small_cells=cell(2),
-            n_subcarriers=cell(3),
-            n_users=cell(4),
+            algorithm=cell(1, _algorithm),
+            n_small_cells=cell(2, _count(0)),
+            n_subcarriers=cell(3, _count(1)),
+            n_users=cell(4, _count(1)),
             noise_dbm=cell(5, float),
             network_ee=cell(6, float),
-            jain=cell(7, float),
-            iterations=cell(8),
-            evaluations=cell(9),
+            jain=cell(7, _jain),
+            iterations=cell(8, _count(0)),
+            evaluations=cell(9, _count(0)),
             converged=cell(10, _flag),
             cell_ee=[cell(k, float) for k in range(11, len(parts))],
         ))

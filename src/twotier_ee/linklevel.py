@@ -16,13 +16,13 @@ subcarrier) appears only at the boundary of the algorithms and metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .config import NetworkConfig
-from .topology import ChannelRealization, LargeScaleFading, Topology, sample_topology, \
-    sample_large_scale_fading, sample_channels
+from .topology import _TEMP_BYTES, ChannelRealization, LargeScaleFading, Topology, \
+    sample_topology, sample_large_scale_fading, sample_channels
 
 __all__ = [
     "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "batch_ee",
@@ -35,12 +35,14 @@ def mrc_combiner(g: np.ndarray) -> np.ndarray:
 
     `g` is one channel vector or a stack of them, one per row; each row is
     normalized on its own.  The norm is the one `np.linalg.norm` computes,
-    sqrt(re . re + im . im), bit for bit.
+    sqrt(re . re + im . im), bit for bit.  numpy divides complex by real via
+    the reciprocal (Smith's method), so `g * (1 / norm)` is `g / norm` bit for
+    bit but for the sign of a 0 part, and about 3x faster.
     """
     norm = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
     if np.any(norm == 0):
         raise ValueError("cannot build a combiner for an all-zero channel")
-    return g / norm[..., None]
+    return g * (1.0 / norm)[..., None]
 
 
 def _abs2(z: np.ndarray) -> list:
@@ -71,10 +73,11 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
     The links are grouped by serving cell, whose receiver sees them all.
     The channel block rows follow `topology.links()`, sorted by (subcarrier,
     cell), so one mask picks a cell's interfering rows already in table
-    order.  The rows are gathered from the receiver's block by index and
-    every product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses,
-    so the table is bit-identical to one built link by link.  A matrix-vector
-    product (`G @ a.conj()`) or `einsum` sums in another order and is not.
+    order.  The rows are gathered from the receiver's block by index, in runs
+    under _TEMP_BYTES, and every product a^H g is one `np.vecdot` row, the
+    BLAS dot `np.vdot` uses, so the table is bit-identical to one built link
+    by link.  A matrix-vector product (`G @ a.conj()`) or `einsum` sums in
+    another order and is not.
     """
     links = topology.links()
     cells = np.array([cell for cell, _ in links])
@@ -96,10 +99,15 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
         # (subcarrier, other cell) ascending, and the served row each one leaks into
         leak_rows = np.flatnonzero((into >= 0) & (cells != cell))
         into = into[leak_rows]
-        leaked = zip(leak_rows.tolist(), _abs2(np.vecdot(a[into], block[leak_rows])))
-        counts = np.bincount(into, minlength=len(served)).tolist()
-        for i, (row, n) in enumerate(zip(own_rows.tolist(), counts)):
-            table[row] = (own[i], tuple(islice(leaked, n)), noise[i])
+        step = max(1, _TEMP_BYTES // block.itemsize // block.shape[1])
+        leaked = list(zip(leak_rows.tolist(), [
+            gain for start in range(0, len(leak_rows), step)
+            for gain in _abs2(np.vecdot(a[into[start:start + step]],
+                                        block[leak_rows[start:start + step]]))]))
+        ends = list(accumulate(np.bincount(into, minlength=len(served)).tolist()))
+        for row, own_gain, start, end, noise_gain in zip(own_rows.tolist(), own, [0] + ends,
+                                                         ends, noise):
+            table[row] = (own_gain, tuple(leaked[start:end]), noise_gain)
     return table
 
 
@@ -198,23 +206,27 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     watts.  One `sinr` call per link position, then one `batch_ee` over all.
     """
     validate_power_profile(context, profile)
-    links = context.topology.links()
+    topology = context.topology
+    links = topology.links()
     powers = [profile[link] for link in links]
     sinrs = [sinr(context, powers, i) for i in range(len(links))]
-    ee = dict(zip(links, batch_ee(sinrs, powers, context.config.circuit_power).tolist()))
-    groups = {sc: ordered_sum(ee[(cell, sc)] for cell in context.topology.cells_on(sc))
-              for sc in context.topology.occupied_subcarriers()}
-    return LinkMetrics(ee=ee, group_ee=groups, network_ee=ordered_sum(groups.values()))
+    values = batch_ee(sinrs, powers, context.config.circuit_power).tolist()
+    # links() runs by subcarrier, cells ascending: each group is the next run of values
+    runs = iter(values)
+    groups = {sc: ordered_sum(islice(runs, len(topology.cells_on(sc))))
+              for sc in topology.occupied_subcarriers()}
+    return LinkMetrics(ee=dict(zip(links, values)), group_ee=groups,
+                       network_ee=ordered_sum(groups.values()))
 
 
 def validate_power_profile(context: LinkContext, profile: dict) -> None:
     """Profile must cover exactly the active links with finite positive powers."""
-    links = set(context.topology.links())
-    keys = set(profile)
-    if keys != links:
-        missing = sorted(links - keys)
-        extra = sorted(keys - links)
+    links = context.topology.users.keys()
+    if profile.keys() != links:
+        missing = sorted(links - profile.keys())
+        extra = sorted(profile.keys() - links)
         raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
+    inf = np.inf
     for link, p in profile.items():
-        if not 0.0 < p < np.inf:
+        if not 0.0 < p < inf:
             raise ValueError(f"power {p} on link {link} is not finite and > 0")

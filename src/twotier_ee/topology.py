@@ -29,6 +29,10 @@ MIN_DISTANCE_M = 1.0
 # attempts for the non-overlapping SBS placement before giving up
 _PLACEMENT_RETRY_CAP = 10_000
 
+# largest temporary per step of the channel draws and gain-table gathers: under the
+# 128 KiB above which glibc maps, and page-faults, fresh memory for every allocation
+_TEMP_BYTES = 1 << 16
+
 
 class PlacementError(RuntimeError):
     """Geometry could not be sampled (overconstrained configuration)."""
@@ -50,8 +54,9 @@ class Topology:
     _positions: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._links = sorted(self.users, key=lambda ks: (ks[1], ks[0]))
-        self._positions = {link: i for i, link in enumerate(self._links)}
+        # by (subcarrier, cell): a stable int-keyed sort of the (cell, subcarrier) order
+        self._links = sorted(sorted(self.users), key=itemgetter(1))
+        self._positions = dict(zip(self._links, range(len(self._links))))
         self._cells_on = {sc: tuple(cell for cell, _ in group)
                           for sc, group in groupby(self._links, key=itemgetter(1))}
 
@@ -108,8 +113,10 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
                 f"in the macro disc after {_PLACEMENT_RETRY_CAP} attempts"
             )
         attempts += 1
-        candidate = _uniform_in_disc(mbs, config.macro_radius, 1, rng)[0]
-        if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
+        candidate = _uniform_in_disc(mbs, config.macro_radius, 1, rng)
+        # distances to every placed centre: stacked (1, 2) @ (2, 1) rounds as np.linalg.norm
+        offset = (candidate - sbs)[:, None, :]
+        if (np.sqrt(offset @ offset.swapaxes(1, 2)) >= 2.0 * config.small_radius).all():
             sbs = np.vstack([sbs, candidate])
 
     bs_positions = np.vstack([mbs, sbs])
@@ -140,9 +147,10 @@ def large_scale_gain(distance: float, config: NetworkConfig, shadow_draw: float)
 def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.ndarray:
     """Log-normal shadowing: 10*log10(value) is N(0, shadowing_std_db^2)."""
     draws = rng.normal(0.0, config.shadowing_std_db, size=size)
-    # a Python float power per value: numpy's vector power rounds some differently
+    # a Python float power per value: numpy's vector power (not / 10) rounds some differently
     try:
-        values = np.reshape([10.0 ** (x / 10.0) for x in draws.ravel().tolist()], draws.shape)
+        values = np.fromiter([10.0 ** x for x in (draws / 10.0).ravel().tolist()], float,
+                             draws.size).reshape(draws.shape)
     except OverflowError:
         raise ValueError(
             f"a shadowing draw of {float(draws.max())!r} dB overflows 10 ** (x / 10); "
@@ -195,7 +203,8 @@ def sample_large_scale_fading(
     # and draw_shadowing rejects a draw that under- or overflows, so every value is > 0
     varsigma = draw_shadowing(config, rng, size=distance.shape)
     alpha = config.path_loss_exponent
-    path_loss = np.reshape([d ** alpha for d in distance.ravel().tolist()], distance.shape)
+    path_loss = np.fromiter([d ** alpha for d in distance.ravel().tolist()], float,
+                            distance.size).reshape(distance.shape)
     gain = config.antenna_constant * varsigma / path_loss
     return LargeScaleFading(gain=gain, shadowing=varsigma)
 
@@ -228,15 +237,23 @@ def sample_channels(
 ) -> ChannelRealization:
     """Draw one Rayleigh realization for every (receiver, user) link.
 
-    Per receiver, one standard-normal block (links(), 2, antennas): real, then imaginary parts.
+    Per receiver, one standard-normal block (links(), 2, antennas): real, then
+    imaginary parts, drawn in runs of rows under _TEMP_BYTES (the same stream).
+    Each part x becomes (x * (1 / sqrt(2))) * sqrt(beta): numpy's complex
+    `/= sqrt(2)` and `*= sqrt(beta)` give those values but for the sign of a 0.
     """
+    scale = 1.0 / np.sqrt(2.0)
     blocks = []
     for receiver, gain in enumerate(fading.gain):
         n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
-        z = rng.standard_normal((len(gain), 2, n_rx))
-        h = z[:, 1] * 1j  # in place from here: one complex block is held at a time
-        h += z[:, 0]
-        h /= np.sqrt(2.0)
-        h *= np.sqrt(gain)[:, None]
+        amplitude = np.sqrt(gain)[:, None]
+        h = np.empty((len(gain), n_rx), complex)
+        step = max(1, _TEMP_BYTES // h.itemsize // n_rx)
+        for start in range(0, len(gain), step):
+            rows = slice(start, start + step)
+            z = rng.standard_normal((len(h[rows]), 2, n_rx))
+            z *= scale
+            np.multiply(z[:, 0], amplitude[rows], out=h[rows].real)
+            np.multiply(z[:, 1], amplitude[rows], out=h[rows].imag)
         blocks.append(h)
     return ChannelRealization(links=topology.links(), blocks=blocks)

@@ -460,6 +460,7 @@ def small_runs(draw):
     return config, draw(st.integers(1, n_levels + 1))
 
 
+@pytest.mark.bitexact
 class TestTrajectoryPreservation:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(run=small_runs(), seed=st.integers(0, 2**32))
@@ -471,3 +472,36 @@ class TestTrajectoryPreservation:
     def test_in_place_round_matches_copying_reference_at_reference_scale(self, seed):
         config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
         assert_matches_reference_run(config, seed, max_iterations=64)
+
+
+@pytest.mark.bitexact
+class TestVectorDrawStream:
+    """The numpy fact behind `new_games`, `egt_step` and `ngt_best_response`: one
+    vector bounded draw gives the values of the scalar draws, in order, and leaves
+    the generator in their state.  PCG64 hands out 32-bit halves from a buffer in
+    the bit generator, so the odd number of scalar draws made first leaves half a
+    word buffered for the draws under test."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bounds=st.lists(st.integers(1, 16), max_size=500),
+           n_first=st.integers(0, 10).map(lambda n: 2 * n + 1), seed=st.integers(0, 2**32))
+    def test_vector_of_bounds_reads_the_scalar_stream(self, bounds, n_first, seed):
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (scalar, vector):
+            for _ in range(n_first):
+                rng.integers(7)
+        expected = [int(scalar.integers(bound)) for bound in bounds]
+        assert vector.integers(np.array(bounds, dtype=np.int64)).tolist() == expected
+        assert scalar.random() == vector.random()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(bound=st.integers(1, 16), size=st.integers(0, 500),
+           n_first=st.integers(0, 10).map(lambda n: 2 * n + 1), seed=st.integers(0, 2**32))
+    def test_sized_draw_reads_the_scalar_stream(self, bound, size, n_first, seed):
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (scalar, vector):
+            for _ in range(n_first):
+                rng.integers(7)
+        expected = [int(scalar.integers(bound)) for _ in range(size)]
+        assert vector.integers(bound, size=size).tolist() == expected
+        assert scalar.random() == vector.random()

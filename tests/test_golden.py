@@ -18,6 +18,8 @@ import pytest
 from twotier_ee.config import load_config
 from twotier_ee.harness import ExperimentSpec, emit_results, run_drops
 
+pytestmark = pytest.mark.bitexact
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 N_DROPS = 10
 

@@ -369,14 +369,38 @@ class TestEmitAndParse:
          ":2: column K: invalid literal for int"),
         (ROW_HEADER + "1,egt,1,2,2,-194,1.5,0.9,1,4,true,x\n",
          ":2: column cell_ee_0: could not convert string to float: 'x'"),
+        (ROW_HEADER + "1,greedy,1,2,2,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column algorithm: unknown algorithm 'greedy'"),
+        (ROW_HEADER + "1,egt,-3,2,2,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column K: expected an integer >= 0, got -3"),
+        (ROW_HEADER + "1,egt,1,0,2,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column N: expected an integer >= 1, got 0"),
+        (ROW_HEADER + "1,egt,1,2,0,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column n_users: expected an integer >= 1, got 0"),
+        (ROW_HEADER + "1,egt,1,2,2,-194,1.5,0.9,-1,4,true,0.75\n",
+         ":2: column iterations: expected an integer >= 0, got -1"),
+        (ROW_HEADER + "1,egt,1,2,2,-194,1.5,0.9,1,-4,true,0.75\n",
+         ":2: column evaluations: expected an integer >= 0, got -4"),
+        *((ROW_HEADER + f"1,egt,1,2,2,-194,1.5,{jain},1,4,true,0.75\n",
+           f":2: column jain: expected NaN or a value in (0, 1], got {jain}")
+          for jain in ("7.0", "1.000000001", "0", "-0.5", "inf")),
     ], ids=["empty", "foreign-header", "ragged-row", "TRUE", "yes", "1", "blank-flag",
-            "fractional-count", "bad-cell"])
+            "fractional-count", "bad-cell", "unknown-algorithm", "negative-K", "zero-N",
+            "zero-users", "negative-iterations", "negative-evaluations", "jain-7",
+            "jain-above-1", "jain-0", "jain-negative", "jain-inf"])
     def test_parse_rejects_malformed_files(self, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)) as info:
             parse_results(bad)
         assert str(info.value).startswith(f"{bad}:")
+
+    def test_parse_accepts_nan_jain_and_rounding_above_one(self, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text(ROW_HEADER + "1,ngt,0,1,1,-194,nan,nan,0,0,false,nan\n"
+                        + "2,brute-group,0,1,1,-194,1.5,1.0000000000001,0,8,true,1.5\n")
+        failed, rounded = parse_results(good)
+        assert math.isnan(failed.jain) and rounded.jain == 1.0000000000001
 
     @pytest.mark.parametrize("emit, what", [(emit_results, "results"),
                                             (emit_sweep, "sweep table")])

@@ -331,6 +331,7 @@ def small_configs(draw):
     )
 
 
+@pytest.mark.bitexact
 class TestStreamPreservation:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(config=small_configs(), seed=st.integers(0, 2**32))
@@ -340,6 +341,12 @@ class TestStreamPreservation:
     @pytest.mark.parametrize("seed", range(5))
     def test_block_sampler_matches_scalar_reference_at_reference_scale(self, seed):
         assert_matches_reference(cfg(), seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_block_sampler_matches_scalar_reference_across_draw_runs(self, seed):
+        # 80 links at 128 macro antennas: the macro block comes in runs of 32, 32 and 16 rows
+        assert_matches_reference(cfg(n_small_cells=3, n_subcarriers=24, n_users_per_cell=20),
+                                 seed)
 
     def test_user_at_its_base_station(self):
         config = cfg(n_small_cells=1, n_subcarriers=1, n_users_per_cell=1)
