@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, islice, product
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 # per-group search refuses above 2^30 profiles, the global search above 2^20
-_GROUP_GUARD_BITS = 30.0
-_GLOBAL_GUARD = 2 ** 20
+_GROUP_GUARD_BITS = 30
+_GLOBAL_GUARD_BITS = 20
 # profiles per batched objective evaluation, which bounds the oracles' memory
 _CHUNK_PROFILES = 4096
 
@@ -78,18 +78,27 @@ def _first_max(chunks) -> tuple:
     return best_index, best_value
 
 
+def _guard(what: str, n_levels: int, n_links: int, bits: int) -> None:
+    """Refuse a search of more than 2^bits profiles, exactly, in integers."""
+    n_profiles = n_levels ** n_links
+    if n_profiles > 2 ** bits:
+        raise SizeGuardError(f"{what} search of {n_levels}^{n_links} = {n_profiles} "
+                             f"profiles exceeds the 2^{bits} guard")
+
+
 def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult:
     """Enumerate every joint level choice of `links` in lexicographic order.
 
     The objective of a profile is the sum over `groups` (lists of positions
     in `links`) of each group's summed link EE, both sums the `ordered_sum`
-    that `compute_link_metrics` takes.  A head is a level choice
-    of every link but the last, taken from one `product` iterator; for each
-    head, one inner run steps the last link through the levels and calls
-    `sinr` once per link, in link order, on one power list by link position.
-    That is the lexicographic order, call for call.  Heads go in chunks of
-    max(1, _CHUNK_PROFILES // L): rate, EE, the sums and the first-maximum
-    pick then run on the chunk's profiles in numpy.
+    that `compute_link_metrics` takes.  A chunk is one flat index range of
+    max(1, _CHUNK_PROFILES // L) runs of L profiles, its (profile, link)
+    power matrix the level array at the range's `np.unravel_index`.  For
+    each run's head (its levels of every link but the last), one inner run
+    steps the last link through the levels and calls `sinr` once per link,
+    in link order, on one power list by link position: the lexicographic
+    order, call for call.  Rate, EE, the sums and the first-maximum pick
+    then run on the chunk in numpy.
     """
     sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
     levels = context.config.power_levels
@@ -102,26 +111,21 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
     *head_rows, last = rows
     # one power list by link position; links outside `links` are never read
     powers = [None] * len(context.gains)
-    heads = product(levels, repeat=len(head_rows))
-    heads_per_chunk = max(1, _CHUNK_PROFILES // n_levels)
+    step = max(1, _CHUNK_PROFILES // n_levels) * n_levels
 
-    def objective(chunk: list) -> np.ndarray:
+    def objective(start: int) -> np.ndarray:
+        flat = np.arange(start, min(start + step, n_profiles))
+        power = level_array[np.stack(np.unravel_index(flat, grid_shape), axis=-1)]
         sinrs = []
-        for head in chunk:
+        for head in power[::n_levels, :-1].tolist():
             for r, p in zip(head_rows, head):
                 powers[r] = p
             sinrs += [sinr(context, powers, r) for powers[last] in levels for r in rows]
-        # profile x link powers of the chunk: each head repeated per level, then the level
-        power = np.empty((len(chunk), n_levels, len(rows)))
-        power[:, :, :-1] = np.reshape(chunk, (len(chunk), 1, len(head_rows)))
-        power[:, :, -1] = level_array
-        power = power.reshape(-1, len(rows))
         ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(power.shape), power,
                       circuit_power)
         return ordered_sum(ordered_sum(ee[:, j] for j in group) for group in groups)
 
-    best, value = _first_max(objective(list(islice(heads, heads_per_chunk)))
-                             for _ in range(0, n_profiles // n_levels, heads_per_chunk))
+    best, value = _first_max(map(objective, range(0, n_profiles, step)))
     best_profile = None
     if best is not None:
         best_profile = dict(zip(links, (levels[int(d)]
@@ -134,13 +138,8 @@ def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
     players = context.topology.cells_on(subcarrier)
     if not players:
         raise ValueError(f"subcarrier {subcarrier} has no users")
-    levels = context.config.power_levels
-    n_levels = len(levels)
     m = len(players)
-    if m * math.log2(n_levels) > _GROUP_GUARD_BITS:
-        raise SizeGuardError(
-            f"group search of {n_levels}^{m} profiles exceeds the 2^30 guard"
-        )
+    _guard("group", context.config.n_power_levels, m, _GROUP_GUARD_BITS)
     links = [(cell, subcarrier) for cell in players]
     return _exhaustive(context, links, [range(m)])
 
@@ -153,14 +152,7 @@ def brute_force_global(context: LinkContext) -> OracleResult:
     each subcarrier's group is a run of consecutive positions.
     """
     links = context.topology.links()
-    levels = context.config.power_levels
-    n_levels = len(levels)
-    total = n_levels ** len(links)
-    if total > _GLOBAL_GUARD:
-        raise SizeGuardError(
-            f"global search of {n_levels}^{len(links)} = {total} profiles "
-            f"exceeds the 2^20 guard"
-        )
+    _guard("global", context.config.n_power_levels, len(links), _GLOBAL_GUARD_BITS)
     groups = [[context.topology.position((cell, sc)) for cell in context.topology.cells_on(sc)]
               for sc in context.topology.occupied_subcarriers()]
     return _exhaustive(context, links, groups)

@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_spec(args, algorithm: str) -> ExperimentSpec:
     config = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError("--seed must be nonnegative")
         config = dataclasses.replace(config, rng_seed=args.seed)
     return ExperimentSpec(config=config, algorithm=algorithm, n_drops=args.drops,
                           max_iterations=args.max_iters)

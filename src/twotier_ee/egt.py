@@ -37,12 +37,6 @@ class GameState:
     converged: bool = False
 
 
-def _profile(games: list, levels: tuple) -> dict:
-    """Power profile over the links of `games`, in game then player order."""
-    return {(cell, game.subcarrier): levels[game.strategy[cell]]
-            for game in games for cell in game.players}
-
-
 def new_games(context: LinkContext, rng: np.random.Generator) -> list:
     """One game per occupied subcarrier, uniformly random initial strategies.
 
@@ -60,49 +54,6 @@ def new_games(context: LinkContext, rng: np.random.Generator) -> list:
         games.append(GameState(subcarrier=sc, players=players, strategy=strategy,
                                explored=set(strategy.values())))
     return games
-
-
-def _with_positions(games: list, context: LinkContext) -> list:
-    """(game, its link positions, players ascending) pairs of games on distinct subcarriers."""
-    if len({game.subcarrier for game in games}) != len(games):
-        raise ValueError("games stepped together must sit on distinct subcarriers")
-    position = context.topology.position
-    return [(game, [position((cell, game.subcarrier)) for cell in game.players])
-            for game in games]
-
-
-def _round(active: list, context: LinkContext, rng: np.random.Generator) -> list:
-    """`egt_step` over (game, link positions) pairs: each game's (payoff list, average)."""
-    levels = context.config.power_levels
-    # one power list by link position; links outside the games are never read
-    powers = [None] * len(context.gains)
-    rows = []
-    for game, game_rows in active:
-        for cell, i in zip(game.players, game_rows):
-            powers[i] = levels[game.strategy[cell]]
-        rows += game_rows
-    sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
-    ee = batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
-                  context.config.circuit_power).tolist()
-    stepped = []
-    switches = []   # (game, cell, pool) of every switcher, games then players in order
-    start = 0
-    for game, game_rows in active:
-        payoffs = ee[start:start + len(game_rows)]
-        start += len(game_rows)
-        average = ordered_sum(payoffs) / len(payoffs)
-        pool = [a for a in range(len(levels)) if a not in game.explored]
-        switchers = [cell for cell, v in zip(game.players, payoffs) if v <= average] \
-            if pool else []
-        switches += [(game, cell, pool) for cell in switchers]
-        game.converged = not switchers
-        stepped.append((payoffs, average))
-    if switches:
-        draws = rng.integers([len(pool) for _, _, pool in switches]).tolist()
-        for (game, cell, pool), d in zip(switches, draws):
-            game.strategy[cell] = pool[d]
-            game.explored.add(pool[d])
-    return stepped
 
 
 def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> list:
@@ -124,8 +75,37 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     """
     if any(game.converged for game in games):
         raise ValueError("cannot step a converged game")
-    return [(dict(zip(game.players, payoffs)), average) for game, (payoffs, average)
-            in zip(games, _round(_with_positions(games, context), context, rng))]
+    if len({game.subcarrier for game in games}) != len(games):
+        raise ValueError("games stepped together must sit on distinct subcarriers")
+    levels = context.config.power_levels
+    position = context.topology.position
+    # one power list by link position; links outside the games are never read
+    powers = [None] * len(context.gains)
+    rows = []
+    for game in games:
+        for cell in game.players:
+            i = position((cell, game.subcarrier))
+            powers[i] = levels[game.strategy[cell]]
+            rows.append(i)
+    sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
+    ee = iter(batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
+                       context.config.circuit_power).tolist())
+    stepped = []
+    switches = []   # (game, cell, pool) of every switcher, games then players in order
+    for game in games:
+        payoffs = dict(zip(game.players, ee))   # the game's run of `ee`, in player order
+        average = ordered_sum(payoffs.values()) / len(payoffs)
+        pool = [a for a in range(len(levels)) if a not in game.explored]
+        switchers = [cell for cell, v in payoffs.items() if v <= average] if pool else []
+        switches += [(game, cell, pool) for cell in switchers]
+        game.converged = not switchers
+        stepped.append((payoffs, average))
+    if switches:
+        draws = rng.integers([len(pool) for _, _, pool in switches]).tolist()
+        for (game, cell, pool), d in zip(switches, draws):
+            game.strategy[cell] = pool[d]
+            game.explored.add(pool[d])
+    return stepped
 
 
 @dataclass
@@ -147,22 +127,24 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
     Games advance in lockstep rounds, ascending subcarrier order inside a
     round, so one seeded generator yields one reproducible trajectory.  A
     converged game drops out of later rounds; its trace keeps the average
-    payoff of every round it actually played.
+    payoff of every round it actually played.  Each round is one `egt_step`
+    over the active games, which rejects games that share a subcarrier.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     traces = {g.subcarrier: [] for g in games}
     evaluations = iterations = 0
-    pairs = _with_positions(games, context)   # once per run, not once per round
     for _ in range(max_iterations):
-        active = [pair for pair in pairs if not pair[0].converged]
+        active = [g for g in games if not g.converged]
         if not active:
             break
         iterations += 1
-        for (game, _), (payoffs, average) in zip(active, _round(active, context, rng)):
+        for game, (payoffs, average) in zip(active, egt_step(active, context, rng)):
             evaluations += len(payoffs)
             traces[game.subcarrier].append(average)
-    profile = _profile(games, context.config.power_levels)
+    levels = context.config.power_levels
+    profile = {(cell, game.subcarrier): levels[game.strategy[cell]]
+               for game in games for cell in game.players}
     return EgtResult(profile=profile, traces=traces, iterations=iterations,
                      converged=all(g.converged for g in games),
                      evaluations=evaluations)

@@ -279,9 +279,9 @@ def emit_results(records: list, path) -> Path:
     records = sorted(records, key=lambda r: (r.drop, r.algorithm))
     lines = []
     if records:
-        n_cells = len(records[0].cell_ee)
-        if any(len(r.cell_ee) != n_cells for r in records):
-            raise ValueError("records with different cell counts cannot share a table")
+        n_cells = records[0].n_small_cells + 1
+        if any(r.n_small_cells + 1 != n_cells or len(r.cell_ee) != n_cells for r in records):
+            raise ValueError("records in one table need one K and K + 1 cell_ee values each")
         header = _BASE_HEADER + "".join(f",cell_ee_{k}" for k in range(n_cells))
     else:
         header = _BASE_HEADER
@@ -339,8 +339,10 @@ def _jain(text: str) -> float:
 def parse_results(path) -> list:
     """Read back a results CSV written by emit_results.
 
-    Traces live in the companion file and are not reloaded; parsed records
-    carry drop=-1 because the drop index is not part of the row schema.
+    The header must be the base columns then cell_ee_0..cell_ee_{n-1}, and
+    each row's K + 1 must be that n.  Traces live in the companion file and
+    are not reloaded; parsed records carry drop=-1 because the drop index is
+    not part of the row schema.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -348,7 +350,8 @@ def parse_results(path) -> list:
         raise ValueError(f"{path}: empty results file")
     header = lines[0].split(",")
     base = _BASE_HEADER.split(",")
-    if header[: len(base)] != base:
+    n_cells = len(header) - len(base)
+    if header != base + [f"cell_ee_{k}" for k in range(n_cells)]:
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -364,9 +367,9 @@ def parse_results(path) -> list:
                 return convert(parts[k])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: column {header[k]}: {exc}") from None
-        records.append(RunRecord(
+        record = RunRecord(
             drop=-1,
-            seed=cell(0),
+            seed=cell(0, _count(0)),
             algorithm=cell(1, _algorithm),
             n_small_cells=cell(2, _count(0)),
             n_subcarriers=cell(3, _count(1)),
@@ -378,7 +381,12 @@ def parse_results(path) -> list:
             evaluations=cell(9, _count(0)),
             converged=cell(10, _flag),
             cell_ee=[cell(k, float) for k in range(11, len(parts))],
-        ))
+        )
+        if record.n_small_cells + 1 != n_cells:
+            raise ValueError(f"{path}:{lineno}: column {header[2]}: K + 1 = "
+                             f"{record.n_small_cells + 1} cells, but the header has "
+                             f"{n_cells} cell_ee columns")
+        records.append(record)
     return records
 
 

@@ -162,12 +162,6 @@ def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.
     return values
 
 
-def _keyed(links: list, rows) -> dict:
-    """{(receiver cell, tx cell, subcarrier): value} over per-receiver rows in `links` order."""
-    return {(receiver, cell, sc): value
-            for receiver, row in enumerate(rows) for (cell, sc), value in zip(links, row)}
-
-
 @dataclass
 class LargeScaleFading:
     """Per-link large-scale gains of one drop, as (receiver cell, link) arrays.
@@ -226,7 +220,8 @@ class ChannelRealization:
 
     @cached_property
     def g(self) -> dict:
-        return _keyed(self.links, self.blocks)
+        return {(receiver, cell, sc): row for receiver, block in enumerate(self.blocks)
+                for (cell, sc), row in zip(self.links, block)}
 
 
 def sample_channels(

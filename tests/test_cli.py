@@ -272,7 +272,7 @@ class TestErrorHandling:
 
     def test_negative_seed_rejected(self, config_file, capsys):
         assert run_cli("simulate", "--config", config_file, "--seed", -1) == 1
-        assert "seed" in capsys.readouterr().err
+        assert "rng_seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_unwritable_output_is_diagnosed(self, config_file, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"

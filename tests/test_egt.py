@@ -1,11 +1,13 @@
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
+from twotier_ee import linklevel
+from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     LinkContext, build_combiners, compute_link_metrics, sample_link_context,
@@ -472,6 +474,60 @@ class TestTrajectoryPreservation:
     def test_in_place_round_matches_copying_reference_at_reference_scale(self, seed):
         config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
         assert_matches_reference_run(config, seed, max_iterations=64)
+
+
+def stepped_run(games, context, rng, max_iterations):
+    """`run_algorithm1` spelt out: the active games through `egt_step`, round by round."""
+    traces = {g.subcarrier: [] for g in games}
+    iterations = evaluations = 0
+    while iterations < max_iterations and (active := [g for g in games if not g.converged]):
+        iterations += 1
+        for game, (payoffs, average) in zip(active, egt_step(active, context, rng)):
+            evaluations += len(payoffs)
+            traces[game.subcarrier].append(average)
+    levels = context.config.power_levels
+    profile = {(cell, g.subcarrier): levels[g.strategy[cell]]
+               for g in games for cell in g.players}
+    return EgtResult(profile=profile, traces=traces, iterations=iterations,
+                     converged=all(g.converged for g in games), evaluations=evaluations)
+
+
+def assert_run_is_stepped_rounds(config, seed, max_iterations):
+    ctx = sample_link_context(config, np.random.default_rng(seed))
+    rng, step_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    result = run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=max_iterations)
+    expected = stepped_run(new_games(ctx, step_rng), ctx, step_rng, max_iterations)
+    assert list(result.profile.items()) == list(expected.profile.items())
+    assert list(result.traces.items()) == list(expected.traces.items())
+    assert result.iterations == expected.iterations
+    assert result.evaluations == expected.evaluations
+    assert result.converged == expected.converged
+    assert rng.random() == step_rng.random()
+
+
+@pytest.mark.bitexact
+class TestRunIsSteppedRounds:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(run=small_runs(), seed=st.integers(0, 2**32))
+    def test_run_equals_egt_step_rounds(self, run, seed):
+        config, max_iterations = run
+        assert_run_is_stepped_rounds(config, seed, max_iterations)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_run_equals_egt_step_rounds_on_reference_config(self, seed):
+        config = load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / "two_cell_reference.cfg")
+        assert_run_is_stepped_rounds(config, seed, max_iterations=64)
+
+    def test_shared_subcarrier_rejected_before_any_sinr_call(self, monkeypatch):
+        ctx = make_context(9)
+        game = new_games(ctx, np.random.default_rng(9))[0]
+        twin = fresh_game(game.players, game.strategy, subcarrier=game.subcarrier)
+        calls, original = [], linklevel.sinr
+        monkeypatch.setattr(linklevel, "sinr", lambda *args: calls.append(args) or original(*args))
+        with pytest.raises(ValueError, match="distinct subcarriers"):
+            run_algorithm1([game, twin], ctx, np.random.default_rng(0))
+        assert calls == []
 
 
 @pytest.mark.bitexact

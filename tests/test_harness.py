@@ -23,8 +23,9 @@ def cfg(**kw):
     return NetworkConfig(**base)
 
 
-ROW_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
-              "evaluations,converged,cell_ee_0\n")
+BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
+               "evaluations,converged")
+ROW_HEADER = BASE_HEADER + ",cell_ee_0\n"
 
 
 class TestJainIndex:
@@ -346,6 +347,12 @@ class TestEmitAndParse:
         with pytest.raises(ValueError):
             emit_results(a + b, tmp_path / "bad.csv")
 
+    def test_cell_count_other_than_k_plus_one_rejected(self, tmp_path):
+        rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=1))
+        short = dataclasses.replace(rec, cell_ee=rec.cell_ee[:-1])
+        with pytest.raises(ValueError, match="K \\+ 1 cell_ee values"):
+            emit_results([short], tmp_path / "bad.csv")
+
     def test_error_records_serialize_as_nan(self, tmp_path):
         spec = ExperimentSpec(
             config=cfg(n_small_cells=5, n_subcarriers=5, n_users_per_cell=1,
@@ -384,10 +391,20 @@ class TestEmitAndParse:
         *((ROW_HEADER + f"1,egt,1,2,2,-194,1.5,{jain},1,4,true,0.75\n",
            f":2: column jain: expected NaN or a value in (0, 1], got {jain}")
           for jain in ("7.0", "1.000000001", "0", "-0.5", "inf")),
+        (BASE_HEADER + ",foo,bar\n1,egt,1,2,2,-194,1.5,0.9,1,4,true,0.75,0.5\n",
+         f"unexpected header '{BASE_HEADER},foo,bar'"),
+        (BASE_HEADER + ",cell_ee_0,cell_ee_1,cell_ee_2\n"
+         "1,egt,1,2,2,-194,1.5,0.9,1,4,true,0.75,0.5,0.25\n",
+         ":2: column K: K + 1 = 2 cells, but the header has 3 cell_ee columns"),
+        (BASE_HEADER + "\n1,egt,1,2,2,-194,1.5,0.9,1,4,true\n",
+         ":2: column K: K + 1 = 2 cells, but the header has 0 cell_ee columns"),
+        (ROW_HEADER + "-1,egt,0,2,2,-194,1.5,0.9,1,4,true,0.75\n",
+         ":2: column seed: expected an integer >= 0, got -1"),
     ], ids=["empty", "foreign-header", "ragged-row", "TRUE", "yes", "1", "blank-flag",
             "fractional-count", "bad-cell", "unknown-algorithm", "negative-K", "zero-N",
             "zero-users", "negative-iterations", "negative-evaluations", "jain-7",
-            "jain-above-1", "jain-0", "jain-negative", "jain-inf"])
+            "jain-above-1", "jain-0", "jain-negative", "jain-inf", "foreign-cell-columns",
+            "K-over-cell-columns", "no-cell-columns", "negative-seed"])
     def test_parse_rejects_malformed_files(self, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
