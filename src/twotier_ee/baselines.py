@@ -21,6 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import linklevel
+from .config import _is_integer
 from .linklevel import LinkContext, batch_ee, ordered_sum
 
 __all__ = [
@@ -188,6 +189,8 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     generator state of one scalar draw per link (the same stream).
     The result profile keys the links cell-major, as they were visited.
     """
+    if not _is_integer(max_rounds):
+        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     sinr = linklevel.sinr   # looked up per run, so a patched sinr is seen

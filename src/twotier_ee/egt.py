@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linklevel
+from .config import _is_integer
 from .linklevel import LinkContext, batch_ee, ordered_sum
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
@@ -130,6 +131,8 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
     payoff of every round it actually played.  Each round is one `egt_step`
     over the active games, which rejects games that share a subcarrier.
     """
+    if not _is_integer(max_iterations):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     traces = {g.subcarrier: [] for g in games}

@@ -341,8 +341,10 @@ def parse_results(path) -> list:
 
     The header must be the base columns then cell_ee_0..cell_ee_{n-1}, and
     each row's K + 1 must be that n.  Traces live in the companion file and
-    are not reloaded; parsed records carry drop=-1 because the drop index is
-    not part of the row schema.
+    are not reloaded.  The drop index is not part of the row schema: a
+    record's `drop` is the number of earlier rows of its algorithm, which is
+    the index `emit_results` sorted it by, so a parsed file, paired
+    algorithms included, re-emits in its own row order.
     """
     path = Path(path)
     lines = path.read_text().splitlines()
@@ -354,6 +356,7 @@ def parse_results(path) -> list:
     if header != base + [f"cell_ee_{k}" for k in range(n_cells)]:
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
     records = []
+    rows_of = Counter()   # algorithm -> rows read so far
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -367,10 +370,11 @@ def parse_results(path) -> list:
                 return convert(parts[k])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: column {header[k]}: {exc}") from None
+        seed, algorithm = cell(0, _count(0)), cell(1, _algorithm)
         record = RunRecord(
-            drop=-1,
-            seed=cell(0, _count(0)),
-            algorithm=cell(1, _algorithm),
+            drop=rows_of[algorithm],
+            seed=seed,
+            algorithm=algorithm,
             n_small_cells=cell(2, _count(0)),
             n_subcarriers=cell(3, _count(1)),
             n_users=cell(4, _count(1)),
@@ -386,6 +390,7 @@ def parse_results(path) -> list:
             raise ValueError(f"{path}:{lineno}: column {header[2]}: K + 1 = "
                              f"{record.n_small_cells + 1} cells, but the header has "
                              f"{n_cells} cell_ee columns")
+        rows_of[algorithm] += 1
         records.append(record)
     return records
 

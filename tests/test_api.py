@@ -4,7 +4,8 @@ Each module's `__all__` must name only attributes the module has, so a
 star import succeeds, and every name the package re-exports must be in its
 defining module's `__all__`.  Deleting a function without its exports, or
 re-exporting a name a module does not declare, fails here.  Importing the
-package must load no third-party module but numpy.
+package must load no third-party module but numpy, and the tests' scalar
+reference (`tests/reference.py`) must import nothing from the package.
 """
 
 import ast
@@ -61,3 +62,15 @@ def test_import_loads_only_stdlib_and_numpy():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert set(proc.stdout.split()) <= {"numpy", "twotier_ee"}
+
+
+def test_reference_imports_nothing_from_the_package():
+    # the reference is the oracle of the bit-exact tests; it must not call the code it checks
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in imported
+    assert [name for name in imported
+            if name.startswith(".") or name.partition(".")[0] == "twotier_ee"] == []

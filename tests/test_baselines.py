@@ -1,5 +1,5 @@
-import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,43 +23,12 @@ def make_context(seed=0, **kw):
     return sample_link_context(cfg(**kw), np.random.default_rng(seed))
 
 
-def enumerate_group(context, subcarrier):
-    """Reference search: list every joint choice with its group EE.
-
-    The other groups' links hold the lowest level; a group's EE reads only
-    its own powers.
-    """
-    players = context.topology.cells_on(subcarrier)
-    levels = context.config.power_levels
-    profile = {link: levels[0] for link in context.topology.links()}
-    out = []
-    for combo in itertools.product(range(len(levels)), repeat=len(players)):
-        profile.update({(c, subcarrier): levels[a] for c, a in zip(players, combo)})
-        out.append((combo, compute_link_metrics(context, profile).group_ee[subcarrier]))
-    return out
-
-
 class TestGroupOracle:
     def test_single_level_is_forced(self):
         ctx = make_context(0, power_levels=(0.02,))
         res = brute_force_group(0, ctx)
         assert res.evaluations == 1
         assert all(p == 0.02 for p in res.profile.values())
-
-    def test_matches_reference_enumeration(self):
-        for seed in range(10):
-            ctx = make_context(seed, power_levels=(0.001, 0.01, 0.1))
-            for sc in ctx.topology.occupied_subcarriers():
-                res = brute_force_group(sc, ctx)
-                table = enumerate_group(ctx, sc)
-                best = max(v for _, v in table)
-                assert res.objective == best
-                winners = [c for c, v in table if v == best]
-                assert len(winners) == 1
-                players = ctx.topology.cells_on(sc)
-                got = tuple(ctx.config.power_levels.index(res.profile[(c, sc)])
-                            for c in players)
-                assert got == winners[0]
 
     def test_evaluations_cover_whole_grid(self):
         ctx = make_context(3)
@@ -185,21 +154,17 @@ class TestBestResponseDynamics:
         assert not capped.converged
         assert capped.rounds == 1
 
-    def test_same_seed_reproduces_run(self):
-        ctx = make_context(13)
-        a = ngt_best_response(ctx, np.random.default_rng(7))
-        b = ngt_best_response(ctx, np.random.default_rng(7))
-        assert a.profile == b.profile
-        assert a.rounds == b.rounds
-        assert a.evaluations == b.evaluations
-
     def test_profile_covers_every_link(self):
         ctx = make_context(14)
         res = ngt_best_response(ctx, np.random.default_rng(14))
         assert set(res.profile) == set(ctx.topology.links())
         assert all(p in ctx.config.power_levels for p in res.profile.values())
 
-    def test_round_cap_must_be_positive(self):
+    @pytest.mark.parametrize("value, message", [
+        (0, "max_rounds must be >= 1"),
+        *((value, f"max_rounds must be an integer, got {value!r}") for value in (True, 2.5, "3")),
+    ])
+    def test_round_cap_must_be_positive(self, value, message):
         ctx = make_context(15)
-        with pytest.raises(ValueError):
-            ngt_best_response(ctx, np.random.default_rng(0), max_rounds=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ngt_best_response(ctx, np.random.default_rng(0), max_rounds=value)

@@ -1,14 +1,15 @@
 import math
-from dataclasses import dataclass, field
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from twotier_ee import linklevel
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
-from twotier_ee.egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
+from twotier_ee.egt import GameState, egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     LinkContext, build_combiners, compute_link_metrics, sample_link_context,
 )
@@ -185,22 +186,6 @@ class TestStepMechanics:
         with pytest.raises(ValueError, match="distinct subcarriers"):
             egt_step([game, twin], ctx, np.random.default_rng(0))
 
-    def test_round_of_all_games_equals_one_game_at_a_time(self):
-        ctx = make_context(10)
-        batched, single = new_games(ctx, np.random.default_rng(10)), \
-            new_games(ctx, np.random.default_rng(10))
-        rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
-        while True:
-            active = [g for g in batched if not g.converged]
-            if not active:
-                break
-            stepped = egt_step(active, ctx, rng)
-            expected = [egt_step([g], ctx, single_rng)[0] for g in single if not g.converged]
-            assert stepped == expected
-            assert [(g.strategy, g.explored, g.converged) for g in batched] == \
-                [(g.strategy, g.explored, g.converged) for g in single]
-        assert rng.random() == single_rng.random()
-
     def test_tried_contains_current_strategy_along_run(self):
         ctx = make_context(10)
         rng = np.random.default_rng(10)
@@ -308,19 +293,6 @@ class TestRunAlgorithm:
         assert set(result.profile) == set(ctx.topology.links())
         assert all(p in ctx.config.power_levels for p in result.profile.values())
 
-    def test_fixed_seed_reproduces_run_exactly(self):
-        ctx = make_context(19)
-
-        def run():
-            rng = np.random.default_rng(99)
-            return run_algorithm1(new_games(ctx, rng), ctx, rng)
-
-        a, b = run(), run()
-        assert a.profile == b.profile
-        assert a.traces == b.traces
-        assert a.iterations == b.iterations
-        assert a.evaluations == b.evaluations
-
     def test_average_payoff_trace_recorded_per_round(self):
         ctx = make_context(20)
         rng = np.random.default_rng(20)
@@ -330,119 +302,59 @@ class TestRunAlgorithm:
         for trace in result.traces.values():
             assert all(np.isfinite(v) and v > 0 for v in trace)
 
-    def test_max_iterations_must_be_positive(self):
+    @pytest.mark.parametrize("value, message", [
+        (0, "max_iterations must be >= 1"),
+        *((value, f"max_iterations must be an integer, got {value!r}")
+          for value in (True, 2.5, "3")),
+    ])
+    def test_max_iterations_must_be_positive(self, value, message):
         ctx = make_context(22)
         rng = np.random.default_rng(22)
-        with pytest.raises(ValueError):
-            run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=0)
-
-
-# Reference EGT: the copy-per-round synchronous step with per-player tried
-# sets, in the order the in-place step must reproduce.  Kept here so the
-# package is checked against it value for value and for the generator state
-# it leaves behind.
-
-@dataclass
-class ReferenceGame:
-    subcarrier: int
-    players: list
-    strategy: dict
-    tried: dict                        # cell -> set of levels that cell has held
-    payoffs: dict = field(default_factory=dict)
-    average_payoff: float = float("nan")
-    iteration: int = 0
-    converged: bool = False
-
-    def profile(self, context):
-        levels = context.config.power_levels
-        return {(cell, self.subcarrier): levels[self.strategy[cell]]
-                for cell in self.players}
-
-
-def reference_new_games(context, rng):
-    n_levels = context.config.n_power_levels
-    games = []
-    for sc in context.topology.occupied_subcarriers():
-        players = context.topology.cells_on(sc)
-        strategy = {cell: int(rng.integers(n_levels)) for cell in players}
-        games.append(ReferenceGame(subcarrier=sc, players=players, strategy=strategy,
-                                   tried={cell: {strategy[cell]} for cell in players}))
-    return games
-
-
-def reference_step(game, context, rng, ee):
-    """One round of `game`; `ee` maps each link to its EE at the round's start."""
-    state = ReferenceGame(subcarrier=game.subcarrier, players=list(game.players),
-                          strategy=dict(game.strategy),
-                          tried={cell: set(s) for cell, s in game.tried.items()},
-                          iteration=game.iteration)
-    state.payoffs = {cell: ee[(cell, state.subcarrier)] for cell in state.players}
-    total = 0.0
-    for value in state.payoffs.values():
-        total += value
-    state.average_payoff = total / len(state.payoffs)
-    explored = set()
-    for tried in state.tried.values():
-        explored |= tried
-    pool = [a for a in range(context.config.n_power_levels) if a not in explored]
-    changed = False
-    for cell in state.players:
-        if state.payoffs[cell] <= state.average_payoff and pool:
-            choice = pool[int(rng.integers(len(pool)))]
-            state.strategy[cell] = choice
-            state.tried[cell].add(choice)
-            changed = True
-    state.converged = not changed
-    state.iteration += 1
-    return state
-
-
-def reference_run(games, context, rng, max_iterations):
-    games = list(games)
-    traces = {g.subcarrier: [] for g in games}
-    evaluations = iterations = 0
-    for _ in range(max_iterations):
-        active = [i for i, g in enumerate(games) if not g.converged]
-        if not active:
-            break
-        iterations += 1
-        # a link's EE reads only its own group's powers, so one evaluation of
-        # the joint profile at the round's start serves every game of the round
-        joint = {}
-        for g in games:
-            joint.update(g.profile(context))
-        ee = compute_link_metrics(context, joint).ee
-        for i in active:
-            games[i] = reference_step(games[i], context, rng, ee)
-            evaluations += len(games[i].players)
-            traces[games[i].subcarrier].append(games[i].average_payoff)
-    profile = {}
-    for g in games:
-        profile.update(g.profile(context))
-    result = EgtResult(profile=profile, traces=traces, iterations=iterations,
-                       converged=all(g.converged for g in games), evaluations=evaluations)
-    return result, games
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=value)
 
 
 def assert_matches_reference_run(config, seed, max_iterations):
     ctx = sample_link_context(config, np.random.default_rng(seed))
+    ref = reference.sample_drop(config, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     games = new_games(ctx, rng)
     result = run_algorithm1(games, ctx, rng, max_iterations=max_iterations)
-    ref, ref_games = reference_run(reference_new_games(ctx, ref_rng), ctx, ref_rng,
-                                   max_iterations)
-    assert list(result.profile.items()) == list(ref.profile.items())
-    assert list(result.traces.items()) == list(ref.traces.items())
-    assert result.iterations == ref.iterations
-    assert result.evaluations == ref.evaluations
-    assert result.converged == ref.converged
+    expected, ref_games = reference.run_egt(ref, ref_rng, max_iterations)
+    assert list(result.profile.items()) == list(expected.profile.items())
+    assert list(result.traces.items()) == list(expected.traces.items())
+    assert result.iterations == expected.iterations
+    assert result.evaluations == expected.evaluations
+    assert result.converged == expected.converged
     assert rng.random() == ref_rng.random()
     # the in-place games end where the reference's copies do
     assert len(games) == len(ref_games)
     for game, ref_game in zip(games, ref_games):
         assert game.strategy == ref_game.strategy
-        assert game.explored == set().union(*ref_game.tried.values())
+        assert game.explored == ref_game.explored()
         assert game.converged == ref_game.converged
+
+
+def assert_rounds_match_reference_steps(config, seed):
+    """Each `egt_step` round, game by game, against the reference's copying step."""
+    ctx = sample_link_context(config, np.random.default_rng(seed))
+    ref = reference.sample_drop(config, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    games, ref_games = new_games(ctx, rng), reference.new_games(ref, ref_rng)
+    while active := [game for game in games if not game.converged]:
+        ref_active = [i for i, game in enumerate(ref_games) if not game.converged]
+        assert [game.subcarrier for game in active] == \
+            [ref_games[i].subcarrier for i in ref_active]
+        for game, (payoffs, average), i in zip(active, egt_step(active, ctx, rng), ref_active):
+            ref_games[i], ref_payoffs, ref_average = reference.egt_step(ref_games[i], ref,
+                                                                        ref_rng)
+            assert list(payoffs.items()) == list(ref_payoffs.items())
+            assert average == ref_average
+            assert game.strategy == ref_games[i].strategy
+            assert game.explored == ref_games[i].explored()
+            assert game.converged == ref_games[i].converged
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert all(game.converged for game in ref_games)
 
 
 @st.composite
@@ -476,48 +388,19 @@ class TestTrajectoryPreservation:
         assert_matches_reference_run(config, seed, max_iterations=64)
 
 
-def stepped_run(games, context, rng, max_iterations):
-    """`run_algorithm1` spelt out: the active games through `egt_step`, round by round."""
-    traces = {g.subcarrier: [] for g in games}
-    iterations = evaluations = 0
-    while iterations < max_iterations and (active := [g for g in games if not g.converged]):
-        iterations += 1
-        for game, (payoffs, average) in zip(active, egt_step(active, context, rng)):
-            evaluations += len(payoffs)
-            traces[game.subcarrier].append(average)
-    levels = context.config.power_levels
-    profile = {(cell, g.subcarrier): levels[g.strategy[cell]]
-               for g in games for cell in g.players}
-    return EgtResult(profile=profile, traces=traces, iterations=iterations,
-                     converged=all(g.converged for g in games), evaluations=evaluations)
-
-
-def assert_run_is_stepped_rounds(config, seed, max_iterations):
-    ctx = sample_link_context(config, np.random.default_rng(seed))
-    rng, step_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    result = run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=max_iterations)
-    expected = stepped_run(new_games(ctx, step_rng), ctx, step_rng, max_iterations)
-    assert list(result.profile.items()) == list(expected.profile.items())
-    assert list(result.traces.items()) == list(expected.traces.items())
-    assert result.iterations == expected.iterations
-    assert result.evaluations == expected.evaluations
-    assert result.converged == expected.converged
-    assert rng.random() == step_rng.random()
-
-
 @pytest.mark.bitexact
 class TestRunIsSteppedRounds:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(run=small_runs(), seed=st.integers(0, 2**32))
-    def test_run_equals_egt_step_rounds(self, run, seed):
-        config, max_iterations = run
-        assert_run_is_stepped_rounds(config, seed, max_iterations)
+    def test_egt_step_rounds_match_reference_steps(self, run, seed):
+        config, _ = run
+        assert_rounds_match_reference_steps(config, seed)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_run_equals_egt_step_rounds_on_reference_config(self, seed):
+    def test_egt_step_rounds_match_reference_steps_on_reference_config(self, seed):
         config = load_config(Path(__file__).resolve().parent.parent / "configs"
                              / "two_cell_reference.cfg")
-        assert_run_is_stepped_rounds(config, seed, max_iterations=64)
+        assert_rounds_match_reference_steps(config, seed)
 
     def test_shared_subcarrier_rejected_before_any_sinr_call(self, monkeypatch):
         ctx = make_context(9)

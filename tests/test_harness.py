@@ -1,14 +1,15 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from twotier_ee import harness
-from twotier_ee.baselines import brute_force_global
-from twotier_ee.config import NetworkConfig
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.harness import (
     ALGORITHMS, ExperimentSpec, SweepSpec, algorithm_rng, child_seed, emit_results,
     emit_sweep, jain_index, parse_results, run_drops, scenario_rng, sweep, trace_path_for,
@@ -143,32 +144,6 @@ class TestSpecValidation:
 
 
 class TestRunDrops:
-    def test_brute_global_record_matches_direct_run(self):
-        spec = ExperimentSpec(config=cfg(), algorithm="brute-global", n_drops=2)
-        for rec in run_drops(spec):
-            assert rec.error is None
-            ctx = sample_link_context(spec.config, scenario_rng(rec.seed))
-            direct = brute_force_global(ctx)
-            metrics = compute_link_metrics(ctx, direct.profile)
-            assert rec.network_ee == metrics.network_ee
-            assert rec.cell_ee == metrics.cell_totals(2)
-            assert rec.jain == jain_index(rec.cell_ee)
-            assert rec.evaluations == direct.evaluations
-            assert rec.converged and rec.iterations == 0 and rec.traces == {}
-
-    def test_egt_record_matches_direct_run(self):
-        spec = ExperimentSpec(config=cfg(), algorithm="egt", n_drops=2)
-        for rec in run_drops(spec):
-            ctx = sample_link_context(spec.config, scenario_rng(rec.seed))
-            rng = algorithm_rng(rec.seed, "egt")
-            direct = run_algorithm1(new_games(ctx, rng), ctx, rng)
-            assert rec.traces == direct.traces
-            assert rec.iterations == direct.iterations
-            assert rec.evaluations == direct.evaluations
-            assert rec.converged == direct.converged
-            metrics = compute_link_metrics(ctx, direct.profile)
-            assert rec.network_ee == metrics.network_ee
-
     def test_metadata_columns_reflect_config(self):
         spec = ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=1)
         rec, = run_drops(spec)
@@ -231,6 +206,65 @@ class TestRunDrops:
         assert seeds["egt"] == seeds["ngt"] == seeds["brute-global"]
 
 
+RECORD_FIELDS = ("seed", "network_ee", "cell_ee", "jain", "iterations", "evaluations",
+                 "converged", "traces")
+
+
+def assert_run_drops_equal_reference(config, algorithm, n_drops, max_iterations=64):
+    records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=n_drops,
+                                       max_iterations=max_iterations))
+    for record in records:
+        assert record.error is None
+        got = {name: getattr(record, name) for name in RECORD_FIELDS}
+        expected = reference.run_drop(config, algorithm, record.drop, max_iterations)
+        assert got == expected
+        assert list(got["traces"]) == list(expected["traces"])
+
+
+@st.composite
+def small_runs(draw):
+    n_subcarriers = draw(st.integers(1, 3))
+    n_levels = draw(st.integers(1, 4))
+    config = NetworkConfig(
+        n_small_cells=draw(st.integers(0, 3)),
+        n_subcarriers=n_subcarriers,
+        n_users_per_cell=draw(st.integers(1, n_subcarriers)),
+        n_antennas_mbs=draw(st.sampled_from([4, 16, 128])),
+        noise_psd_dbm_per_hz=draw(st.floats(-204.0, -154.0)),
+        power_levels=DEFAULT_POWER_LEVELS[::2][:n_levels],
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    # up to L + 1 rounds, so runs cut by the cap are covered as well as settled ones
+    return config, draw(st.integers(1, n_levels + 1))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.bitexact
+class TestRunDropsEqualReference:
+    """`run_drops`, end to end, against the scalar walk of `tests/reference.py`."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(run=small_runs())
+    def test_small_configs(self, run):
+        config, max_iterations = run
+        algorithms = ["egt", "ngt", "brute-group"]
+        n_links = (config.n_small_cells + 1) * config.n_users_per_cell
+        if config.n_power_levels ** n_links <= 4096:
+            algorithms.append("brute-global")
+        for algorithm in algorithms:
+            assert_run_drops_equal_reference(config, algorithm, 2, max_iterations)
+
+    @pytest.mark.parametrize("algorithm", ["egt", "ngt", "brute-group"])
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+    def test_shipped_configs(self, path, algorithm):
+        assert_run_drops_equal_reference(load_config(path), algorithm, 10)
+
+    def test_tiny_config_global_search(self):
+        assert_run_drops_equal_reference(load_config(CONFIGS / "tiny.cfg"), "brute-global", 10)
+
+
 class TestSweep:
     def test_swept_values_share_scenarios(self):
         config = cfg()
@@ -283,7 +317,7 @@ class TestEmitAndParse:
         back = parse_results(out)
         assert len(back) == 3
         for orig, rec in zip(sorted(records, key=lambda r: r.drop), back):
-            assert rec.drop == -1
+            assert rec.drop == orig.drop
             assert rec.seed == orig.seed
             assert rec.algorithm == orig.algorithm
             assert (rec.n_small_cells, rec.n_subcarriers, rec.n_users) == \
@@ -292,12 +326,15 @@ class TestEmitAndParse:
             assert rec.iterations == orig.iterations
             assert rec.evaluations == orig.evaluations
 
-    def test_reemission_of_parsed_records_is_byte_identical(self, tmp_path):
-        # 12 significant digits survive a parse/format cycle unchanged
-        spec = ExperimentSpec(config=cfg(), algorithm="egt", n_drops=3)
+    @pytest.mark.parametrize("algorithms", [("egt",), ("egt", "ngt", "brute-group")])
+    def test_reemission_of_parsed_records_is_byte_identical(self, tmp_path, algorithms):
+        # 12 significant digits survive a parse/format cycle unchanged, and a
+        # paired file keeps its drop-major row order
+        records = [record for algorithm in algorithms for record in
+                   run_drops(ExperimentSpec(config=cfg(), algorithm=algorithm, n_drops=3))]
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        emit_results(run_drops(spec), first)
+        emit_results(records, first)
         emit_results(parse_results(first), second)
         assert first.read_bytes() == second.read_bytes()
 

@@ -41,11 +41,9 @@ def channel(context, receiver, cell, sc):
     return context.channels.blocks[receiver][context.topology.position((cell, sc))]
 
 
-def reference_sinr(context, profile, cell, sc):
-    """Straight-line re-derivation with an unnormalized MRC combiner.
-
-    Uses a = g (not g/||g||); the SINR must agree because it is invariant
-    to combiner scaling.
+def unnormalized_combiner_sinr(context, profile, cell, sc):
+    """A physics check: the SINR with the unnormalized MRC combiner a = g, not
+    g/||g||.  It must agree, because the SINR is invariant to combiner scaling.
     """
     a = channel(context, cell, cell, sc)
     num = profile[(cell, sc)] * abs(np.vdot(a, a)) ** 2
@@ -82,7 +80,7 @@ class TestCombiner:
 
 
 class TestSinr:
-    def test_matches_independent_reference(self):
+    def test_matches_unnormalized_combiner_sinr(self):
         ctx = make_context(2)
         rng = np.random.default_rng(3)
         profile = {link: float(rng.choice(ctx.config.power_levels))
@@ -90,7 +88,7 @@ class TestSinr:
         powers = power_list(ctx, profile)
         for i, (cell, sc) in enumerate(ctx.topology.links()):
             assert sinr(ctx, powers, i) == pytest.approx(
-                reference_sinr(ctx, profile, cell, sc), rel=1e-12)
+                unnormalized_combiner_sinr(ctx, profile, cell, sc), rel=1e-12)
 
     def test_interference_free_closed_form(self):
         ctx = make_context(4, n_small_cells=0, n_subcarriers=2, n_users_per_cell=1)

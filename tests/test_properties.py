@@ -71,3 +71,31 @@ def test_network_ee_is_the_ordered_sum_of_group_ee(config, seed):
     assert metrics.network_ee == ordered_sum(metrics.group_ee.values())
     assert math.isclose(sum(metrics.cell_totals(config.n_cells)), metrics.network_ee,
                         rel_tol=1e-12)
+
+
+@SETTINGS
+@given(config=small_configs(), seed=st.integers(0, 2**32))
+def test_algorithm_profiles_give_finite_nonnegative_metrics(config, seed):
+    ctx = drop(config, seed)
+    rng = np.random.default_rng(seed)
+    oracle = {}
+    for sc in ctx.topology.occupied_subcarriers():
+        oracle.update(brute_force_group(sc, ctx).profile)
+    for profile in (run_algorithm1(new_games(ctx, rng), ctx, rng).profile,
+                    ngt_best_response(ctx, rng).profile, oracle):
+        metrics = compute_link_metrics(ctx, profile)
+        for value in [*metrics.ee.values(), *metrics.group_ee.values(),
+                      *metrics.cell_totals(config.n_cells), metrics.network_ee]:
+            assert 0.0 <= value < math.inf
+
+
+@SETTINGS
+@given(config=small_configs(), seed=st.integers(0, 2**32))
+def test_egt_converges_within_level_count(config, seed):
+    ctx = drop(config, seed)
+    rng = np.random.default_rng(seed)
+    n_levels = config.n_power_levels
+    result = run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=n_levels)
+    assert result.converged
+    assert result.iterations <= n_levels
+    assert all(len(trace) <= n_levels for trace in result.traces.values())

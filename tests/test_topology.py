@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from twotier_ee.baselines import brute_force_group, ngt_best_response
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import new_games, run_algorithm1
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 from twotier_ee.topology import (
-    MIN_DISTANCE_M, PlacementError, Topology, draw_shadowing, large_scale_gain,
+    PlacementError, Topology, draw_shadowing, large_scale_gain,
     sample_channels, sample_large_scale_fading, sample_topology,
 )
 
@@ -52,13 +53,6 @@ class TestSampleTopology:
                 center = topo.bs_positions[cell]
                 radius = config.macro_radius if cell == 0 else config.small_radius
                 assert np.linalg.norm(np.asarray(position) - center) <= radius + 1e-9
-
-    def test_determinism(self):
-        config = cfg()
-        a = sample_topology(config, np.random.default_rng(42))
-        b = sample_topology(config, np.random.default_rng(42))
-        assert np.array_equal(a.bs_positions, b.bs_positions)
-        assert a.users == b.users
 
     def test_overconstrained_placement_raises(self):
         # five SBS discs pairwise >= 200 m apart cannot fit in a 150 m disc
@@ -220,72 +214,6 @@ class TestFadingAndChannels:
         g = ch.blocks[0][0]   # the one link, at the MBS
         assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(fading.gain[0, 0], rel=0.05)
 
-    def test_full_pipeline_determinism(self):
-        config = cfg()
-
-        def run(seed):
-            rng = np.random.default_rng(seed)
-            topo = sample_topology(config, rng)
-            fading = sample_large_scale_fading(topo, config, rng)
-            return sample_channels(topo, fading, config, rng)
-
-        a, b = run(29), run(29)
-        assert len(a.blocks) == len(b.blocks)
-        for block_a, block_b in zip(a.blocks, b.blocks):
-            assert np.array_equal(block_a, block_b)
-
-
-# Reference sampler: one user, one link and one vector at a time, in the order
-# the block draws must reproduce.  Kept here so the block sampler is checked
-# against it value for value and for the generator state it leaves behind.
-
-def reference_point_in_disc(center, radius, rng):
-    r = radius * np.sqrt(rng.uniform())
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return np.asarray(center, dtype=float) + r * np.array([np.cos(theta), np.sin(theta)])
-
-
-def reference_topology(config, rng):
-    mbs = np.zeros(2)
-    sbs = []
-    while len(sbs) < config.n_small_cells:
-        candidate = reference_point_in_disc(mbs, config.macro_radius, rng)
-        if all(np.linalg.norm(candidate - p) >= 2.0 * config.small_radius for p in sbs):
-            sbs.append(candidate)
-    bs_positions = np.array([mbs, *sbs])
-    users = {}
-    for cell in range(config.n_cells):
-        center = bs_positions[cell]
-        radius = config.macro_radius if cell == 0 else config.small_radius
-        subcarriers = rng.choice(config.n_subcarriers, size=config.n_users_per_cell, replace=False)
-        for sc in np.sort(subcarriers):
-            pos = reference_point_in_disc(center, radius, rng)
-            users[(cell, int(sc))] = (pos[0], pos[1])
-    return Topology(bs_positions=bs_positions, users=users)
-
-
-def reference_fading(topology, config, rng):
-    beta, shadow = {}, {}
-    for receiver in range(topology.n_cells):
-        rx_pos = topology.bs_positions[receiver]
-        for cell, sc in topology.links():
-            distance = float(np.linalg.norm(rx_pos - np.asarray(topology.users[(cell, sc)])))
-            varsigma = float(10.0 ** (rng.normal(0.0, config.shadowing_std_db) / 10.0))
-            shadow[(receiver, cell, sc)] = varsigma
-            beta[(receiver, cell, sc)] = large_scale_gain(
-                max(distance, MIN_DISTANCE_M), config, varsigma)
-    return beta, shadow
-
-
-def reference_channels(topology, beta, config, rng):
-    g = {}
-    for receiver in range(topology.n_cells):
-        n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
-        for cell, sc in topology.links():
-            h = (rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)) / np.sqrt(2.0)
-            g[(receiver, cell, sc)] = np.sqrt(beta[(receiver, cell, sc)]) * h
-    return g
-
 
 def by_position(topology, keyed):
     """A reference dict keyed (receiver, cell, subcarrier) as (receiver, link position) rows."""
@@ -295,25 +223,24 @@ def by_position(topology, keyed):
 
 def assert_matches_reference(config, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    topo, ref_topo = sample_topology(config, rng), reference_topology(config, ref_rng)
-    assert list(topo.users.items()) == list(ref_topo.users.items())
-    assert np.array_equal(list(topo.users.values()), list(ref_topo.users.values()))
-    assert np.array_equal(topo.bs_positions, ref_topo.bs_positions)
-    links = topo.links()
+    topo = sample_topology(config, rng)
     fading = sample_large_scale_fading(topo, config, rng)
-    ref_beta, ref_shadow = reference_fading(ref_topo, config, ref_rng)
-    assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
-    assert fading.gain.tolist() == by_position(topo, ref_beta)
-    assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
     channels = sample_channels(topo, fading, config, rng)
-    ref_g = reference_channels(ref_topo, ref_beta, config, ref_rng)
+    ref = reference.sample_drop(config, ref_rng)
+    assert list(topo.users.items()) == list(ref.users.items())
+    assert np.array_equal(list(topo.users.values()), list(ref.users.values()))
+    assert np.array_equal(topo.bs_positions, ref.bs_positions)
+    links = topo.links()
+    assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
+    assert fading.gain.tolist() == by_position(topo, ref.beta)
+    assert fading.shadowing.tolist() == by_position(topo, ref.shadow)
     assert channels.links == links
     assert len(channels.blocks) == topo.n_cells
     for rx, block in enumerate(channels.blocks):
         n_rx = config.n_antennas_mbs if rx == 0 else config.n_antennas_sbs
         assert block.shape == (len(links), n_rx) and block.dtype == np.complex128
         for i, (cell, sc) in enumerate(links):
-            assert np.array_equal(block[i], ref_g[(rx, cell, sc)])
+            assert np.array_equal(block[i], ref.g[(rx, cell, sc)])
     assert rng.random() == ref_rng.random()
 
 
@@ -333,6 +260,8 @@ def small_configs(draw):
 
 @pytest.mark.bitexact
 class TestStreamPreservation:
+    """The block sampler against the one-vector-at-a-time walk of `tests/reference.py`."""
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(config=small_configs(), seed=st.integers(0, 2**32))
     def test_block_sampler_matches_scalar_reference(self, config, seed):
@@ -358,7 +287,8 @@ class TestStreamPreservation:
             assert fading.gain[cell, cell] == large_scale_gain(
                 1.0, config, fading.shadowing[cell, cell])
         assert fading.gain[0, 1] == large_scale_gain(500.0, config, fading.shadowing[0, 1])
-        ref_beta, ref_shadow = reference_fading(topo, config, np.random.default_rng(3))
+        ref_beta, ref_shadow = reference.sample_fading(config, topo.bs_positions, topo.users,
+                                                       np.random.default_rng(3))
         assert fading.gain.tolist() == by_position(topo, ref_beta)
         assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
 
