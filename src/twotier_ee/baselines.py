@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linklevel
 from .config import _is_integer
-from .linklevel import LinkContext, batch_ee, ordered_sum
+from .linklevel import LinkContext, batch_ee, interference, ordered_sum
 
 __all__ = [
     "SizeGuardError", "OracleResult", "NgtResult",
@@ -180,8 +180,9 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     discrete game.
 
     A cell's links sit on distinct subcarriers, so none of them reads
-    another's power: their best responses are taken as one batch per cell,
-    with `sinr` called per link at every level (links, then levels,
+    another's power: their best responses are taken as one batch per cell.
+    Each link's `interference` is summed once from the held powers, then
+    `sinr` is called with it per link at every level (links, then levels,
     ascending) on one power list by link position, then `batch_ee` and the
     row-wise first maximum over the (links, levels) block, and the cell's
     moves applied after it.  That is the link-by-link pass, move for move.
@@ -213,8 +214,10 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
         changed = False
         for batch in batches:
             held = [powers[i] for i in batch]
+            acc = [interference(context, powers, i) for i in batch]
             # each link's own power steps through the levels, in the power list itself
-            sinrs = [sinr(context, powers, i) for i in batch for powers[i] in levels]
+            sinrs = [sinr(context, powers, i, a) for i, a in zip(batch, acc)
+                     for powers[i] in levels]
             ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(len(batch), n_levels),
                           level_array, circuit_power)
             evaluations += len(sinrs)

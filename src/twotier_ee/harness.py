@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
 from .config import _INT_FIELDS, NetworkConfig, _is_integer
 from .egt import new_games, run_algorithm1
-from .linklevel import LinkContext, compute_link_metrics, sample_link_context
+from .linklevel import LinkContext, compute_link_metrics, ordered_sum, sample_link_context
 
 __all__ = [
     "ALGORITHMS", "SWEEP_PARAMETERS", "ExperimentSpec", "SweepSpec", "RunRecord",
@@ -41,16 +41,17 @@ _TRACE_HEADER = "drop,game,iteration,avg_payoff"
 
 
 def jain_index(values) -> float:
-    """Fairness of an allocation: (sum v)^2 / (n * sum v^2), in [1/n, 1]."""
+    """Fairness of an allocation: (sum v)^2 / (n * sum v^2), in [1/n, 1].
+    Both sums are `ordered_sum`s; np.sum adds 8 or more values in another order."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValueError("jain index of an empty list is undefined")
     if not np.all((v >= 0) & (v < np.inf)):
         raise ValueError("jain index requires finite nonnegative values")
-    denom = float(v.size * np.sum(v * v))
+    denom = v.size * ordered_sum((v * v).tolist())
     if denom == 0.0:
         raise ValueError("jain index of an all-zero list is undefined")
-    return float(np.sum(v)) ** 2 / denom
+    return ordered_sum(v.tolist()) ** 2 / denom
 
 
 def _typed(parameter: str, value):

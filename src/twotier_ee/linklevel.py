@@ -11,6 +11,8 @@ one per-drop table of post-combining gains built once from the channels.
 The table and the evaluators' power lists are indexed by link position,
 the index in `Topology.links()`; a power profile dict keyed by (cell,
 subcarrier) appears only at the boundary of the algorithms and metrics.
+A caller that steps one link through the levels with every interferer held
+sums that link's `interference` once and passes it to each `sinr` call.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .topology import _TEMP_BYTES, ChannelRealization, LargeScaleFading, Topolog
     sample_topology, sample_large_scale_fading, sample_channels
 
 __all__ = [
-    "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "batch_ee",
-    "ordered_sum", "compute_link_metrics", "sample_link_context", "validate_power_profile",
+    "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "interference",
+    "batch_ee", "ordered_sum", "compute_link_metrics", "sample_link_context",
+    "validate_power_profile",
 ]
 
 
@@ -136,23 +139,34 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
                        gains=build_combiners(topology, channels, config.noise_power))
 
 
-def sinr(context: LinkContext, powers: list, i: int) -> float:
+def sinr(context: LinkContext, powers: list, i: int, interference: float | None = None) -> float:
     """Post-combining SINR of the user on the link at position `i`.
 
     `powers` holds transmit powers by link position, as `gains` does.
     Interference comes only from co-channel users of other cells; OFDMA
     keeps a cell's own users orthogonal.  Interferers are summed in
-    ascending cell order, so the result is bit-reproducible.
+    ascending cell order, so the result is bit-reproducible.  A caller may
+    pass the link's `interference(context, powers, i)`, which skips the sum.
     """
     own, interferers, noise = context.gains[i]
-    # one by one: a vector sum reorders the additions, and total minus signal
-    # cancels under massive-MIMO gain; either changes the emitted digits
-    interference = 0.0
-    for j, gain in interferers:
-        interference += powers[j] * gain
+    if interference is None:
+        # one by one: a vector sum reorders the additions, and total minus signal
+        # cancels under massive-MIMO gain; either changes the emitted digits.
+        # Inline, not interference(): a second call per evaluation slows the oracles
+        interference = 0.0
+        for j, gain in interferers:
+            interference += powers[j] * gain
     # the config rejects a noise power that is not finite and > 0, and the
     # combiner has unit norm, so the denominator cannot be 0
     return powers[i] * own / (interference + noise)
+
+
+def interference(context: LinkContext, powers: list, i: int) -> float:
+    """The interference that `sinr` sums for link `i`, in the same order."""
+    total = 0.0
+    for j, gain in context.gains[i][1]:
+        total += powers[j] * gain
+    return total
 
 
 def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:

@@ -175,8 +175,8 @@ def cell_ee(drop, profile) -> list:
 
 
 def jain(values) -> float:
-    """(sum v)^2 / (n * sum v^2).  Summed left to right, which is numpy's sum
-    for fewer than 8 values; numpy sums 8 or more in another order."""
+    """(sum v)^2 / (n * sum v^2), both sums left to right at every length
+    (np.sum adds 8 or more values in another order)."""
     return left_sum(values) ** 2 / (len(values) * left_sum(v * v for v in values))
 
 

@@ -264,6 +264,16 @@ class TestRunDropsEqualReference:
     def test_tiny_config_global_search(self):
         assert_run_drops_equal_reference(load_config(CONFIGS / "tiny.cfg"), "brute-global", 10)
 
+    @pytest.mark.parametrize("algorithm", ["egt", "ngt"])
+    @pytest.mark.parametrize("n_small_cells, n_subcarriers, n_users_per_cell",
+                             [(8, 4, 3), (9, 3, 2), (10, 2, 2)])
+    def test_eight_or_more_cells(self, algorithm, n_small_cells, n_subcarriers,
+                                 n_users_per_cell):
+        # long interferer lists, and a Jain index over 9 to 11 cell totals
+        config = NetworkConfig(n_small_cells=n_small_cells, n_subcarriers=n_subcarriers,
+                               n_users_per_cell=n_users_per_cell)
+        assert_run_drops_equal_reference(config, algorithm, 5)
+
 
 class TestSweep:
     def test_swept_values_share_scenarios(self):

@@ -3,7 +3,8 @@
 `sinr` and the EE after it run once per evaluated profile, so they are
 kept on plain float arithmetic.  TestKernelPreservation checks them, the
 metrics' link, group and network EE, and the oracles and best-response
-dynamics built on them, against `tests/reference.py`.  TestBatchedOracle
+dynamics built on them, against `tests/reference.py`, and `sinr` given a
+link's `interference` against `sinr` summing it.  TestBatchedOracle
 checks the oracles' chunked numpy objective and first-maximum pick against
 the reference search, and the vector-equals-scalar `np.log2` it rests on.
 TestBatchedEe checks `batch_ee`, which egt, ngt and the metrics take after
@@ -15,8 +16,8 @@ the channel blocks and laid out by link position with position-keyed
 interferers, against the reference's table, and the numpy rounding facts it
 rests on.
 TestSinrCallSequence pins each `sinr` call's link and the powers it sees
-against the dict-keyed evaluators' order, and the call count the benchmark
-reports.
+against the dict-keyed evaluators' order, any interference passed with it,
+and the call count the benchmark reports.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from twotier_ee import baselines, linklevel
@@ -131,8 +132,37 @@ def small_configs(draw):
     )
 
 
+@st.composite
+def interference_cases(draw):
+    """A drop of 1 to 12 cells, a strictly rising level list and a seed."""
+    n_subcarriers = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=8, unique=True))
+    return NetworkConfig(
+        # one cell gives only single-link groups, 8 or more give long interferer lists
+        n_small_cells=draw(st.integers(0, 11)),
+        n_subcarriers=n_subcarriers,
+        n_users_per_cell=draw(st.integers(1, n_subcarriers)),
+        noise_psd_dbm_per_hz=draw(st.floats(-204.0, -154.0)),
+        power_levels=sorted(levels),
+    ), draw(st.integers(0, 2**32))
+
+
 @pytest.mark.bitexact
 class TestKernelPreservation:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=interference_cases())
+    @example(case=(NetworkConfig(n_small_cells=0, n_subcarriers=3, n_users_per_cell=2), 0))
+    @example(case=(NetworkConfig(n_small_cells=9, n_subcarriers=2, n_users_per_cell=2), 1))
+    def test_passed_interference_equals_the_summed_one(self, case):
+        config, seed = case
+        ctx = sample_link_context(config, np.random.default_rng(seed))
+        levels = config.power_levels
+        picks = np.random.default_rng(seed + 1).integers(len(levels), size=len(ctx.gains))
+        powers = [levels[k] for k in picks.tolist()]
+        for i in range(len(ctx.gains)):
+            passed = sinr(ctx, powers, i, linklevel.interference(ctx, powers, i))
+            assert passed.hex() == sinr(ctx, powers, i).hex()
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(config=small_configs(), seed=st.integers(0, 2**32))
     def test_float_kernel_matches_numpy_scalar_reference(self, config, seed):
@@ -308,9 +338,9 @@ class TestBatchedEe:
         pending, batches = [], []
         sinr_before, batch_ee_before = linklevel.sinr, baselines.batch_ee
 
-        def recording_sinr(context, powers, i):
+        def recording_sinr(context, powers, i, interference=None):
             pending.append(context.topology.links()[i])
-            return sinr_before(context, powers, i)
+            return sinr_before(context, powers, i, interference)
 
         def recording_batch_ee(sinrs, powers, circuit_power):
             batches.append(list(pending))
@@ -497,9 +527,12 @@ def sinr_calls(monkeypatch):
     calls = []
     original = linklevel.sinr
 
-    def recording(context, powers, i):
+    def recording(context, powers, i, interference=None):
         calls.append((i, tuple(powers)))
-        return original(context, powers, i)
+        # a caller's interference is the sum `sinr` would take from these powers
+        if interference is not None:
+            assert interference == linklevel.interference(context, powers, i)
+        return original(context, powers, i, interference)
 
     monkeypatch.setattr(linklevel, "sinr", recording)
     return calls
