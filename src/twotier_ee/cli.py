@@ -20,7 +20,7 @@ import numpy as np
 from .config import load_config
 from .harness import (
     ALGORITHMS, SWEEP_PARAMETERS, ExperimentSpec, SweepSpec,
-    emit_results, emit_sweep, failure_counts, run_drops, sweep, trace_path_for,
+    emit_results, emit_sweep, failure_counts, run_drops, sweep,
 )
 
 __all__ = ["main", "build_parser"]
@@ -100,8 +100,7 @@ def _report_failures(label: str, failures: dict) -> None:
 def _emit(records: list, out: str) -> None:
     if out is None:
         return
-    emit_results(records, out)
-    print(f"wrote {out} and {trace_path_for(out)}")
+    print(f"wrote {out} and {emit_results(records, out)}")
 
 
 def _cmd_simulate(args) -> int:

@@ -45,16 +45,29 @@ class NetworkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
-        # NaN slips past the range checks below, and inf or a fractional count
-        # (n_cells == 2.5) fails only deep in a drop; bool is an Integral
+        # Each field is stored as a Python int, float or tuple of floats, so
+        # format_config writes text that parse_config reads back.  bool is an
+        # Integral and a Real, and neither kind of field takes it.  NaN slips
+        # past the range checks below, and inf or a fractional count
+        # (n_cells == 2.5) fails only deep in a drop.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _INT_FIELDS and not _is_integer(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            values = value if f.name in _LIST_FIELDS else (value,)
-            if not all(math.isfinite(v) for v in values):
+            if f.name in _INT_FIELDS:
+                if not _is_integer(value):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+                typed = int(value)
+            elif f.name in _LIST_FIELDS:
+                try:
+                    items = list(enumerate(value))
+                except TypeError:
+                    raise ConfigError(f"{f.name} must be a sequence of real numbers, "
+                                      f"got {value!r}") from None
+                typed = tuple(_real(f"{f.name}[{i}]", v) for i, v in items)
+            else:
+                typed = _real(f.name, value)
+            if not all(map(math.isfinite, typed if f.name in _LIST_FIELDS else (typed,))):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, typed)
         if not self.macro_radius > self.small_radius > 0:
             raise ConfigError("radii must satisfy macro_radius > small_radius > 0")
         if self.n_small_cells < 0:
@@ -137,6 +150,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _real(name: str, value) -> float:
+    """A float field's value as a Python float; bool, a Real, is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
+
+
 _INT_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "int"}
 _LIST_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "tuple"}
 _FIELD_NAMES = {f.name for f in fields(NetworkConfig)}
@@ -188,16 +211,15 @@ def load_config(path) -> NetworkConfig:
 def format_config(config: NetworkConfig) -> str:
     """Render a config as key-value text that load_config reads back.
 
-    Floats use repr, the shortest exact representation, so a format/parse
-    round trip reproduces the config bit for bit.
+    Every field holds a Python int or float (see __post_init__), and repr
+    of a float is its shortest exact text, so a format/parse round trip
+    reproduces the config bit for bit.
     """
     lines = []
     for f in fields(NetworkConfig):
         value = getattr(config, f.name)
         if f.name in _LIST_FIELDS:
-            lines.append(f"{f.name} = {', '.join(repr(float(v)) for v in value)}")
-        elif f.name in _INT_FIELDS:
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{f.name} = {', '.join(map(repr, value))}")
         else:
             lines.append(f"{f.name} = {value!r}")
     return "\n".join(lines) + "\n"

@@ -35,8 +35,6 @@ _ALGO_CODE = {"egt": 1, "ngt": 2, "brute-group": 3, "brute-global": 4}
 ALGORITHMS = tuple(_ALGO_CODE)
 SWEEP_PARAMETERS = ("noise_psd_dbm_per_hz", "n_users_per_cell", "n_small_cells")
 
-_BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,"
-                "iterations,evaluations,converged")
 _TRACE_HEADER = "drop,game,iteration,avg_payoff"
 
 
@@ -61,7 +59,7 @@ def _typed(parameter: str, value):
         if kind is float or isinstance(value, str) or _is_integer(value) or (
                 not isinstance(value, (bool, np.bool_)) and float(value).is_integer()):
             return kind(value)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{parameter} value {value!r} is not a valid {kind.__name__}")
 
@@ -270,43 +268,6 @@ def trace_path_for(path) -> Path:
     return path.with_name(path.stem + "_trace" + (path.suffix or ".csv"))
 
 
-def emit_results(records: list, path) -> Path:
-    """Write one CSV row per record plus a companion per-iteration trace file.
-
-    Column layout is fixed: the base columns, then cell_ee_0..cell_ee_K.
-    Returns the trace file's path.
-    """
-    path = Path(path)
-    records = sorted(records, key=lambda r: (r.drop, r.algorithm))
-    lines = []
-    if records:
-        n_cells = records[0].n_small_cells + 1
-        if any(r.n_small_cells + 1 != n_cells or len(r.cell_ee) != n_cells for r in records):
-            raise ValueError("records in one table need one K and K + 1 cell_ee values each")
-        header = _BASE_HEADER + "".join(f",cell_ee_{k}" for k in range(n_cells))
-    else:
-        header = _BASE_HEADER
-    lines.append(header)
-    for r in records:
-        cells = "".join("," + _fmt(v) for v in r.cell_ee)
-        lines.append(
-            f"{r.seed},{r.algorithm},{r.n_small_cells},{r.n_subcarriers},"
-            f"{r.n_users},{_fmt(r.noise_dbm)},{_fmt(r.network_ee)},{_fmt(r.jain)},"
-            f"{r.iterations},{r.evaluations},{'true' if r.converged else 'false'}"
-            + cells
-        )
-    _write_lines(path, lines, "results")
-
-    trace_path = trace_path_for(path)
-    trace_lines = [_TRACE_HEADER]
-    for r in records:
-        for sc in sorted(r.traces):
-            for it, avg in enumerate(r.traces[sc], start=1):
-                trace_lines.append(f"{r.drop},{sc},{it},{_fmt(avg)}")
-    _write_lines(trace_path, trace_lines, "traces")
-    return trace_path
-
-
 def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(f"expected true or false, got {text!r}")
@@ -329,18 +290,72 @@ def _count(low: int):
     return parse
 
 
-def _jain(text: str) -> float:
-    """A Jain index in (0, 1], with room for rounding, or NaN from a failed drop."""
-    value = float(text)
-    if not (math.isnan(value) or 0.0 < value <= 1.0 + 1e-12):
-        raise ValueError(f"expected NaN or a value in (0, 1], got {text}")
-    return value
+def _float(valid, expected: str):
+    """Parser of a float column whose values pass `valid`."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not valid(value):
+            raise ValueError(f"expected {expected}, got {text}")
+        return value
+    return parse
+
+
+# an energy efficiency or a Jain index, or NaN from a failed drop; a Jain
+# index has room for rounding above 1
+_ee = _float(lambda v: math.isnan(v) or 0.0 <= v < math.inf, "NaN or a finite value >= 0")
+_jain = _float(lambda v: math.isnan(v) or 0.0 < v <= 1.0 + 1e-12, "NaN or a value in (0, 1]")
+
+
+# The results CSV's base columns in header order, each (header name,
+# RunRecord field, text of a value, parser of a cell).  cell_ee_0..cell_ee_K
+# follow them.
+_COLUMNS = (
+    ("seed", "seed", str, _count(0)),
+    ("algorithm", "algorithm", str, _algorithm),
+    ("K", "n_small_cells", str, _count(0)),
+    ("N", "n_subcarriers", str, _count(1)),
+    ("n_users", "n_users", str, _count(1)),
+    ("noise_dbm", "noise_dbm", _fmt, _float(math.isfinite, "a finite number")),
+    ("network_ee", "network_ee", _fmt, _ee),
+    ("jain", "jain", _fmt, _jain),
+    ("iterations", "iterations", str, _count(0)),
+    ("evaluations", "evaluations", str, _count(0)),
+    ("converged", "converged", lambda flag: "true" if flag else "false", _flag),
+)
+
+
+def emit_results(records: list, path) -> Path:
+    """Write one CSV row per record plus a companion per-iteration trace file.
+
+    Column layout is fixed: the `_COLUMNS`, then cell_ee_0..cell_ee_K.
+    Returns the trace file's path.
+    """
+    path = Path(path)
+    records = sorted(records, key=lambda r: (r.drop, r.algorithm))
+    n_cells = records[0].n_small_cells + 1 if records else 0
+    if any(r.n_small_cells + 1 != n_cells or len(r.cell_ee) != n_cells for r in records):
+        raise ValueError("records in one table need one K and K + 1 cell_ee values each")
+    lines = [",".join([name for name, *_ in _COLUMNS]
+                      + [f"cell_ee_{k}" for k in range(n_cells)])]
+    for r in records:
+        lines.append(",".join([text(getattr(r, name)) for _, name, text, _ in _COLUMNS]
+                              + [_fmt(v) for v in r.cell_ee]))
+    _write_lines(path, lines, "results")
+
+    trace_path = trace_path_for(path)
+    trace_lines = [_TRACE_HEADER]
+    for r in records:
+        for sc in sorted(r.traces):
+            for it, avg in enumerate(r.traces[sc], start=1):
+                trace_lines.append(f"{r.drop},{sc},{it},{_fmt(avg)}")
+    _write_lines(trace_path, trace_lines, "traces")
+    return trace_path
 
 
 def parse_results(path) -> list:
     """Read back a results CSV written by emit_results.
 
-    The header must be the base columns then cell_ee_0..cell_ee_{n-1}, and
+    The header must be the `_COLUMNS` then cell_ee_0..cell_ee_{n-1}, and
     each row's K + 1 must be that n.  Traces live in the companion file and
     are not reloaded.  The drop index is not part of the row schema: a
     record's `drop` is the number of earlier rows of its algorithm, which is
@@ -352,10 +367,10 @@ def parse_results(path) -> list:
     if not lines:
         raise ValueError(f"{path}: empty results file")
     header = lines[0].split(",")
-    base = _BASE_HEADER.split(",")
-    n_cells = len(header) - len(base)
-    if header != base + [f"cell_ee_{k}" for k in range(n_cells)]:
+    n_cells = len(header) - len(_COLUMNS)
+    if header != [name for name, *_ in _COLUMNS] + [f"cell_ee_{k}" for k in range(n_cells)]:
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    column_of = {name: column for column, name, *_ in _COLUMNS}
     records = []
     rows_of = Counter()   # algorithm -> rows read so far
     for lineno, line in enumerate(lines[1:], start=2):
@@ -366,33 +381,19 @@ def parse_results(path) -> list:
             raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, "
                              f"got {len(parts)}")
 
-        def cell(k, convert=int):
+        def cell(k, parse):
             try:
-                return convert(parts[k])
+                return parse(parts[k])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: column {header[k]}: {exc}") from None
-        seed, algorithm = cell(0, _count(0)), cell(1, _algorithm)
-        record = RunRecord(
-            drop=rows_of[algorithm],
-            seed=seed,
-            algorithm=algorithm,
-            n_small_cells=cell(2, _count(0)),
-            n_subcarriers=cell(3, _count(1)),
-            n_users=cell(4, _count(1)),
-            noise_dbm=cell(5, float),
-            network_ee=cell(6, float),
-            jain=cell(7, _jain),
-            iterations=cell(8, _count(0)),
-            evaluations=cell(9, _count(0)),
-            converged=cell(10, _flag),
-            cell_ee=[cell(k, float) for k in range(11, len(parts))],
-        )
-        if record.n_small_cells + 1 != n_cells:
-            raise ValueError(f"{path}:{lineno}: column {header[2]}: K + 1 = "
-                             f"{record.n_small_cells + 1} cells, but the header has "
+        fields = {name: cell(k, parse) for k, (_, name, _, parse) in enumerate(_COLUMNS)}
+        cell_ee = [cell(k, _ee) for k in range(len(_COLUMNS), len(parts))]
+        if fields["n_small_cells"] + 1 != n_cells:
+            raise ValueError(f"{path}:{lineno}: column {column_of['n_small_cells']}: K + 1 = "
+                             f"{fields['n_small_cells'] + 1} cells, but the header has "
                              f"{n_cells} cell_ee columns")
-        rows_of[algorithm] += 1
-        records.append(record)
+        records.append(RunRecord(drop=rows_of[fields["algorithm"]], cell_ee=cell_ee, **fields))
+        rows_of[fields["algorithm"]] += 1
     return records
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -119,6 +121,28 @@ class TestValidation:
         assert cfg.n_cells == 3
         assert parse_config(format_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("circuit_power", True, "circuit_power must be a real number, got True"),
+        ("circuit_power", np.True_, "circuit_power must be a real number, got np.True_"),
+        ("circuit_power", "0.01", "circuit_power must be a real number, got '0.01'"),
+        ("macro_radius", None, "macro_radius must be a real number, got None"),
+        ("noise_psd_dbm_per_hz", 1 - 2j,
+         "noise_psd_dbm_per_hz must be a real number, got (1-2j)"),
+        ("power_levels", (True, 2.0), "power_levels[0] must be a real number, got True"),
+        ("power_levels", (0.01, "0.1"), "power_levels[1] must be a real number, got '0.1'"),
+        ("power_levels", 0.5, "power_levels must be a sequence of real numbers, got 0.5"),
+        ("power_levels", None, "power_levels must be a sequence of real numbers, got None"),
+        pytest.param("macro_radius", 10 ** 400, f"macro_radius must be finite, got {10 ** 400}",
+                     id="int-beyond-float-range"),
+        pytest.param("power_levels", (0.01, -10 ** 400), "power_levels[1] must be finite, got -1",
+                     id="level-beyond-float-range"),
+    ])
+    def test_non_real_values_rejected(self, field, value, message):
+        # True read as 1 W, '0.01' or None raised a bare TypeError and
+        # 10 ** 400 a bare OverflowError
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("psd, shown", [(4000.0, "inf"), (-4000.0, "0.0")])
     def test_noise_power_must_be_finite_and_positive(self, psd, shown):
         # +4000 dBm/Hz overflows 10**x, -4000 underflows it to 0 W: both are
@@ -203,6 +227,21 @@ class TestParsing:
     def test_round_trip_of_defaults(self):
         cfg = small_config()
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_round_trip_of_numpy_and_int_inputs(self):
+        # each field is stored as its Python type, so the text is plain
+        # numbers (np.float64(-180.0) once failed parse_config)
+        cfg = dataclasses.replace(
+            small_config(n_small_cells=np.int64(2)), noise_psd_dbm_per_hz=np.float64(-180),
+            path_loss_exponent=np.float32(3.5), macro_radius=900, small_radius=np.int64(50),
+            power_levels=np.array([0.002, 0.02, 0.2]))
+        assert all(type(getattr(cfg, name)) is float for name in FLOAT_FIELDS)
+        assert all(type(getattr(cfg, name)) is int for name in INT_FIELDS)
+        assert cfg.power_levels == (0.002, 0.02, 0.2)
+        assert all(type(p) is float for p in cfg.power_levels)
+        text = format_config(cfg)
+        assert "np." not in text and "macro_radius = 900.0\n" in text
+        assert parse_config(text) == cfg
 
 
 def test_load_config(tmp_path):

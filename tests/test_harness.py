@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import re
@@ -27,6 +28,7 @@ def cfg(**kw):
 BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,"
                "evaluations,converged")
 ROW_HEADER = BASE_HEADER + ",cell_ee_0\n"
+TWO_CELL_HEADER = BASE_HEADER + ",cell_ee_0,cell_ee_1\n"
 
 
 class TestJainIndex:
@@ -130,11 +132,18 @@ class TestSpecValidation:
             SweepSpec("circuit_power", (0.02,))
 
     @pytest.mark.parametrize("value", [1.7, "2.5", True, np.True_, math.nan, math.inf, "nan",
-                                       "abc"])
+                                       "abc", None])
     def test_int_field_rejects_non_integral_values(self, value):
         with pytest.raises(ValueError, match=re.escape(
                 f"n_users_per_cell value {value!r} is not a valid int")):
             SweepSpec("n_users_per_cell", (1, value))
+
+    @pytest.mark.parametrize("value", [None, "abc", (1.0,),
+                                       pytest.param(10 ** 400, id="beyond-float-range")])
+    def test_float_field_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_psd_dbm_per_hz value {value!r} is not a valid float")):
+            SweepSpec("noise_psd_dbm_per_hz", (-174.0, value))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, "-inf"])
     def test_non_finite_float_value_reaches_the_config_check(self, value):
@@ -319,22 +328,51 @@ class TestEmitAndParse:
         assert header == ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,"
                           "iterations,evaluations,converged,cell_ee_0,cell_ee_1")
 
-    def test_round_trip_preserves_all_columns(self, tmp_path):
-        spec = ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=3)
-        records = run_drops(spec)
+    def test_round_trip_preserves_all_columns(self, monkeypatch, tmp_path):
+        # each named column holds its field's text, and every field but the
+        # traces (in the companion file) and the error text (not a column)
+        # parses back as written: a float as its .12g text's value, NaN as
+        # NaN.  Byte re-emission alone cannot see two same-formatted columns
+        # swapped on the way out and back in.
+        run_one = harness._run_one
+
+        def fail_drop_1(config, algorithm, seed, max_iterations):
+            if seed == child_seed(config.rng_seed, 1):
+                raise ValueError("placement failed")
+            return run_one(config, algorithm, seed, max_iterations)
+        monkeypatch.setattr(harness, "_run_one", fail_drop_1)
+        records = [record for algorithm in ("egt", "ngt", "brute-group") for record in
+                   run_drops(ExperimentSpec(config=cfg(), algorithm=algorithm, n_drops=3))]
+        assert [r.drop for r in records if r.error] == [1, 1, 1]
         out = tmp_path / "results.csv"
         emit_results(records, out)
         back = parse_results(out)
-        assert len(back) == 3
-        for orig, rec in zip(sorted(records, key=lambda r: r.drop), back):
-            assert rec.drop == orig.drop
-            assert rec.seed == orig.seed
-            assert rec.algorithm == orig.algorithm
-            assert (rec.n_small_cells, rec.n_subcarriers, rec.n_users) == \
-                (orig.n_small_cells, orig.n_subcarriers, orig.n_users)
-            assert rec.converged == orig.converged
-            assert rec.iterations == orig.iterations
-            assert rec.evaluations == orig.evaluations
+
+        def text(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return format(value, ".12g") if isinstance(value, float) else str(value)
+
+        def as_read(value):
+            if isinstance(value, list):
+                return [as_read(v) for v in value]
+            return float(text(value)) if isinstance(value, float) else value
+        names = [f.name for f in dataclasses.fields(harness.RunRecord)
+                 if f.name not in ("traces", "error")]
+        columns = {"seed": "seed", "algorithm": "algorithm", "K": "n_small_cells",
+                   "N": "n_subcarriers", "n_users": "n_users", "noise_dbm": "noise_dbm",
+                   "network_ee": "network_ee", "jain": "jain", "iterations": "iterations",
+                   "evaluations": "evaluations", "converged": "converged"}
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(back) == len(rows) == len(records)
+        for orig, rec, row in zip(sorted(records, key=lambda r: (r.drop, r.algorithm)),
+                                  back, rows):
+            assert row == {**{column: text(getattr(orig, name))
+                              for column, name in columns.items()},
+                           **{f"cell_ee_{k}": text(v) for k, v in enumerate(orig.cell_ee)}}
+            for name in names:
+                np.testing.assert_equal(getattr(rec, name), as_read(getattr(orig, name)),
+                                        err_msg=name)
 
     @pytest.mark.parametrize("algorithms", [("egt",), ("egt", "ngt", "brute-group")])
     def test_reemission_of_parsed_records_is_byte_identical(self, tmp_path, algorithms):
@@ -447,11 +485,33 @@ class TestEmitAndParse:
          ":2: column K: K + 1 = 2 cells, but the header has 0 cell_ee columns"),
         (ROW_HEADER + "-1,egt,0,2,2,-194,1.5,0.9,1,4,true,0.75\n",
          ":2: column seed: expected an integer >= 0, got -1"),
+        *((ROW_HEADER + f"1,egt,1,2,2,{noise},1.5,0.9,1,4,true,0.75\n",
+           f":2: column noise_dbm: expected a finite number, got {noise}")
+          for noise in ("inf", "-inf", "nan")),
+        *((ROW_HEADER + f"1,egt,1,2,2,-194,{ee},0.9,1,4,true,0.75\n",
+           f":2: column network_ee: expected NaN or a finite value >= 0, got {ee}")
+          for ee in ("-1.5", "inf", "-1e-300")),
+        *((ROW_HEADER + f"1,egt,1,2,2,-194,1.5,0.9,1,4,true,{ee}\n",
+           f":2: column cell_ee_0: expected NaN or a finite value >= 0, got {ee}")
+          for ee in ("-3", "inf")),
+        # a row of several bad cells reports the first in header order
+        (TWO_CELL_HEADER + "1,egt,1,2,2,inf,-1.5,0.9,1,4,true,inf,-3\n",
+         ":2: column noise_dbm: expected a finite number, got inf"),
+        (TWO_CELL_HEADER + "1,egt,1,2,2,-194,-1.5,7,1,4,true,inf,-3\n",
+         ":2: column network_ee: expected NaN or a finite value >= 0, got -1.5"),
+        (TWO_CELL_HEADER + "1,egt,1,2,2,-194,1.5,0.9,1,4,true,inf,-3\n",
+         ":2: column cell_ee_0: expected NaN or a finite value >= 0, got inf"),
+        (TWO_CELL_HEADER + "1,egt,1,2,2,-194,1.5,0.9,1,4,true,0.5,-3\n",
+         ":2: column cell_ee_1: expected NaN or a finite value >= 0, got -3"),
     ], ids=["empty", "foreign-header", "ragged-row", "TRUE", "yes", "1", "blank-flag",
             "fractional-count", "bad-cell", "unknown-algorithm", "negative-K", "zero-N",
             "zero-users", "negative-iterations", "negative-evaluations", "jain-7",
             "jain-above-1", "jain-0", "jain-negative", "jain-inf", "foreign-cell-columns",
-            "K-over-cell-columns", "no-cell-columns", "negative-seed"])
+            "K-over-cell-columns", "no-cell-columns", "negative-seed", "noise-inf",
+            "noise-minus-inf", "noise-nan", "network-ee-negative", "network-ee-inf",
+            "network-ee-tiny-negative", "cell-ee-negative", "cell-ee-inf",
+            "first-bad-is-noise", "first-bad-is-network-ee", "first-bad-is-cell-ee-0",
+            "bad-cell-ee-1"])
     def test_parse_rejects_malformed_files(self, tmp_path, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
