@@ -21,7 +21,7 @@ print(f"{'cell':>4} {'sc':>3} {'dist_m':>8} {'beta':>10} {'norm2/ant':>10}")
 for i, (cell, sc) in enumerate(ctx.topology.links()):   # i: the link's position
     user = np.asarray(ctx.topology.users[(cell, sc)])
     dist = float(np.hypot(*(user - ctx.topology.bs_positions[cell])))
-    beta = ctx.fading.gain[cell, i]
+    beta = ctx.fading[cell, i]
     g = ctx.channels.blocks[cell][i]
     per_antenna = float(np.linalg.norm(g) ** 2 / g.size)
     print(f"{cell:>4} {sc:>3} {dist:>8.1f} {beta:>10.3e} {per_antenna:>10.3e}")
@@ -34,7 +34,7 @@ samples = []
 for _ in range(200):
     c = sample_link_context(probe, rng)
     g = c.channels.blocks[0][0]
-    samples.append(float(np.linalg.norm(g) ** 2 / g.size / c.fading.gain[0, 0]))
+    samples.append(float(np.linalg.norm(g) ** 2 / g.size / c.fading[0, 0]))
 mean = float(np.mean(samples))
 print(f"\nE[|g|^2] / (antennas * beta) over 200 drops x 4096 antennas: "
       f"{mean:.4f} (expect 1)")

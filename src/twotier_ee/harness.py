@@ -46,18 +46,29 @@ def jain_index(values) -> float:
         raise ValueError("jain index of an empty list is undefined")
     if not np.all((v >= 0) & (v < np.inf)):
         raise ValueError("jain index requires finite nonnegative values")
-    denom = v.size * ordered_sum((v * v).tolist())
+    values = v.tolist()
+    # Python float products, bit for bit numpy's v * v, give inf without a warning
+    denom = v.size * ordered_sum([x * x for x in values])
     if denom == 0.0:
         raise ValueError("jain index of an all-zero list is undefined")
-    return ordered_sum(v.tolist()) ** 2 / denom
+    try:
+        numerator = ordered_sum(values) ** 2
+    except OverflowError:
+        numerator = math.inf
+    if math.isinf(numerator) or math.isinf(denom):
+        raise ValueError(f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
+                         f"{max(values)!r} is out of float range")
+    return numerator / denom
 
 
 def _typed(parameter: str, value):
     """A sweep value as its field's type; an int field also takes an integral float or string."""
     kind = int if parameter in _INT_FIELDS else float
     try:
-        if kind is float or isinstance(value, str) or _is_integer(value) or (
-                not isinstance(value, (bool, np.bool_)) and float(value).is_integer()):
+        # bool converts to either kind, and neither kind of field takes it
+        if not isinstance(value, (bool, np.bool_)) and (
+                kind is float or isinstance(value, str) or _is_integer(value)
+                or float(value).is_integer()):
             return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass

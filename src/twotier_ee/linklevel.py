@@ -23,7 +23,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .config import NetworkConfig
-from .topology import _TEMP_BYTES, ChannelRealization, LargeScaleFading, Topology, \
+from .topology import _TEMP_BYTES, ChannelRealization, Topology, \
     sample_topology, sample_large_scale_fading, sample_channels
 
 __all__ = [
@@ -45,6 +45,10 @@ def mrc_combiner(g: np.ndarray) -> np.ndarray:
     norm = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
     if np.any(norm == 0):
         raise ValueError("cannot build a combiner for an all-zero channel")
+    if not np.isfinite(norm).all():
+        # g * (1 / inf) is a zero combiner, and every gain after it 0.0
+        raise ValueError(f"cannot build a combiner: a channel norm overflows to "
+                         f"{float(norm.max())!r}")
     return g * (1.0 / norm)[..., None]
 
 
@@ -124,7 +128,7 @@ class LinkContext:
 
     config: NetworkConfig
     topology: Topology
-    fading: LargeScaleFading
+    fading: np.ndarray    # (receiver cell, link position) large-scale gains
     channels: ChannelRealization
     gains: list           # link position -> post-combining gains, see build_combiners
 
@@ -156,8 +160,8 @@ def sinr(context: LinkContext, powers: list, i: int, interference: float | None 
         interference = 0.0
         for j, gain in interferers:
             interference += powers[j] * gain
-    # the config rejects a noise power that is not finite and > 0, and the
-    # combiner has unit norm, so the denominator cannot be 0
+    # the config and mrc_combiner reject a noise power and a norm that are not finite
+    # and > 0, so the combiner has unit norm and the denominator cannot be 0
     return powers[i] * own / (interference + noise)
 
 

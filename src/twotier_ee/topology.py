@@ -3,7 +3,8 @@
 Everything here is driven by an explicit numpy Generator, so a fixed
 (config, seed) pair reproduces the exact same drop.  Cell 0 is the macro
 cell; users are identified by their (serving cell, subcarrier) pair since
-OFDMA allows at most one user per subcarrier per cell.
+OFDMA allows at most one user per subcarrier per cell.  A drop's large-scale
+fading is one (receiver cell, link) array of `large_scale_gain` values.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .config import NetworkConfig
 
 __all__ = [
-    "PlacementError", "Topology", "LargeScaleFading", "ChannelRealization",
+    "PlacementError", "Topology", "ChannelRealization",
     "sample_topology", "large_scale_gain", "draw_shadowing",
     "sample_large_scale_fading", "sample_channels",
 ]
@@ -59,10 +60,6 @@ class Topology:
         self._positions = dict(zip(self._links, range(len(self._links))))
         self._cells_on = {sc: tuple(cell for cell, _ in group)
                           for sc, group in groupby(self._links, key=itemgetter(1))}
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.bs_positions)
 
     def has_user(self, cell: int, subcarrier: int) -> bool:
         return (cell, subcarrier) in self.users
@@ -131,17 +128,22 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
     return Topology(bs_positions=bs_positions, users=users)
 
 
-def large_scale_gain(distance: float, config: NetworkConfig, shadow_draw: float) -> float:
+def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     """Large-scale channel gain: antenna constant times shadowing over d^alpha.
 
-    Distances below MIN_DISTANCE_M are clamped so the gain stays finite.
+    Takes one distance and shadow draw, or same-shaped arrays of them.
+    Distances below MIN_DISTANCE_M are clamped so the gain stays finite, and
+    `d ** alpha` is a Python float power per value: numpy's vector power
+    rounds some values differently.
     """
-    if distance <= 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    if shadow_draw <= 0:
-        raise ValueError(f"shadow draw must be > 0, got {shadow_draw}")
-    d = max(distance, MIN_DISTANCE_M)
-    return config.antenna_constant * shadow_draw / d ** config.path_loss_exponent
+    if np.any(distance <= 0):
+        raise ValueError(f"distance must be > 0, got {np.min(distance)}")
+    if np.any(shadow_draw <= 0):
+        raise ValueError(f"shadow draw must be > 0, got {np.min(shadow_draw)}")
+    d = np.maximum(distance, MIN_DISTANCE_M)
+    path_loss = np.fromiter([x ** config.path_loss_exponent for x in d.ravel().tolist()],
+                            float, d.size).reshape(d.shape)
+    return config.antenna_constant * shadow_draw / path_loss
 
 
 def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.ndarray:
@@ -162,45 +164,24 @@ def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.
     return values
 
 
-@dataclass
-class LargeScaleFading:
-    """Per-link large-scale gains of one drop, as (receiver cell, link) arrays.
-
-    Row r is receiver cell r, column i the link at position i in
-    `Topology.links()`.  `gain` holds beta; `shadowing` holds the
-    sampled shadowing values, kept so a drop can be reproduced or re-derived
-    exactly.
-    """
-
-    gain: np.ndarray
-    shadowing: np.ndarray
-
-
 def sample_large_scale_fading(
     topology: Topology, config: NetworkConfig, rng: np.random.Generator
-) -> LargeScaleFading:
-    """Draw shadowing and compute the gain from every user to every BS.
+) -> np.ndarray:
+    """Draw shadowing and return the gain from every user to every BS.
 
     One independent shadowing draw per (receiver BS, user) link, fixed for
-    the lifetime of the drop, drawn as one (receiver, link) block: receivers
-    ascending, links in `Topology.links()` order.  The gains are
-    `large_scale_gain` over the whole block, bit for bit: the clamp and the
-    products run as array operations, `d ** alpha` as a Python float power
-    per value (numpy's vector power rounds some values differently).
+    the lifetime of the drop, drawn as one (receiver, link) block: row r is
+    receiver cell r, column i the link at position i in `Topology.links()`.
+    The block's gains are one `large_scale_gain` call.
     """
     users = np.array([topology.users[link] for link in topology.links()])
     offset = (topology.bs_positions[:, None, :] - users[None, :, :])[:, :, None, :]
-    # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not
+    # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not.
+    # Clamped here too, so a user at its BS (distance 0) gets MIN_DISTANCE_M's gain
     distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
                           MIN_DISTANCE_M)
-    # large_scale_gain's conditions hold: every distance is clamped to >= MIN_DISTANCE_M,
-    # and draw_shadowing rejects a draw that under- or overflows, so every value is > 0
-    varsigma = draw_shadowing(config, rng, size=distance.shape)
-    alpha = config.path_loss_exponent
-    path_loss = np.fromiter([d ** alpha for d in distance.ravel().tolist()], float,
-                            distance.size).reshape(distance.shape)
-    gain = config.antenna_constant * varsigma / path_loss
-    return LargeScaleFading(gain=gain, shadowing=varsigma)
+    # draw_shadowing rejects a draw that under- or overflows, so every value is > 0
+    return large_scale_gain(distance, config, draw_shadowing(config, rng, size=distance.shape))
 
 
 @dataclass
@@ -226,12 +207,13 @@ class ChannelRealization:
 
 def sample_channels(
     topology: Topology,
-    fading: LargeScaleFading,
+    fading: np.ndarray,
     config: NetworkConfig,
     rng: np.random.Generator,
 ) -> ChannelRealization:
     """Draw one Rayleigh realization for every (receiver, user) link.
 
+    `fading` is the (receiver, link) gain block of `sample_large_scale_fading`.
     Per receiver, one standard-normal block (links(), 2, antennas): real, then
     imaginary parts, drawn in runs of rows under _TEMP_BYTES (the same stream).
     Each part x becomes (x * (1 / sqrt(2))) * sqrt(beta): numpy's complex
@@ -239,7 +221,7 @@ def sample_channels(
     """
     scale = 1.0 / np.sqrt(2.0)
     blocks = []
-    for receiver, gain in enumerate(fading.gain):
+    for receiver, gain in enumerate(fading):
         n_rx = config.n_antennas_mbs if receiver == 0 else config.n_antennas_sbs
         amplitude = np.sqrt(gain)[:, None]
         h = np.empty((len(gain), n_rx), complex)

@@ -13,7 +13,7 @@ from twotier_ee.egt import GameState, egt_step, new_games, run_algorithm1
 from twotier_ee.linklevel import (
     LinkContext, build_combiners, compute_link_metrics, sample_link_context,
 )
-from twotier_ee.topology import ChannelRealization, LargeScaleFading, Topology
+from twotier_ee.topology import ChannelRealization, Topology
 
 
 def cfg(**kw):
@@ -38,8 +38,7 @@ def manual_two_player_context(channels, config):
     links = topo.links()
     ch = ChannelRealization(links=links, blocks=[
         np.array([channels[(rx, c)] for c, _ in links], dtype=complex) for rx in (0, 1)])
-    fading = LargeScaleFading(gain=np.ones((2, 2)), shadowing=np.ones((2, 2)))
-    return LinkContext(config=config, topology=topo, fading=fading,
+    return LinkContext(config=config, topology=topo, fading=np.ones((2, 2)),
                        channels=ch, gains=build_combiners(topo, ch, config.noise_power))
 
 

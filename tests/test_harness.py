@@ -58,6 +58,14 @@ class TestJainIndex:
             with pytest.raises(ValueError, match="finite"):
                 jain_index([bad, 1.0])
 
+    @pytest.mark.parametrize("values", [[1e200, 1e200], [1.3e154, 0.0]],
+                             ids=["sum-squared-overflows", "denominator-overflows"])
+    def test_overflow_rejected(self, values):
+        with pytest.raises(ValueError, match=re.escape(
+                f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
+                f"{max(values)!r} is out of float range")):
+            jain_index(values)
+
 
 class TestSeeding:
     def test_child_seed_deterministic(self):
@@ -138,7 +146,8 @@ class TestSpecValidation:
                 f"n_users_per_cell value {value!r} is not a valid int")):
             SweepSpec("n_users_per_cell", (1, value))
 
-    @pytest.mark.parametrize("value", [None, "abc", (1.0,),
+    @pytest.mark.parametrize("value", [None, "abc", (1.0,), True,
+                                       pytest.param(np.True_, id="np.True_"),
                                        pytest.param(10 ** 400, id="beyond-float-range")])
     def test_float_field_rejects_non_numbers(self, value):
         with pytest.raises(ValueError, match=re.escape(
@@ -205,6 +214,22 @@ class TestRunDrops:
         rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="egt", n_drops=1))
         assert rec.error == "non-finite jain = nan"
         assert rec.traces == {}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_channel_norm_yields_error_records(self):
+        config = cfg(antenna_constant=1e306, path_loss_exponent=0.01, rng_seed=0)
+        for algorithm in ALGORITHMS:
+            records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=3))
+            assert [r.error for r in records] == [None] + 2 * [
+                "cannot build a combiner: a channel norm overflows to inf"]
+
+    def test_overflowing_jain_index_yields_error_record(self):
+        config = cfg(noise_psd_dbm_per_hz=-3000, circuit_power=1e-300,
+                     power_levels=(1e-300, 1e-299))
+        rec, = run_drops(ExperimentSpec(config=config, algorithm="egt", n_drops=1))
+        assert rec.error.startswith("jain index overflows: (sum v)^2 or n * sum v^2 of "
+                                    "values up to ")
+        assert math.isnan(rec.jain) and math.isnan(rec.network_ee)
 
     def test_algorithms_share_the_same_drops(self):
         config = cfg()

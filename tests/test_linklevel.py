@@ -66,6 +66,15 @@ class TestCombiner:
         with pytest.raises(ValueError):
             mrc_combiner(np.zeros(4, dtype=complex))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("g", [np.array([1e200, 1e200j]), np.array([math.inf, 1.0])],
+                             ids=["squared-norm-overflows", "inf-entry"])
+    def test_overflowing_norm_rejected(self, g):
+        # 1 / inf would give a zero combiner, and the link a 0 / 0 SINR
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot build a combiner: a channel norm overflows to inf")):
+            mrc_combiner(np.stack([np.array([3.0 + 4.0j, 0.0]), g]))
+
     def test_build_covers_links(self):
         ctx = make_context(1)
         links = ctx.topology.links()

@@ -26,7 +26,7 @@ class TestSampleTopology:
         config = cfg()
         topo = sample_topology(config, np.random.default_rng(0))
         assert topo.bs_positions.shape == (3, 2)
-        assert topo.n_cells == 3
+        assert len(topo.bs_positions) == config.n_cells == 3
         assert len(topo.users) == 3 * 6
         links = topo.links()
         assert len(links) == len(set(links))
@@ -128,6 +128,11 @@ class TestLargeScaleGain:
             large_scale_gain(-3.0, config, 1.0)
         with pytest.raises(ValueError):
             large_scale_gain(5.0, config, 0.0)
+        # a block is refused for any one value
+        with pytest.raises(ValueError, match="distance must be > 0, got 0.0"):
+            large_scale_gain(np.array([5.0, 0.0]), config, np.ones(2))
+        with pytest.raises(ValueError, match="shadow draw must be > 0, got 0.0"):
+            large_scale_gain(np.array([5.0, 6.0]), config, np.array([1.0, 0.0]))
 
 
 class TestShadowing:
@@ -165,20 +170,24 @@ class TestFadingAndChannels:
         rng = np.random.default_rng(11)
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
-        assert fading.gain.shape == fading.shadowing.shape == (3, len(topo.links()))
-        assert (fading.gain > 0).all()
+        assert fading.shape == (3, len(topo.links()))
+        assert (fading > 0).all()
 
     def test_beta_consistent_with_distance_and_shadow(self):
         config = cfg()
         rng = np.random.default_rng(13)
         topo = sample_topology(config, rng)
+        # the same generator state redraws the block's shadowing
+        shadow_rng = np.random.default_rng(13)
+        sample_topology(config, shadow_rng)
         fading = sample_large_scale_fading(topo, config, rng)
-        for rx in range(topo.n_cells):
+        shadowing = draw_shadowing(config, shadow_rng, size=fading.shape)
+        for rx in range(config.n_cells):
             for i, (c, sc) in enumerate(topo.links()):
                 user = np.asarray(topo.users[(c, sc)])
                 d = max(np.linalg.norm(topo.bs_positions[rx] - user), 1.0)
-                expected = config.antenna_constant * fading.shadowing[rx, i] / d ** 3.8
-                assert fading.gain[rx, i] == pytest.approx(expected, rel=1e-12)
+                expected = config.antenna_constant * shadowing[rx, i] / d ** 3.8
+                assert fading[rx, i] == pytest.approx(expected, rel=1e-12)
 
     def test_channel_dimensions_follow_receiver(self):
         config = cfg()
@@ -186,7 +195,7 @@ class TestFadingAndChannels:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
-        assert len(ch.blocks) == topo.n_cells
+        assert len(ch.blocks) == config.n_cells
         for rx, block in enumerate(ch.blocks):
             assert block.shape == (len(topo.links()), 128 if rx == 0 else 4)
             assert block.dtype == np.complex128
@@ -199,7 +208,7 @@ class TestFadingAndChannels:
         topo = sample_topology(config, rng)
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
-        h = ch.blocks[0][0] / np.sqrt(fading.gain[0, 0])   # the one link, at the MBS
+        h = ch.blocks[0][0] / np.sqrt(fading[0, 0])   # the one link, at the MBS
         assert np.var(h) == pytest.approx(1.0, rel=0.05)
         assert abs(np.mean(h)) < 0.02
 
@@ -212,13 +221,19 @@ class TestFadingAndChannels:
         fading = sample_large_scale_fading(topo, config, rng)
         ch = sample_channels(topo, fading, config, rng)
         g = ch.blocks[0][0]   # the one link, at the MBS
-        assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(fading.gain[0, 0], rel=0.05)
+        assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(fading[0, 0], rel=0.05)
 
 
 def by_position(topology, keyed):
     """A reference dict keyed (receiver, cell, subcarrier) as (receiver, link position) rows."""
     return [[keyed[(rx, cell, sc)] for cell, sc in topology.links()]
-            for rx in range(topology.n_cells)]
+            for rx in range(len(topology.bs_positions))]
+
+
+def distances(topology):
+    """(receiver, link position) BS-to-user distances, each a 1-D norm as the reference's."""
+    return np.array([[float(np.linalg.norm(bs - np.asarray(topology.users[link])))
+                      for link in topology.links()] for bs in topology.bs_positions])
 
 
 def assert_matches_reference(config, seed):
@@ -231,11 +246,12 @@ def assert_matches_reference(config, seed):
     assert np.array_equal(list(topo.users.values()), list(ref.users.values()))
     assert np.array_equal(topo.bs_positions, ref.bs_positions)
     links = topo.links()
-    assert fading.gain.shape == fading.shadowing.shape == (topo.n_cells, len(links))
-    assert fading.gain.tolist() == by_position(topo, ref.beta)
-    assert fading.shadowing.tolist() == by_position(topo, ref.shadow)
+    assert fading.shape == (config.n_cells, len(links))
+    assert fading.tolist() == by_position(topo, ref.beta)
+    assert fading.tolist() == large_scale_gain(
+        distances(topo), config, np.array(by_position(topo, ref.shadow))).tolist()
     assert channels.links == links
-    assert len(channels.blocks) == topo.n_cells
+    assert len(channels.blocks) == config.n_cells
     for rx, block in enumerate(channels.blocks):
         n_rx = config.n_antennas_mbs if rx == 0 else config.n_antennas_sbs
         assert block.shape == (len(links), n_rx) and block.dtype == np.complex128
@@ -277,20 +293,34 @@ class TestStreamPreservation:
         assert_matches_reference(cfg(n_small_cells=3, n_subcarriers=24, n_users_per_cell=20),
                                  seed)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gain_block_is_the_scalar_gain_per_value(self, seed):
+        config = cfg(n_small_cells=3)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        topo = sample_topology(config, rng)
+        distance = distances(topo)
+        shadow = draw_shadowing(config, rng, size=distance.shape)
+        block = large_scale_gain(distance, config, shadow)
+        assert block.shape == distance.shape
+        assert block.tolist() == [[large_scale_gain(d, config, x) for d, x in zip(*rows)]
+                                  for rows in zip(distance.tolist(), shadow.tolist())]
+        bs_positions, users = reference.sample_topology(config, ref_rng)
+        ref_beta, _ = reference.sample_fading(config, bs_positions, users, ref_rng)
+        assert block.tolist() == by_position(topo, ref_beta)
+
     def test_user_at_its_base_station(self):
         config = cfg(n_small_cells=1, n_subcarriers=1, n_users_per_cell=1)
         topo = Topology(bs_positions=np.array([[0.0, 0.0], [300.0, 400.0]]),
                         users={(0, 0): (0.0, 0.0), (1, 0): (300.0, 400.0)})
         fading = sample_large_scale_fading(topo, config, np.random.default_rng(3))
         assert topo.links() == [(0, 0), (1, 0)]   # cell c's user at position c
-        for cell in (0, 1):
-            assert fading.gain[cell, cell] == large_scale_gain(
-                1.0, config, fading.shadowing[cell, cell])
-        assert fading.gain[0, 1] == large_scale_gain(500.0, config, fading.shadowing[0, 1])
         ref_beta, ref_shadow = reference.sample_fading(config, topo.bs_positions, topo.users,
                                                        np.random.default_rng(3))
-        assert fading.gain.tolist() == by_position(topo, ref_beta)
-        assert fading.shadowing.tolist() == by_position(topo, ref_shadow)
+        shadowing = by_position(topo, ref_shadow)
+        for cell in (0, 1):
+            assert fading[cell, cell] == large_scale_gain(1.0, config, shadowing[cell][cell])
+        assert fading[0, 1] == large_scale_gain(500.0, config, shadowing[0][1])
+        assert fading.tolist() == by_position(topo, ref_beta)
 
 
 class TestArrayDropState:
