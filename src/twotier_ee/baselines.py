@@ -87,13 +87,14 @@ def _guard(what: str, n_levels: int, n_links: int, bits: int) -> None:
                              f"profiles exceeds the 2^{bits} guard")
 
 
-def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult:
+def _exhaustive(context: LinkContext, links: list, groups: list, what: str) -> OracleResult:
     """Enumerate every joint level choice of `links` in lexicographic order.
 
     The objective of a profile is the sum over `groups` (lists of positions
     in `links`) of each group's summed link EE, both sums the `ordered_sum`
-    that `compute_link_metrics` takes.  A chunk is one flat index range of
-    max(1, _CHUNK_PROFILES // L) runs of L profiles, its (profile, link)
+    that `compute_link_metrics` takes; `what` names it in the error raised
+    when every profile's objective is NaN.  A chunk is one flat index range
+    of max(1, _CHUNK_PROFILES // L) runs of L profiles, its (profile, link)
     power matrix the level array at the range's `np.unravel_index`.  For
     each run's head (its levels of every link but the last), one inner run
     steps the last link through the levels and calls `sinr` once per link,
@@ -127,10 +128,9 @@ def _exhaustive(context: LinkContext, links: list, groups: list) -> OracleResult
         return ordered_sum(ordered_sum(ee[:, j] for j in group) for group in groups)
 
     best, value = _first_max(map(objective, range(0, n_profiles, step)))
-    best_profile = None
-    if best is not None:
-        best_profile = dict(zip(links, (levels[int(d)]
-                                        for d in np.unravel_index(best, grid_shape))))
+    if best is None:   # an objective is a sum of EEs >= 0, so every one was NaN
+        raise ValueError(f"every one of the {n_profiles} profiles gives a NaN {what}")
+    best_profile = dict(zip(links, (levels[int(d)] for d in np.unravel_index(best, grid_shape))))
     return OracleResult(profile=best_profile, objective=value, evaluations=n_profiles)
 
 
@@ -142,7 +142,7 @@ def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
     m = len(players)
     _guard("group", context.config.n_power_levels, m, _GROUP_GUARD_BITS)
     links = [(cell, subcarrier) for cell in players]
-    return _exhaustive(context, links, [range(m)])
+    return _exhaustive(context, links, [range(m)], f"group EE on subcarrier {subcarrier}")
 
 
 def brute_force_global(context: LinkContext) -> OracleResult:
@@ -156,7 +156,7 @@ def brute_force_global(context: LinkContext) -> OracleResult:
     _guard("global", context.config.n_power_levels, len(links), _GLOBAL_GUARD_BITS)
     groups = [[context.topology.position((cell, sc)) for cell in context.topology.cells_on(sc)]
               for sc in context.topology.occupied_subcarriers()]
-    return _exhaustive(context, links, groups)
+    return _exhaustive(context, links, groups, "network EE")
 
 
 @dataclass

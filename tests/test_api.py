@@ -6,6 +6,7 @@ defining module's `__all__`.  Deleting a function without its exports, or
 re-exporting a name a module does not declare, fails here.  Importing the
 package must load no third-party module but numpy, and the tests' scalar
 reference (`tests/reference.py`) must import nothing from the package.
+Every mutant of `tests/mutate.py` must still apply to its module.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import mutate
 import twotier_ee
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(twotier_ee.__path__)
@@ -74,3 +76,11 @@ def test_reference_imports_nothing_from_the_package():
     assert "numpy" in imported
     assert [name for name in imported
             if name.startswith(".") or name.partition(".")[0] == "twotier_ee"] == []
+
+
+@pytest.mark.parametrize("mutant", mutate.MUTANTS, ids=[m.name for m in mutate.MUTANTS])
+def test_mutant_applies_to_its_module(mutant):
+    # a refactor that moves a mutated line fails here, not as a silent no-op mutant
+    text = (mutate.ROOT / mutate.PACKAGE / mutant.module).read_text()
+    assert text.count(mutant.original) == 1
+    assert mutant.mutant != mutant.original

@@ -69,13 +69,14 @@ class TestSimulate:
         assert (tmp_path / "a_trace.csv").read_bytes() == \
             (tmp_path / "b_trace.csv").read_bytes()
 
-    def test_seed_flag_overrides_config(self, config_file, tmp_path):
+    @pytest.mark.parametrize("seed", [123, 0])
+    def test_seed_flag_overrides_config(self, config_file, tmp_path, seed):
         base, over, again = (tmp_path / n for n in ("base.csv", "o1.csv", "o2.csv"))
         run_cli("simulate", "--config", config_file, "--drops", 2, "--out", base)
         run_cli("simulate", "--config", config_file, "--drops", 2, "--out", over,
-                "--seed", 123)
+                "--seed", seed)
         run_cli("simulate", "--config", config_file, "--drops", 2, "--out", again,
-                "--seed", 123)
+                "--seed", seed)
         assert base.read_bytes() != over.read_bytes()
         assert over.read_bytes() == again.read_bytes()
 
@@ -92,7 +93,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = run_cli("sweep", "--config", config_file, "--drops", 2,
                        "--param", "noise_psd_dbm_per_hz",
-                       "--values=-194,-184", "--out", out)
+                       "--values=-194, -184,", "--out", out)
         assert code == 0
         stdout = capsys.readouterr().out
         assert stdout.count("noise_psd_dbm_per_hz=") == 2
@@ -159,6 +160,18 @@ class TestCompare:
         records = parse_results(out)
         assert len(records) == 4
         assert all(math.isnan(r.network_ee) for r in records)
+
+
+@pytest.mark.parametrize("command, line", [
+    ("compare", "jain(egt) >= jain(ngt) in 2/2 paired drops"),
+    ("oracle", "dominance held in 2/2"),
+])
+def test_tied_outcomes_count_for_egt(tmp_path, capsys, command, line):
+    # with one power level every algorithm picks the same profile
+    path = tmp_path / "one_level.cfg"
+    path.write_text(CONFIG_TEXT.replace("power_levels = 0.01, 0.1", "power_levels = 0.01"))
+    assert run_cli(command, "--config", path, "--drops", 2) == 0
+    assert line in capsys.readouterr().out
 
 
 class TestOracle:

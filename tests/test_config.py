@@ -22,45 +22,6 @@ def small_config(**overrides):
     return NetworkConfig(**base)
 
 
-class TestDefaults:
-    def test_radio_defaults(self):
-        cfg = small_config()
-        assert cfg.macro_radius == 1000.0
-        assert cfg.small_radius == 100.0
-        assert cfg.path_loss_exponent == 3.8
-        assert cfg.n_antennas_mbs == 128
-        assert cfg.n_antennas_sbs == 4
-        assert cfg.antenna_constant == 1.0
-        assert cfg.circuit_power == 0.01
-        assert cfg.noise_psd_dbm_per_hz == -194.0
-        assert cfg.subcarrier_bandwidth_hz == 180e3
-
-    def test_shadowing_std_is_sqrt_of_10db_variance(self):
-        assert small_config().shadowing_std_db == pytest.approx(math.sqrt(10.0), rel=1e-12)
-
-    def test_default_power_levels_log_spaced_1mw_to_100mw(self):
-        levels = DEFAULT_POWER_LEVELS
-        assert len(levels) == 8
-        assert levels[0] == pytest.approx(1e-3, rel=1e-12)
-        assert levels[-1] == pytest.approx(0.1, rel=1e-12)
-        ratios = [levels[i + 1] / levels[i] for i in range(7)]
-        for r in ratios:
-            assert r == pytest.approx(ratios[0], rel=1e-12)
-        assert all(b > a for a, b in zip(levels, levels[1:]))
-
-    def test_noise_power_from_psd_and_bandwidth(self):
-        # 10^((-194-30)/10) W/Hz * 180 kHz
-        cfg = small_config()
-        expected = 10.0 ** ((-194.0 - 30.0) / 10.0) * 180e3
-        assert cfg.noise_power == pytest.approx(expected, rel=1e-12)
-        assert cfg.noise_power == pytest.approx(7.17e-18, rel=1e-2)
-
-    def test_counts(self):
-        cfg = small_config()
-        assert cfg.n_cells == 3
-        assert cfg.n_power_levels == 8
-
-
 class TestValidation:
     def test_small_radius_must_be_below_macro_radius(self):
         with pytest.raises(ConfigError):
@@ -243,16 +204,3 @@ class TestParsing:
         assert "np." not in text and "macro_radius = 900.0\n" in text
         assert parse_config(text) == cfg
 
-
-def test_load_config(tmp_path):
-    from twotier_ee.config import load_config
-    p = tmp_path / "scenario.cfg"
-    p.write_text("n_small_cells = 2\nn_subcarriers = 6\nn_users_per_cell = 6\nrng_seed = 3\n")
-    cfg = load_config(p)
-    assert cfg.rng_seed == 3
-
-
-def test_load_config_missing_file(tmp_path):
-    from twotier_ee.config import load_config
-    with pytest.raises(OSError):
-        load_config(tmp_path / "absent.cfg")

@@ -1,9 +1,10 @@
 """Every script in demos/ runs to completion and prints exactly its pinned stdout.
 
 The demos are seeded, so each one's stdout is a fixed byte string; its
-sha256 digest is pinned below.  A change that alters any printed digit of
-any demo fails here.  Re-record only in a change that deliberately moves a
-demo's output, and say why in CHANGES.md:
+sha256 digest is pinned below, and the README's library example's output
+with it.  A change that alters any printed digit of any demo fails here.
+Re-record only in a change that deliberately moves a demo's output, and
+say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_demos.py
 """
@@ -36,11 +37,11 @@ STDOUT_SHA256 = {
 }
 
 
-def run_demo(script: Path) -> subprocess.CompletedProcess:
+def run_demo(*argv) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(script)], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           env=env, cwd=ROOT, timeout=120)
 
 
@@ -54,6 +55,14 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]
+
+
+def test_readme_library_example():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_demo("-c", example)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"10685.397111056227\n"
 
 
 if __name__ == "__main__":

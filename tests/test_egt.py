@@ -1,18 +1,17 @@
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from twotier_ee import linklevel
+from twotier_ee import egt, linklevel
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.egt import GameState, egt_step, new_games, run_algorithm1
-from twotier_ee.linklevel import (
-    LinkContext, build_combiners, compute_link_metrics, sample_link_context,
-)
+from twotier_ee.linklevel import LinkContext, build_combiners, sample_link_context
 from twotier_ee.topology import ChannelRealization, Topology
 
 
@@ -70,36 +69,6 @@ def hand_payoffs(context, p0, p1):
 def fresh_game(players, strategy, subcarrier=0):
     return GameState(subcarrier=subcarrier, players=list(players),
                      strategy=dict(strategy), explored=set(strategy.values()))
-
-
-class TestPayoffs:
-    def test_player_payoff_matches_link_layer(self):
-        # one round over every game: a batch of links on many subcarriers
-        ctx = make_context(1)
-        rng = np.random.default_rng(2)
-        games = new_games(ctx, rng)
-        # the union of the games' profiles holds every link
-        ee = compute_link_metrics(ctx, {
-            (c, game.subcarrier): ctx.config.power_levels[game.strategy[c]]
-            for game in games for c in game.players}).ee
-        stepped = egt_step(games, ctx, rng)
-        assert len(stepped) == len(games) > 1
-        for game, (payoffs, _) in zip(games, stepped):
-            assert list(payoffs) == game.players
-            for c in game.players:
-                assert payoffs[c] == ee[(c, game.subcarrier)]
-                assert type(payoffs[c]) is float
-
-    def test_single_player_interference_free_payoff(self):
-        ctx = make_context(3, n_small_cells=0, n_subcarriers=2, n_users_per_cell=1)
-        (cell, sc), = ctx.topology.links()
-        game = fresh_game([cell], {cell: 2}, subcarrier=sc)
-        p = ctx.config.power_levels[2]
-        g = ctx.channels.blocks[cell][ctx.topology.position((cell, sc))]
-        expected = math.log2(1.0 + p * np.linalg.norm(g) ** 2 / ctx.config.noise_power) \
-            / (p + ctx.config.circuit_power)
-        [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(3))
-        assert payoffs[cell] == pytest.approx(expected, rel=1e-12)
 
 
 class TestHandTrace:
@@ -173,17 +142,22 @@ class TestHandTrace:
 class TestStepMechanics:
     def test_step_on_converged_game_rejected(self):
         ctx = make_context(8)
-        game = new_games(ctx, np.random.default_rng(8))[0]
-        game.converged = True
-        with pytest.raises(ValueError):
-            egt_step([game], ctx, np.random.default_rng(0))
+        games = new_games(ctx, np.random.default_rng(8))
+        games[0].converged = True
+        for stepped in ([games[0]], games):   # alone, and among active games
+            with pytest.raises(ValueError, match="cannot step a converged game"):
+                egt_step(stepped, ctx, np.random.default_rng(0))
 
-    def test_games_sharing_a_subcarrier_rejected(self):
+    def test_games_sharing_a_subcarrier_rejected(self, monkeypatch):
         ctx = make_context(9)
         game = new_games(ctx, np.random.default_rng(9))[0]
         twin = fresh_game(game.players, game.strategy, subcarrier=game.subcarrier)
-        with pytest.raises(ValueError, match="distinct subcarriers"):
-            egt_step([game, twin], ctx, np.random.default_rng(0))
+        calls, original = [], linklevel.sinr
+        monkeypatch.setattr(linklevel, "sinr", lambda *args: calls.append(args) or original(*args))
+        for run in (egt_step, run_algorithm1):
+            with pytest.raises(ValueError, match="distinct subcarriers"):
+                run([game, twin], ctx, np.random.default_rng(0))
+        assert calls == []
 
     def test_tried_contains_current_strategy_along_run(self):
         ctx = make_context(10)
@@ -204,25 +178,6 @@ class TestStepMechanics:
                 if game.strategy[c] != strategy[c]:
                     assert game.strategy[c] not in explored
             assert game.explored == explored | set(game.strategy.values())
-
-
-class TestNewGames:
-    def test_one_game_per_occupied_subcarrier(self):
-        ctx = make_context(12, n_users_per_cell=2)
-        games = new_games(ctx, np.random.default_rng(12))
-        assert [g.subcarrier for g in games] == ctx.topology.occupied_subcarriers()
-        for g in games:
-            assert g.players == list(ctx.topology.cells_on(g.subcarrier))
-            assert g.explored == set(g.strategy.values())
-            assert not g.converged
-
-    def test_initial_strategies_in_range_and_seeded(self):
-        ctx = make_context(13)
-        a = new_games(ctx, np.random.default_rng(5))
-        b = new_games(ctx, np.random.default_rng(5))
-        assert [g.strategy for g in a] == [g.strategy for g in b]
-        for g in a:
-            assert all(0 <= s < 8 for s in g.strategy.values())
 
 
 class TestRunAlgorithm:
@@ -261,46 +216,6 @@ class TestRunAlgorithm:
         assert result.iterations == 1
         assert not result.converged
 
-    def test_every_game_settles_within_level_count(self):
-        # group exploration adds at least one new level per active round,
-        # so no game can run longer than L rounds
-        shapes = [dict(n_small_cells=k, n_subcarriers=n, n_users_per_cell=u)
-                  for k, n, u in [(0, 3, 2), (1, 2, 2), (2, 6, 6), (3, 4, 2), (2, 5, 3)]]
-        for seed, shape in enumerate(shapes * 20):
-            ctx = make_context(seed, **shape)
-            rng = np.random.default_rng(seed + 1000)
-            result = run_algorithm1(new_games(ctx, rng), ctx, rng)
-            assert result.converged
-            n_levels = ctx.config.n_power_levels
-            for trace in result.traces.values():
-                assert 1 <= len(trace) <= n_levels
-            assert result.iterations == max(len(t) for t in result.traces.values())
-
-    def test_evaluation_count_is_players_times_rounds(self):
-        ctx = make_context(17)
-        rng = np.random.default_rng(17)
-        games = new_games(ctx, rng)
-        players = {g.subcarrier: len(g.players) for g in games}
-        result = run_algorithm1(games, ctx, rng)
-        expected = sum(players[sc] * len(trace) for sc, trace in result.traces.items())
-        assert result.evaluations == expected
-
-    def test_profile_covers_every_link(self):
-        ctx = make_context(18)
-        rng = np.random.default_rng(18)
-        result = run_algorithm1(new_games(ctx, rng), ctx, rng)
-        assert set(result.profile) == set(ctx.topology.links())
-        assert all(p in ctx.config.power_levels for p in result.profile.values())
-
-    def test_average_payoff_trace_recorded_per_round(self):
-        ctx = make_context(20)
-        rng = np.random.default_rng(20)
-        games = new_games(ctx, rng)
-        result = run_algorithm1(games, ctx, rng)
-        assert set(result.traces) == {g.subcarrier for g in games}
-        for trace in result.traces.values():
-            assert all(np.isfinite(v) and v > 0 for v in trace)
-
     @pytest.mark.parametrize("value, message", [
         (0, "max_iterations must be >= 1"),
         *((value, f"max_iterations must be an integer, got {value!r}")
@@ -313,38 +228,20 @@ class TestRunAlgorithm:
             run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=value)
 
 
-def assert_matches_reference_run(config, seed, max_iterations):
-    ctx = sample_link_context(config, np.random.default_rng(seed))
-    ref = reference.sample_drop(config, np.random.default_rng(seed))
-    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    games = new_games(ctx, rng)
-    result = run_algorithm1(games, ctx, rng, max_iterations=max_iterations)
-    expected, ref_games = reference.run_egt(ref, ref_rng, max_iterations)
-    assert list(result.profile.items()) == list(expected.profile.items())
-    assert list(result.traces.items()) == list(expected.traces.items())
-    assert result.iterations == expected.iterations
-    assert result.evaluations == expected.evaluations
-    assert result.converged == expected.converged
-    assert rng.random() == ref_rng.random()
-    # the in-place games end where the reference's copies do
-    assert len(games) == len(ref_games)
-    for game, ref_game in zip(games, ref_games):
-        assert game.strategy == ref_game.strategy
-        assert game.explored == ref_game.explored()
-        assert game.converged == ref_game.converged
-
-
-def assert_rounds_match_reference_steps(config, seed):
-    """Each `egt_step` round, game by game, against the reference's copying step."""
+def assert_egt_matches_reference(config, seed, max_iterations):
+    """`run_algorithm1` against the reference's run, and each `egt_step` round it
+    takes, game by game, against the reference's copying step."""
     ctx = sample_link_context(config, np.random.default_rng(seed))
     ref = reference.sample_drop(config, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     games, ref_games = new_games(ctx, rng), reference.new_games(ref, ref_rng)
-    while active := [game for game in games if not game.converged]:
+
+    def checked_step(active, context, step_rng):
+        stepped = egt_step(active, context, step_rng)
         ref_active = [i for i, game in enumerate(ref_games) if not game.converged]
         assert [game.subcarrier for game in active] == \
             [ref_games[i].subcarrier for i in ref_active]
-        for game, (payoffs, average), i in zip(active, egt_step(active, ctx, rng), ref_active):
+        for game, (payoffs, average), i in zip(active, stepped, ref_active):
             ref_games[i], ref_payoffs, ref_average = reference.egt_step(ref_games[i], ref,
                                                                         ref_rng)
             assert list(payoffs.items()) == list(ref_payoffs.items())
@@ -352,8 +249,18 @@ def assert_rounds_match_reference_steps(config, seed):
             assert game.strategy == ref_games[i].strategy
             assert game.explored == ref_games[i].explored()
             assert game.converged == ref_games[i].converged
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert all(game.converged for game in ref_games)
+        assert step_rng.bit_generator.state == ref_rng.bit_generator.state
+        return stepped
+
+    with mock.patch.object(egt, "egt_step", checked_step):
+        result = run_algorithm1(games, ctx, rng, max_iterations=max_iterations)
+    expected, _ = reference.run_egt(ref, np.random.default_rng(seed + 1), max_iterations)
+    assert list(result.profile.items()) == list(expected.profile.items())
+    assert list(result.traces.items()) == list(expected.traces.items())
+    assert result.iterations == expected.iterations
+    assert result.evaluations == expected.evaluations
+    assert result.converged == expected.converged
+    assert rng.random() == ref_rng.random()
 
 
 @st.composite
@@ -377,39 +284,15 @@ def small_runs(draw):
 class TestTrajectoryPreservation:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(run=small_runs(), seed=st.integers(0, 2**32))
-    def test_in_place_round_matches_copying_reference(self, run, seed):
+    def test_rounds_and_run_match_reference(self, run, seed):
         config, max_iterations = run
-        assert_matches_reference_run(config, seed, max_iterations)
+        assert_egt_matches_reference(config, seed, max_iterations)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_in_place_round_matches_copying_reference_at_reference_scale(self, seed):
-        config = NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6)
-        assert_matches_reference_run(config, seed, max_iterations=64)
-
-
-@pytest.mark.bitexact
-class TestRunIsSteppedRounds:
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(run=small_runs(), seed=st.integers(0, 2**32))
-    def test_egt_step_rounds_match_reference_steps(self, run, seed):
-        config, _ = run
-        assert_rounds_match_reference_steps(config, seed)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_egt_step_rounds_match_reference_steps_on_reference_config(self, seed):
+    def test_rounds_and_run_match_reference_on_reference_config(self, seed):
         config = load_config(Path(__file__).resolve().parent.parent / "configs"
                              / "two_cell_reference.cfg")
-        assert_rounds_match_reference_steps(config, seed)
-
-    def test_shared_subcarrier_rejected_before_any_sinr_call(self, monkeypatch):
-        ctx = make_context(9)
-        game = new_games(ctx, np.random.default_rng(9))[0]
-        twin = fresh_game(game.players, game.strategy, subcarrier=game.subcarrier)
-        calls, original = [], linklevel.sinr
-        monkeypatch.setattr(linklevel, "sinr", lambda *args: calls.append(args) or original(*args))
-        with pytest.raises(ValueError, match="distinct subcarriers"):
-            run_algorithm1([game, twin], ctx, np.random.default_rng(0))
-        assert calls == []
+        assert_egt_matches_reference(config, seed, max_iterations=64)
 
 
 @pytest.mark.bitexact

@@ -12,7 +12,7 @@ import reference
 from twotier_ee import harness
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.harness import (
-    ALGORITHMS, ExperimentSpec, SweepSpec, algorithm_rng, child_seed, emit_results,
+    ALGORITHMS, ExperimentSpec, SweepSpec, child_seed, emit_results,
     emit_sweep, jain_index, parse_results, run_drops, scenario_rng, sweep, trace_path_for,
 )
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
@@ -65,27 +65,6 @@ class TestJainIndex:
                 f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
                 f"{max(values)!r} is out of float range")):
             jain_index(values)
-
-
-class TestSeeding:
-    def test_child_seed_deterministic(self):
-        assert child_seed(42, 3) == child_seed(42, 3)
-
-    def test_child_seeds_distinct_across_drops_and_masters(self):
-        seeds = {child_seed(s, d) for s in range(20) for d in range(50)}
-        assert len(seeds) == 20 * 50
-
-    def test_child_seed_fits_record_column(self):
-        s = child_seed(0, 0)
-        assert 0 <= s < 2 ** 64
-
-    def test_algorithm_streams_differ_but_reproduce(self):
-        seed = child_seed(1, 0)
-        draws = {a: algorithm_rng(seed, a).integers(0, 2 ** 32, size=4).tolist()
-                 for a in ("egt", "ngt", "brute-group", "brute-global")}
-        assert len({tuple(v) for v in draws.values()}) == 4
-        again = algorithm_rng(seed, "egt").integers(0, 2 ** 32, size=4).tolist()
-        assert again == draws["egt"]
 
 
 class TestSpecValidation:
@@ -215,13 +194,24 @@ class TestRunDrops:
         assert rec.error == "non-finite jain = nan"
         assert rec.traces == {}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_channel_norm_yields_error_records(self):
         config = cfg(antenna_constant=1e306, path_loss_exponent=0.01, rng_seed=0)
         for algorithm in ALGORITHMS:
             records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=3))
             assert [r.error for r in records] == [None] + 2 * [
                 "cannot build a combiner: a channel norm overflows to inf"]
+
+    @pytest.mark.parametrize("algorithm, message", [
+        ("brute-group", "every one of the 16 profiles gives a NaN group EE on subcarrier 0"),
+        ("brute-global", "every one of the 256 profiles gives a NaN network EE"),
+    ])
+    def test_all_nan_objectives_yield_error_records(self, algorithm, message):
+        # every SINR is inf / inf: egt and ngt report the NaN network_ee
+        config = cfg(n_small_cells=3, antenna_constant=1e30, noise_psd_dbm_per_hz=-3000,
+                     power_levels=(1e300, 1.0000000000000002e300))
+        records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=2))
+        assert [r.error for r in records] == [message] * 2
 
     def test_overflowing_jain_index_yields_error_record(self):
         config = cfg(noise_psd_dbm_per_hz=-3000, circuit_power=1e-300,

@@ -6,11 +6,10 @@ metrics' link, group and network EE, and the oracles and best-response
 dynamics built on them, against `tests/reference.py`, and `sinr` given a
 link's `interference` against `sinr` summing it.  TestBatchedOracle
 checks the oracles' chunked numpy objective and first-maximum pick against
-the reference search, and the vector-equals-scalar `np.log2` it rests on.
-TestBatchedEe checks `batch_ee`, which egt, ngt and the metrics take after
-their `sinr` calls, on short, strided and offset arrays and (links, levels)
-blocks, the row-wise first-maximum pick of ngt, and that each ngt batch is
-one cell's links on distinct subcarriers.
+the reference search, with ngt's row-wise pick, and the vector-equals-scalar
+`np.log2` it rests on.  TestBatchedEe checks `batch_ee`, which egt, ngt and
+the metrics take after their `sinr` calls, on short, strided and offset
+arrays and (links, levels) blocks.
 TestStackedGainTable checks the per-receiver stacked gain table, built from
 the channel blocks and laid out by link position with position-keyed
 interferers, against the reference's table, and the numpy rounding facts it
@@ -240,6 +239,11 @@ class TestBatchedOracle:
         assert index == expected_index
         assert value == expected_value
         assert type(value) is float
+        # ngt's pick: every rotation of the case is one row of a (links, levels)
+        # block, and a row with nothing above -inf picks level 0
+        block = np.array([values[k:] + values[:k] for k in range(len(values))])
+        assert baselines._first_max_rows(block).tolist() == \
+            [reference.first_max(row)[0] or 0 for row in block.tolist()]
 
     def test_vector_log2_is_bit_identical_to_scalar(self):
         # the batched oracle objective takes np.log2(1.0 + S) over a whole
@@ -276,7 +280,7 @@ BATCHED_EE = "the batched EE (linklevel.batch_ee) of egt, ngt, the metrics and t
 
 
 class TestBatchedEe:
-    """`batch_ee` after the pinned `sinr` calls, and the ngt pick over its blocks."""
+    """`batch_ee` after the pinned `sinr` calls equals the scalar EE on the pinned numpy."""
 
     def test_short_strided_and_offset_arrays_equal_scalar_log2(self):
         # an EGT round can hold one link and a reference-scale ngt batch is 6 x 8;
@@ -316,52 +320,6 @@ class TestBatchedEe:
                                         batch_ee(block, levels, circuit_power).tolist())
                 for s, p, got in zip(row, levels.tolist(), got_row)
             ], BATCHED_EE)
-
-    @pytest.mark.parametrize("values", FIRST_MAX_CASES)
-    def test_row_first_max_equals_strict_scan(self, values):
-        # every rotation of the case is one row of a (links, levels) block
-        block = np.array([values[k:] + values[:k] for k in range(len(values))])
-        expected = []
-        for row in block.tolist():
-            index, _ = reference.first_max(row)
-            # ngt's scan starts at level 0, so a row with nothing above -inf picks 0
-            expected.append(0 if index is None else index)
-        assert baselines._first_max_rows(block).tolist() == expected
-
-    @pytest.mark.parametrize("config", [
-        NetworkConfig(n_small_cells=2, n_subcarriers=6, n_users_per_cell=6),
-        NetworkConfig(n_small_cells=4, n_subcarriers=8, n_users_per_cell=5,
-                      power_levels=DEFAULT_POWER_LEVELS[:5]),
-    ])
-    def test_ngt_batches_one_cell_on_distinct_subcarriers(self, monkeypatch, config):
-        ctx = sample_link_context(config, np.random.default_rng(8))
-        pending, batches = [], []
-        sinr_before, batch_ee_before = linklevel.sinr, baselines.batch_ee
-
-        def recording_sinr(context, powers, i, interference=None):
-            pending.append(context.topology.links()[i])
-            return sinr_before(context, powers, i, interference)
-
-        def recording_batch_ee(sinrs, powers, circuit_power):
-            batches.append(list(pending))
-            pending.clear()
-            return batch_ee_before(sinrs, powers, circuit_power)
-
-        monkeypatch.setattr(linklevel, "sinr", recording_sinr)
-        monkeypatch.setattr(baselines, "batch_ee", recording_batch_ee)
-        result = ngt_best_response(ctx, np.random.default_rng(9))
-        n_levels = config.n_power_levels
-        assert not pending
-        assert sum(map(len, batches)) == result.evaluations
-        cells = sorted({cell for cell, _ in ctx.topology.links()})
-        assert len(batches) == len(cells) * (result.rounds + result.converged)
-        for i, calls in enumerate(batches):
-            links = calls[::n_levels]
-            # links ascending, each at every level in turn
-            assert calls == [link for link in links for _ in range(n_levels)]
-            assert links == sorted(link for link in ctx.topology.links()
-                                   if link[0] == cells[i % len(cells)])
-            assert len({sc for _, sc in links}) == len(links)
 
 
 def channel_rows(rng, n_rows, n_antennas):

@@ -164,66 +164,6 @@ class TestShadowing:
             draw_shadowing(config, np.random.default_rng(4), size=1000)
 
 
-class TestFadingAndChannels:
-    def test_fading_covers_all_receiver_link_pairs(self):
-        config = cfg()
-        rng = np.random.default_rng(11)
-        topo = sample_topology(config, rng)
-        fading = sample_large_scale_fading(topo, config, rng)
-        assert fading.shape == (3, len(topo.links()))
-        assert (fading > 0).all()
-
-    def test_beta_consistent_with_distance_and_shadow(self):
-        config = cfg()
-        rng = np.random.default_rng(13)
-        topo = sample_topology(config, rng)
-        # the same generator state redraws the block's shadowing
-        shadow_rng = np.random.default_rng(13)
-        sample_topology(config, shadow_rng)
-        fading = sample_large_scale_fading(topo, config, rng)
-        shadowing = draw_shadowing(config, shadow_rng, size=fading.shape)
-        for rx in range(config.n_cells):
-            for i, (c, sc) in enumerate(topo.links()):
-                user = np.asarray(topo.users[(c, sc)])
-                d = max(np.linalg.norm(topo.bs_positions[rx] - user), 1.0)
-                expected = config.antenna_constant * shadowing[rx, i] / d ** 3.8
-                assert fading[rx, i] == pytest.approx(expected, rel=1e-12)
-
-    def test_channel_dimensions_follow_receiver(self):
-        config = cfg()
-        rng = np.random.default_rng(17)
-        topo = sample_topology(config, rng)
-        fading = sample_large_scale_fading(topo, config, rng)
-        ch = sample_channels(topo, fading, config, rng)
-        assert len(ch.blocks) == config.n_cells
-        for rx, block in enumerate(ch.blocks):
-            assert block.shape == (len(topo.links()), 128 if rx == 0 else 4)
-            assert block.dtype == np.complex128
-
-    def test_rayleigh_moments(self):
-        # h entries are CN(0,1): unit variance, zero mean
-        config = cfg(n_small_cells=0, n_subcarriers=1, n_users_per_cell=1,
-                     n_antennas_mbs=100_000, n_antennas_sbs=4)
-        rng = np.random.default_rng(19)
-        topo = sample_topology(config, rng)
-        fading = sample_large_scale_fading(topo, config, rng)
-        ch = sample_channels(topo, fading, config, rng)
-        h = ch.blocks[0][0] / np.sqrt(fading[0, 0])   # the one link, at the MBS
-        assert np.var(h) == pytest.approx(1.0, rel=0.05)
-        assert abs(np.mean(h)) < 0.02
-
-    def test_channel_magnitude_follows_beta(self):
-        # ||g||^2 / n_antennas concentrates around beta at high antenna count
-        config = cfg(n_small_cells=0, n_subcarriers=1, n_users_per_cell=1,
-                     n_antennas_mbs=100_000, n_antennas_sbs=4)
-        rng = np.random.default_rng(23)
-        topo = sample_topology(config, rng)
-        fading = sample_large_scale_fading(topo, config, rng)
-        ch = sample_channels(topo, fading, config, rng)
-        g = ch.blocks[0][0]   # the one link, at the MBS
-        assert np.linalg.norm(g) ** 2 / 100_000 == pytest.approx(fading[0, 0], rel=0.05)
-
-
 def by_position(topology, keyed):
     """A reference dict keyed (receiver, cell, subcarrier) as (receiver, link position) rows."""
     return [[keyed[(rx, cell, sc)] for cell, sc in topology.links()]
