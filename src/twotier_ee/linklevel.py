@@ -135,7 +135,21 @@ class LinkContext:
 
 
 def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> LinkContext:
-    """Sample one full drop: topology, then shadowing, then fast fading."""
+    """Sample one full drop: topology, then shadowing, then fast fading.
+
+    Every value comes from `rng`, one block draw per step, in this order:
+    1. small-cell centres, a (1, 2) uniform block per candidate (radius,
+       then angle), redrawn until the spacing holds;
+    2. per cell, ascending: `rng.choice` of its subcarriers, then one
+       (users, 2) uniform block, a radius and an angle per user in
+       subcarrier order;
+    3. shadowing, one (cells, links) normal block, receivers ascending and
+       links in `Topology.links()` order;
+    4. per receiver, ascending: one (links, 2, antennas) standard-normal
+       block, each link's real parts, then its imaginary parts.
+    That is the stream of the one-value-at-a-time walk in
+    `tests/reference.py`; a change of order changes every output.
+    """
     topology = sample_topology(config, rng)
     fading = sample_large_scale_fading(topology, config, rng)
     channels = sample_channels(topology, fading, config, rng)
@@ -152,11 +166,16 @@ def sinr(context: LinkContext, powers: list, i: int, interference: float | None 
     keeps a cell's own users orthogonal.  Interferers are summed in
     ascending cell order, so the result is bit-reproducible.  A caller may
     pass the link's `interference(context, powers, i)`, which skips the sum.
+
+    Every evaluator makes exactly one call per link it evaluates, through
+    the module attribute `linklevel.sinr`; the benchmark pins that count
+    (`linklevel.sinr.calls`), so inlining `sinr` or skipping a call changes
+    a pinned number.
     """
     own, interferers, noise = context.gains[i]
     if interference is None:
-        # one by one: a vector sum reorders the additions, and total minus signal
-        # cancels under massive-MIMO gain; either changes the emitted digits.
+        # one by one: a vector sum or math.fsum rounds otherwise, and total minus
+        # signal cancels under massive-MIMO gain; each changes the emitted digits.
         # Inline, not interference(): a second call per evaluation slows the oracles
         interference = 0.0
         for j, gain in interferers:
@@ -181,6 +200,7 @@ def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
     Elementwise `+` and `/` are exact IEEE operations, and vector np.log2
     equals the scalar call bit for bit on the pinned numpy, so every value
     is the one the scalar arithmetic gives for the same SINR and power.
+    The rate is never `math.log2`, which rounds some inputs differently.
     """
     return np.log2(1.0 + np.asarray(sinrs)) / (np.asarray(powers) + circuit_power)
 

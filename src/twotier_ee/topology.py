@@ -111,9 +111,12 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
             )
         attempts += 1
         candidate = _uniform_in_disc(mbs, config.macro_radius, 1, rng)
-        # distances to every placed centre: stacked (1, 2) @ (2, 1) rounds as np.linalg.norm
+        # distances to every placed centre: stacked (1, 2) @ (2, 1) rounds as np.linalg.norm.
+        # One that overflows to inf is farther apart than any spacing, as it should be
         offset = (candidate - sbs)[:, None, :]
-        if (np.sqrt(offset @ offset.swapaxes(1, 2)) >= 2.0 * config.small_radius).all():
+        with np.errstate(over="ignore"):
+            distance = np.sqrt(offset @ offset.swapaxes(1, 2))
+        if (distance >= 2.0 * config.small_radius).all():
             sbs = np.vstack([sbs, candidate])
 
     bs_positions = np.vstack([mbs, sbs])
@@ -143,7 +146,13 @@ def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     d = np.maximum(distance, MIN_DISTANCE_M)
     path_loss = np.fromiter([x ** config.path_loss_exponent for x in d.ravel().tolist()],
                             float, d.size).reshape(d.shape)
-    return config.antenna_constant * shadow_draw / path_loss
+    with np.errstate(over="ignore"):   # the finite check below reports an overflow
+        gain = config.antenna_constant * shadow_draw / path_loss
+    if not np.isfinite(gain).all():
+        raise ValueError(f"the large-scale gain antenna_constant * shadowing / d ** "
+                         f"path_loss_exponent overflows: antenna_constant = "
+                         f"{config.antenna_constant!r} is too large")
+    return gain
 
 
 def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.ndarray:
@@ -177,9 +186,12 @@ def sample_large_scale_fading(
     users = np.array([topology.users[link] for link in topology.links()])
     offset = (topology.bs_positions[:, None, :] - users[None, :, :])[:, :, None, :]
     # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not.
-    # Clamped here too, so a user at its BS (distance 0) gets MIN_DISTANCE_M's gain
-    distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
-                          MIN_DISTANCE_M)
+    # A distance that overflows to inf gives gain 0, which mrc_combiner refuses on a
+    # link's own channel.  Clamped here too, so a user at its BS (distance 0) gets
+    # MIN_DISTANCE_M's gain
+    with np.errstate(over="ignore"):
+        distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
+                              MIN_DISTANCE_M)
     # draw_shadowing rejects a draw that under- or overflows, so every value is > 0
     return large_scale_gain(distance, config, draw_shadowing(config, rng, size=distance.shape))
 

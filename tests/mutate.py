@@ -84,8 +84,8 @@ MUTANTS = [
            "for sc, (x, y) in zip(np.sort(subcarriers).tolist(), positions.tolist()):",
            "for sc, (x, y) in zip(subcarriers.tolist(), positions.tolist()):"),
     Mutant("topology-vector-path-loss", "topology.py",
-           "return config.antenna_constant * shadow_draw / path_loss",
-           "return config.antenna_constant * shadow_draw / d ** config.path_loss_exponent"),
+           "gain = config.antenna_constant * shadow_draw / path_loss",
+           "gain = config.antenna_constant * shadow_draw / d ** config.path_loss_exponent"),
     Mutant("topology-no-distance-clamp", "topology.py",
            "d = np.maximum(distance, MIN_DISTANCE_M)",
            "d = distance"),

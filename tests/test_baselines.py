@@ -1,3 +1,7 @@
+"""The exhaustive oracles and the selfish best response on hand-built instances,
+ties included.
+"""
+
 import re
 
 import numpy as np

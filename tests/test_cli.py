@@ -1,3 +1,7 @@
+"""The command line: each subcommand's output and exit code, and the reason it
+prints for each failed drop or bad input.
+"""
+
 import math
 import os
 import subprocess

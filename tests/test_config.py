@@ -1,3 +1,8 @@
+"""`NetworkConfig`'s validation and the config file format: each bad value or line
+is refused with a diagnostic that names it, and `format_config` output parses back
+equal.
+"""
+
 import dataclasses
 import math
 import re

@@ -1,8 +1,9 @@
 """Every script in demos/ runs to completion and prints exactly its pinned stdout.
 
 The demos are seeded, so each one's stdout is a fixed byte string; its
-sha256 digest is pinned below, and the README's library example's output
-with it.  A change that alters any printed digit of any demo fails here.
+sha256 digest is pinned below.  A change that alters any printed digit of
+any demo fails here.  `tests/test_readme.py` runs the README's library
+example with this file's `run_demo`.
 Re-record only in a change that deliberately moves a demo's output, and
 say why in CHANGES.md:
 
@@ -55,14 +56,6 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]
-
-
-def test_readme_library_example():
-    readme = (ROOT / "README.md").read_text()
-    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    proc = run_demo("-c", example)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == b"10685.397111056227\n"
 
 
 if __name__ == "__main__":

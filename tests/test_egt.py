@@ -1,3 +1,7 @@
+"""The per-subcarrier EGT games: hand-traced rounds, the step rules, convergence
+within L rounds, and whole runs against `tests/reference.py`, round by round.
+"""
+
 import math
 import re
 from pathlib import Path
@@ -163,8 +167,11 @@ class TestStepMechanics:
         ctx = make_context(10)
         rng = np.random.default_rng(10)
         for game in new_games(ctx, rng):
+            rounds = 0
             while not game.converged:
+                assert rounds <= ctx.config.n_power_levels, "still stepping past L + 1 rounds"
                 egt_step([game], ctx, rng)
+                rounds += 1
                 for c in game.players:
                     assert game.strategy[c] in game.explored
 
@@ -190,6 +197,7 @@ class TestRunAlgorithm:
         seen = [game.strategy[cell]]
         rounds = 0
         while not game.converged:
+            assert rounds <= 3, "still stepping past L + 1 rounds"
             prev = game.strategy[cell]
             egt_step([game], ctx, rng)
             rounds += 1

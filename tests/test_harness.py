@@ -1,3 +1,8 @@
+"""Seeded drops, sweeps and the CSV files: the Jain index, spec validation, the
+error record of each kind of failed drop, `run_drops` against
+`tests/reference.py`, and the results schema.
+"""
+
 import csv
 import dataclasses
 import math
@@ -201,6 +206,21 @@ class TestRunDrops:
             records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=3))
             assert [r.error for r in records] == [None] + 2 * [
                 "cannot build a combiner: a channel norm overflows to inf"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides, message", [
+        # distances overflow to inf, so every gain is 0, the own channel's too
+        (dict(n_small_cells=2, macro_radius=1e200, small_radius=1.0, path_loss_exponent=1e-3),
+         "cannot build a combiner for an all-zero channel"),
+        (dict(n_small_cells=0, macro_radius=1e200, small_radius=1.0, path_loss_exponent=1e-3),
+         "cannot build a combiner for an all-zero channel"),
+        (dict(antenna_constant=1e308),
+         "the large-scale gain antenna_constant * shadowing / d ** path_loss_exponent "
+         "overflows: antenna_constant = 1e+308 is too large"),
+    ], ids=["spacing-and-distance", "distance", "gain"])
+    def test_overflowing_distance_or_gain_yields_error_records(self, overrides, message):
+        records = run_drops(ExperimentSpec(config=cfg(**overrides), algorithm="egt", n_drops=3))
+        assert [r.error for r in records] == [message] * 3
 
     @pytest.mark.parametrize("algorithm, message", [
         ("brute-group", "every one of the 16 profiles gives a NaN group EE on subcarrier 0"),

@@ -553,6 +553,7 @@ class TestSinrCallSequence:
         games = new_games(ctx, rng)
         rounds = 0
         while active := [game for game in games if not game.converged]:
+            assert rounds <= ctx.config.n_power_levels, "still stepping past L + 1 rounds"
             expected = reference_egt_round_calls(ctx, active)
             sinr_calls.clear()
             stepped = egt_step(active, ctx, rng)

@@ -1,3 +1,5 @@
+"""The MRC combiner and the per-drop metrics, on hand-built and sampled drops."""
+
 import math
 import re
 

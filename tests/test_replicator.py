@@ -1,3 +1,7 @@
+"""The replicator right-hand side, the forward-Euler integrator and the stability
+classifier.
+"""
+
 import numpy as np
 import pytest
 

@@ -1,3 +1,8 @@
+"""The drop sampler: geometry statistics, the large-scale gain and shadowing, each
+refusal of a bad input by name, and the block sampler against the scalar walk of
+`tests/reference.py`, value for value.
+"""
+
 import math
 
 import numpy as np
@@ -120,6 +125,7 @@ class TestLargeScaleGain:
         config = cfg()
         assert large_scale_gain(0.25, config, 1.0) == large_scale_gain(1.0, config, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_inputs(self):
         config = cfg()
         with pytest.raises(ValueError):
@@ -133,6 +139,10 @@ class TestLargeScaleGain:
             large_scale_gain(np.array([5.0, 0.0]), config, np.ones(2))
         with pytest.raises(ValueError, match="shadow draw must be > 0, got 0.0"):
             large_scale_gain(np.array([5.0, 6.0]), config, np.array([1.0, 0.0]))
+        # a gain that overflows, without numpy's warning
+        for distance, shadow in [(1.0, 10.0), (np.array([5.0, 1.0]), np.array([1.0, 10.0]))]:
+            with pytest.raises(ValueError, match=r"overflows: antenna_constant = 1e\+308 is "):
+                large_scale_gain(distance, cfg(antenna_constant=1e308), shadow)
 
 
 class TestShadowing:
