@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import linklevel
-from .config import _is_integer
+from .config import _check_count
 from .linklevel import LinkContext, batch_ee, interference, ordered_sum
 
 __all__ = [
@@ -190,16 +190,13 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     generator state of one scalar draw per link (the same stream).
     The result profile keys the links cell-major, as they were visited.
     """
-    if not _is_integer(max_rounds):
-        raise ValueError(f"max_rounds must be an integer, got {max_rounds!r}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    _check_count("max_rounds", max_rounds)
     sinr = linklevel.sinr   # looked up per run, so a patched sinr is seen
     levels = context.config.power_levels
     n_levels = len(levels)
     level_array = np.array(levels)
     circuit_power = context.config.circuit_power
-    links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))
+    links = sorted(context.topology.links())
     rows = [context.topology.position(link) for link in links]
     # one power list by link position, drawn in cell-major order
     powers = [None] * len(rows)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
+
+import numpy as np
 
 __all__ = ["NetworkConfig", "ConfigError", "DEFAULT_POWER_LEVELS", "load_config",
            "parse_config", "format_config"]
@@ -123,6 +124,12 @@ class NetworkConfig:
             raise ConfigError("power levels must be strictly increasing")
         if self.circuit_power <= 0:
             raise ConfigError("circuit_power must be > 0")
+        # every EE divides by a level plus the circuit power, the largest sum
+        # at the last level; an infinite sum makes every EE 0
+        if not math.isfinite(self.power_levels[-1] + self.circuit_power):
+            raise ConfigError(
+                f"power_levels[-1] = {self.power_levels[-1]!r} plus circuit_power = "
+                f"{self.circuit_power!r} overflows the total power of a user")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be a nonnegative integer")
 
@@ -135,12 +142,12 @@ class NetworkConfig:
     def n_power_levels(self) -> int:
         return len(self.power_levels)
 
-    @cached_property
+    @property
     def noise_power(self) -> float:
         """Per-subcarrier noise power in watts (PSD in dBm/Hz times bandwidth).
 
-        Computed once per config: every SINR evaluation reads it.  Not a
-        field, so it stays out of ==, hashing and format_config.
+        Read once per drop, by the gain table.  Not a field, so it stays out
+        of ==, hashing and format_config.
         """
         return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) / 10.0) * self.subcarrier_bandwidth_hz
 
@@ -160,9 +167,32 @@ def _real(name: str, value) -> float:
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count argument that is not an integer >= 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 _INT_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "int"}
 _LIST_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "tuple"}
 _FIELD_NAMES = {f.name for f in fields(NetworkConfig)}
+
+
+def _typed(name: str, value):
+    """A scalar field's value, or its text, as the field's type; an int field
+    also takes an integral float."""
+    kind = int if name in _INT_FIELDS else float
+    try:
+        # bool converts to either kind, and neither kind of field takes it
+        if not isinstance(value, (bool, np.bool_)) and (
+                kind is float or isinstance(value, str) or _is_integer(value)
+                or float(value).is_integer()):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} value {value!r} is not a valid {kind.__name__}")
 
 
 def parse_config(text: str, source: str = "<string>") -> NetworkConfig:
@@ -189,10 +219,8 @@ def parse_config(text: str, source: str = "<string>") -> NetworkConfig:
         try:
             if key in _LIST_FIELDS:
                 values[key] = tuple(float(tok) for tok in value.replace(",", " ").split())
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
             else:
-                values[key] = float(value)
+                values[key] = _typed(key, value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {value!r}") from exc
     try:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linklevel
-from .config import _is_integer
+from .config import _check_count
 from .linklevel import LinkContext, batch_ee, ordered_sum
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
@@ -29,11 +29,13 @@ __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
 
 @dataclass
 class GameState:
-    """State of one subcarrier's power-control game, advanced in place."""
+    """State of one subcarrier's power-control game, advanced in place.
+
+    The players are the keys of `strategy`, the co-channel cells ascending.
+    """
 
     subcarrier: int
-    players: list                      # cell indices, ascending
-    strategy: dict                     # cell -> power level index
+    strategy: dict                     # cell -> power level index, cells ascending
     explored: set                      # level indices any player has held
     converged: bool = False
 
@@ -50,9 +52,8 @@ def new_games(context: LinkContext, rng: np.random.Generator) -> list:
     draws = iter(rng.integers(context.config.n_power_levels, size=len(topology.users)).tolist())
     games = []
     for sc in topology.occupied_subcarriers():
-        players = list(topology.cells_on(sc))
-        strategy = dict(zip(players, draws))
-        games.append(GameState(subcarrier=sc, players=players, strategy=strategy,
+        strategy = dict(zip(topology.cells_on(sc), draws))
+        games.append(GameState(subcarrier=sc, strategy=strategy,
                                explored=set(strategy.values())))
     return games
 
@@ -84,9 +85,9 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     powers = [None] * len(context.gains)
     rows = []
     for game in games:
-        for cell in game.players:
+        for cell, level in game.strategy.items():
             i = position((cell, game.subcarrier))
-            powers[i] = levels[game.strategy[cell]]
+            powers[i] = levels[level]
             rows.append(i)
     sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
     ee = iter(batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
@@ -94,7 +95,7 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     stepped = []
     switches = []   # (game, cell, pool) of every switcher, games then players in order
     for game in games:
-        payoffs = dict(zip(game.players, ee))   # the game's run of `ee`, in player order
+        payoffs = dict(zip(game.strategy, ee))   # the game's run of `ee`, in player order
         average = ordered_sum(payoffs.values()) / len(payoffs)
         pool = [a for a in range(len(levels)) if a not in game.explored]
         switchers = [cell for cell, v in payoffs.items() if v <= average] if pool else []
@@ -131,10 +132,7 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
     payoff of every round it actually played.  Each round is one `egt_step`
     over the active games, which rejects games that share a subcarrier.
     """
-    if not _is_integer(max_iterations):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    _check_count("max_iterations", max_iterations)
     traces = {g.subcarrier: [] for g in games}
     evaluations = iterations = 0
     for _ in range(max_iterations):
@@ -146,8 +144,8 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
             evaluations += len(payoffs)
             traces[game.subcarrier].append(average)
     levels = context.config.power_levels
-    profile = {(cell, game.subcarrier): levels[game.strategy[cell]]
-               for game in games for cell in game.players}
+    profile = {(cell, game.subcarrier): levels[level]
+               for game in games for cell, level in game.strategy.items()}
     return EgtResult(profile=profile, traces=traces, iterations=iterations,
                      converged=all(g.converged for g in games),
                      evaluations=evaluations)

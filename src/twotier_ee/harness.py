@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
-from .config import _INT_FIELDS, NetworkConfig, _is_integer
+from .config import NetworkConfig, _check_count, _typed
 from .egt import new_games, run_algorithm1
 from .linklevel import LinkContext, compute_link_metrics, ordered_sum, sample_link_context
 
@@ -48,9 +49,15 @@ def jain_index(values) -> float:
         raise ValueError("jain index requires finite nonnegative values")
     values = v.tolist()
     # Python float products, bit for bit numpy's v * v, give inf without a warning
-    denom = v.size * ordered_sum([x * x for x in values])
-    if denom == 0.0:
-        raise ValueError("jain index of an all-zero list is undefined")
+    squares = ordered_sum([x * x for x in values])
+    # a subnormal square has lost bits, and the ratio can leave [1/n, 1]
+    if squares < v.size * sys.float_info.min:
+        if not any(values):
+            raise ValueError("jain index of an all-zero list is undefined")
+        # no value in the text, so the drops that fail this way count as one reason
+        raise ValueError("jain index underflows: sum v^2 is below n * the smallest normal "
+                         "float")
+    denom = v.size * squares
     try:
         numerator = ordered_sum(values) ** 2
     except OverflowError:
@@ -59,20 +66,6 @@ def jain_index(values) -> float:
         raise ValueError(f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
                          f"{max(values)!r} is out of float range")
     return numerator / denom
-
-
-def _typed(parameter: str, value):
-    """A sweep value as its field's type; an int field also takes an integral float or string."""
-    kind = int if parameter in _INT_FIELDS else float
-    try:
-        # bool converts to either kind, and neither kind of field takes it
-        if not isinstance(value, (bool, np.bool_)) and (
-                kind is float or isinstance(value, str) or _is_integer(value)
-                or float(value).is_integer()):
-            return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{parameter} value {value!r} is not a valid {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +95,9 @@ class ExperimentSpec:
     max_iterations: int = 64
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
-        for name in ("n_drops", "max_iterations"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        _algorithm(self.algorithm)
+        _check_count("n_drops", self.n_drops)
+        _check_count("max_iterations", self.max_iterations)
 
 
 def child_seed(rng_seed: int, drop: int) -> int:

@@ -121,16 +121,17 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
 
 @dataclass
 class LinkContext:
-    """Everything static about one drop: geometry, fading, channels, gains.
+    """What the algorithms and metrics read of one drop: its config, its
+    geometry and the post-combining gain table built from its channels.
 
     Transmit powers are the only free variable on top of a context, so all
-    algorithms evaluating the same drop share exactly these realizations.
+    algorithms evaluating the same drop share exactly these gains.  The
+    large-scale gains and channel vectors are not kept: a caller that wants
+    them calls the three samplers in `sample_link_context`'s order.
     """
 
     config: NetworkConfig
     topology: Topology
-    fading: np.ndarray    # (receiver cell, link position) large-scale gains
-    channels: ChannelRealization
     gains: list           # link position -> post-combining gains, see build_combiners
 
 
@@ -153,8 +154,7 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
     topology = sample_topology(config, rng)
     fading = sample_large_scale_fading(topology, config, rng)
     channels = sample_channels(topology, fading, config, rng)
-    return LinkContext(config=config, topology=topology, fading=fading,
-                       channels=channels,
+    return LinkContext(config=config, topology=topology,
                        gains=build_combiners(topology, channels, config.noise_power))
 
 

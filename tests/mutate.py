@@ -63,6 +63,12 @@ MUTANTS = [
     Mutant("config-duplicate-key", "config.py",
            "if key in values:",
            "if key in values and False:"),
+    Mutant("config-total-power-at-lowest-level", "config.py",
+           "if not math.isfinite(self.power_levels[-1] + self.circuit_power):",
+           "if not math.isfinite(self.power_levels[0] + self.circuit_power):"),
+    Mutant("config-count-accepts-zero", "config.py",
+           "if value < 1:",
+           "if value < 0:"),
     Mutant("config-path-loss-reach", "config.py",
            "reach = 2.0 * self.macro_radius + self.small_radius",
            "reach = self.macro_radius + self.small_radius"),
@@ -150,7 +156,7 @@ MUTANTS = [
            "if v < average] if pool else []"),
     Mutant("egt-average-over-players", "egt.py",
            "average = ordered_sum(payoffs.values()) / len(payoffs)",
-           "average = ordered_sum(payoffs.values()) / len(game.players)",
+           "average = ordered_sum(payoffs.values()) / len(game.strategy)",
            equivalent="payoffs holds one entry per player of the game"),
     Mutant("egt-pool-from-held-levels", "egt.py",
            "pool = [a for a in range(len(levels)) if a not in game.explored]",
@@ -217,7 +223,7 @@ MUTANTS = [
            "moved = list(map(levels.__getitem__, "
            "(n_levels - 1 - _first_max_rows(ee[:, ::-1])).tolist()))"),
     Mutant("baselines-ngt-subcarrier-major", "baselines.py",
-           "links = sorted(context.topology.links(), key=lambda ks: (ks[0], ks[1]))",
+           "links = sorted(context.topology.links())",
            "links = context.topology.links()"),
     Mutant("baselines-ngt-last-batch-decides", "baselines.py",
            "changed = changed or moved != held",
@@ -226,15 +232,18 @@ MUTANTS = [
            "if not players:",
            "if players is None:"),
     Mutant("baselines-zero-rounds", "baselines.py",
-           "if max_rounds < 1:",
-           "if max_rounds < 0:"),
+           '_check_count("max_rounds", max_rounds)',
+           '_check_count("max_rounds", max(max_rounds, 1))'),
     # harness
     Mutant("harness-jain-np-sum", "harness.py",
-           "denom = v.size * ordered_sum([x * x for x in values])",
-           "denom = v.size * float(np.sum(v * v))"),
+           "squares = ordered_sum([x * x for x in values])",
+           "squares = float(np.sum(v * v))"),
     Mutant("harness-jain-zero-unchecked", "harness.py",
-           "if denom == 0.0:",
-           "if denom < 0.0:"),
+           "if not any(values):",
+           "if not values:"),
+    Mutant("harness-jain-underflow-at-zero", "harness.py",
+           "if squares < v.size * sys.float_info.min:",
+           "if squares == 0.0:"),
     Mutant("harness-ngt-stream", "harness.py",
            '"ngt": 2,',
            '"ngt": 5,'),

@@ -130,9 +130,17 @@ class TestValidation:
         # 2100 m ** 90 is about 1e299: still finite
         assert small_config(path_loss_exponent=90.0).path_loss_exponent == 90.0
 
-    def test_noise_power_is_computed_once_and_not_a_field(self):
+    @pytest.mark.parametrize("levels", [(1e308,), (1.0, 1e308)])
+    def test_largest_level_plus_circuit_power_overflowing_rejected(self, levels):
+        # every EE divides by p + circuit_power: inf made each one 0
+        with pytest.raises(ConfigError, match=re.escape(
+                "power_levels[-1] = 1e+308 plus circuit_power = 1e+308 overflows")):
+            small_config(power_levels=levels, circuit_power=1e308)
+        # 1.7e308 + 0.01 rounds to 1.7e308: still finite
+        assert small_config(power_levels=levels[:-1] + (1.7e308,)).circuit_power == 0.01
+
+    def test_noise_power_is_not_a_field(self):
         cfg = small_config(noise_psd_dbm_per_hz=-174.0)
-        assert cfg.noise_power is cfg.noise_power
         assert "noise_power" not in {f.name for f in fields(NetworkConfig)}
         assert "noise_power" not in format_config(cfg)
         assert cfg == small_config(noise_psd_dbm_per_hz=-174.0)

@@ -33,16 +33,16 @@ def manual_two_player_context(channels, config):
     """Context with injected channel vectors for one shared subcarrier.
 
     channels maps (receiver, cell) to a vector, stacked into one block per
-    receiver in link order; the large-scale arrays are placeholders because
-    the link-level math reads only the channels.
+    receiver in link order; no large-scale gain is drawn because the gain
+    table reads only the channels.
     """
     topo = Topology(bs_positions=np.array([[0.0, 0.0], [500.0, 0.0]]),
                     users={(0, 0): (100.0, 0.0), (1, 0): (520.0, 0.0)})
     links = topo.links()
     ch = ChannelRealization(links=links, blocks=[
         np.array([channels[(rx, c)] for c, _ in links], dtype=complex) for rx in (0, 1)])
-    return LinkContext(config=config, topology=topo, fading=np.ones((2, 2)),
-                       channels=ch, gains=build_combiners(topo, ch, config.noise_power))
+    return LinkContext(config=config, topology=topo,
+                       gains=build_combiners(topo, ch, config.noise_power))
 
 
 def hand_trace_context():
@@ -70,9 +70,9 @@ def hand_payoffs(context, p0, p1):
             math.log2(1.0 + gamma1) / (p1 + pc))
 
 
-def fresh_game(players, strategy, subcarrier=0):
-    return GameState(subcarrier=subcarrier, players=list(players),
-                     strategy=dict(strategy), explored=set(strategy.values()))
+def fresh_game(strategy, subcarrier=0):
+    return GameState(subcarrier=subcarrier, strategy=dict(strategy),
+                     explored=set(strategy.values()))
 
 
 class TestHandTrace:
@@ -81,7 +81,7 @@ class TestHandTrace:
     def test_distinct_initial_strategies_converge_immediately(self):
         ctx = hand_trace_context()
         for s0, s1 in [(0, 1), (1, 0)]:
-            game = fresh_game([0, 1], {0: s0, 1: s1})
+            game = fresh_game({0: s0, 1: s1})
             [(payoffs, average)] = egt_step([game], ctx, np.random.default_rng(0))
             pi0, pi1 = hand_payoffs(ctx, ctx.config.power_levels[s0],
                                     ctx.config.power_levels[s1])
@@ -97,7 +97,7 @@ class TestHandTrace:
     def test_equal_initial_strategies_low_player_switches(self, start):
         ctx = hand_trace_context()
         levels = ctx.config.power_levels
-        game = fresh_game([0, 1], {0: start, 1: start})
+        game = fresh_game({0: start, 1: start})
         pi0, pi1 = hand_payoffs(ctx, levels[start], levels[start])
         # the macro player is the weak one in this instance at both levels
         assert pi0 < pi1
@@ -133,7 +133,7 @@ class TestHandTrace:
             (1, 1): [1.0, 0.0], (1, 0): [0.3, 0.0],
         }
         ctx = manual_two_player_context(channels, config)
-        game = fresh_game([0, 1], {0: 0, 1: 0})
+        game = fresh_game({0: 0, 1: 0})
         [(payoffs, _)] = egt_step([game], ctx, np.random.default_rng(0))
         assert payoffs[0] == pytest.approx(payoffs[1], rel=1e-12)
         assert game.strategy == {0: 1, 1: 1}
@@ -155,7 +155,7 @@ class TestStepMechanics:
     def test_games_sharing_a_subcarrier_rejected(self, monkeypatch):
         ctx = make_context(9)
         game = new_games(ctx, np.random.default_rng(9))[0]
-        twin = fresh_game(game.players, game.strategy, subcarrier=game.subcarrier)
+        twin = fresh_game(game.strategy, subcarrier=game.subcarrier)
         calls, original = [], linklevel.sinr
         monkeypatch.setattr(linklevel, "sinr", lambda *args: calls.append(args) or original(*args))
         for run in (egt_step, run_algorithm1):
@@ -172,7 +172,7 @@ class TestStepMechanics:
                 assert rounds <= ctx.config.n_power_levels, "still stepping past L + 1 rounds"
                 egt_step([game], ctx, rng)
                 rounds += 1
-                for c in game.players:
+                for c in game.strategy:
                     assert game.strategy[c] in game.explored
 
     def test_switchers_draw_from_group_unexplored_pool(self):
@@ -181,7 +181,7 @@ class TestStepMechanics:
         for game in new_games(ctx, rng):
             strategy, explored = dict(game.strategy), set(game.explored)
             egt_step([game], ctx, rng)
-            for c in game.players:
+            for c in game.strategy:
                 if game.strategy[c] != strategy[c]:
                     assert game.strategy[c] not in explored
             assert game.explored == explored | set(game.strategy.values())
@@ -193,7 +193,7 @@ class TestRunAlgorithm:
                            power_levels=(0.001, 0.01, 0.1))
         rng = np.random.default_rng(14)
         game = new_games(ctx, rng)[0]
-        (cell,) = game.players
+        (cell,) = game.strategy
         seen = [game.strategy[cell]]
         rounds = 0
         while not game.converged:

@@ -34,6 +34,7 @@ BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,
                "evaluations,converged")
 ROW_HEADER = BASE_HEADER + ",cell_ee_0\n"
 TWO_CELL_HEADER = BASE_HEADER + ",cell_ee_0,cell_ee_1\n"
+UNDERFLOW = "jain index underflows: sum v^2 is below n * the smallest normal float"
 
 
 class TestJainIndex:
@@ -41,6 +42,9 @@ class TestJainIndex:
         assert jain_index([1.0, 1.0, 1.0]) == pytest.approx(1.0, rel=1e-12)
         assert jain_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3, rel=1e-12)
         assert jain_index([2.0, 4.0]) == pytest.approx(0.9, rel=1e-12)
+        # squares of 1e-306, a sum above the underflow bound n * 2.2e-308
+        assert jain_index([1e-153] * 3) == pytest.approx(1.0, rel=1e-12)
+        assert jain_index([1e-153, 0.0, 0.0]) == pytest.approx(1 / 3, rel=1e-12)
 
     def test_both_endpoints_are_attained(self):
         # [1/n, 1]: one nonzero value gives 1/n exactly, equal values give 1
@@ -57,7 +61,7 @@ class TestJainIndex:
             jain_index([])
         with pytest.raises(ValueError):
             jain_index([1.0, -0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="jain index of an all-zero list is undefined"):
             jain_index([0.0, 0.0])
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
@@ -69,6 +73,18 @@ class TestJainIndex:
         with pytest.raises(ValueError, match=re.escape(
                 f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
                 f"{max(values)!r} is out of float range")):
+            jain_index(values)
+
+    @pytest.mark.parametrize("values", [
+        # squares 7.2e-324 each: subnormal, so the ratio read 1.5
+        [2.6826752746937915e-162, 2.680160106866974e-162],
+        # squares that round to 0.0, yet no value is 0
+        [1e-199, 0.0, 3e-200],
+        # a normal sum of squares, but below n * the smallest normal float
+        [1e-154, 1e-154, 1e-154],
+    ], ids=["subnormal-squares", "zero-squares", "below-n-min"])
+    def test_underflow_rejected(self, values):
+        with pytest.raises(ValueError, match=re.escape(UNDERFLOW)):
             jain_index(values)
 
 
@@ -240,6 +256,25 @@ class TestRunDrops:
         assert rec.error.startswith("jain index overflows: (sum v)^2 or n * sum v^2 of "
                                     "values up to ")
         assert math.isnan(rec.jain) and math.isnan(rec.network_ee)
+
+    def test_subnormal_cell_ee_squares_yield_error_records(self, tmp_path):
+        # at this circuit power each cell EE is about 2e-161 and its square
+        # subnormal; drop 8's Jain index read 1.00505050505, which
+        # parse_results refused
+        config = NetworkConfig(n_small_cells=1, n_subcarriers=2, n_users_per_cell=2,
+                               circuit_power=1.333521432163324e162)
+        records = run_drops(ExperimentSpec(config=config, algorithm="ngt", n_drops=9))
+        assert [r.error for r in records] == [UNDERFLOW] * 9
+        emit_results(records, tmp_path / "results.csv")
+        assert len(parse_results(tmp_path / "results.csv")) == 9
+
+    @pytest.mark.parametrize("algorithm", ["egt", "ngt"])
+    def test_underflowing_cell_ee_is_not_named_all_zero(self, algorithm):
+        # every cell EE is about 1e-199, not 0
+        config = NetworkConfig(n_small_cells=1, n_subcarriers=2, n_users_per_cell=2,
+                               circuit_power=1e200)
+        records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=3))
+        assert [r.error for r in records] == [UNDERFLOW] * 3
 
     def test_algorithms_share_the_same_drops(self):
         config = cfg()

@@ -475,8 +475,8 @@ def reference_ngt_calls(context, ref, rng, max_rounds=64):
 
 def reference_egt_round_calls(context, games):
     levels = context.config.power_levels
-    profile = {(cell, game.subcarrier): levels[game.strategy[cell]]
-               for game in games for cell in game.players}
+    profile = {(cell, game.subcarrier): levels[level]
+               for game in games for cell, level in game.strategy.items()}
     return [snapshot(context, profile, link) for link in profile]
 
 

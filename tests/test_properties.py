@@ -4,26 +4,32 @@ Each test draws a small config (at most 4 cells in a co-channel group and 4
 power levels, so the exhaustive searches stay at desk scale) and a drop
 seed from derandomized Hypothesis, so every run checks the same examples.
 Two more properties run whole drops: a config at the edge of the float
-range is refused, or each of its drops gives a finite row or an error that
-names the quantity at fault, with no numpy warning; and scaling every
-power and the bandwidth by 2^k divides every EE by exactly 2^k and changes
-nothing else.
+range is refused, or each of its drops gives a finite row with an exact
+Jain index or an error that names the quantity at fault, with no numpy
+warning, and every row parses back; and scaling every power and the
+bandwidth by 2^k divides every EE by exactly 2^k and changes nothing else.
+The last scales the antenna constant and the bandwidth by 4 and follows
+the factor through each layer of one drop's sampling and gain table.
 """
 
 import dataclasses
 import math
 import re
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twotier_ee.baselines import brute_force_group, ngt_best_response
 from twotier_ee.config import ConfigError, DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.egt import new_games, run_algorithm1
-from twotier_ee.harness import ExperimentSpec, run_drops
-from twotier_ee.linklevel import compute_link_metrics, ordered_sum, sample_link_context
+from twotier_ee.harness import ExperimentSpec, emit_results, parse_results, run_drops
+from twotier_ee.linklevel import (build_combiners, compute_link_metrics, mrc_combiner,
+                                  ordered_sum, sample_link_context)
+from twotier_ee.topology import sample_channels, sample_large_scale_fading, sample_topology
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -122,13 +128,23 @@ _QUANTITY = re.compile("|".join([*(f.name for f in dataclasses.fields(NetworkCon
                                  "group EE", "network EE"]))
 
 
+def _exact_jain(values):
+    """(sum v)^2 / (n * sum v^2) in exact rational arithmetic."""
+    exact = [Fraction(v) for v in values]
+    return float(sum(exact) ** 2 / (len(exact) * sum(v * v for v in exact)))
+
+
 @st.composite
 def boundary_configs(draw):
-    """Keyword arguments of a K <= 3, N = 2 config with three float fields and the
-    noise PSD drawn across the float range; NetworkConfig may refuse them."""
+    """Keyword arguments of a K <= 3, N = 2 config with three float fields, the
+    power levels and the noise PSD drawn across the float range; NetworkConfig
+    may refuse them."""
+    # the default levels times 10^e: the lowest from 5e-324, the highest to 1.7e308
+    e = draw(st.floats(-320.3, 309.23))
     kw = dict(n_small_cells=draw(st.integers(0, 3)), n_subcarriers=2,
               n_users_per_cell=draw(st.integers(1, 2)),
-              noise_psd_dbm_per_hz=draw(st.floats(-3000.0, 3000.0)))
+              noise_psd_dbm_per_hz=draw(st.floats(-3000.0, 3000.0)),
+              power_levels=tuple(10.0 ** (e - 3.0 + 2.0 * k / 7.0) for k in range(8)))
     for name in draw(st.permutations(_BOUNDARY_FIELDS))[:3]:
         # log-uniform magnitudes from 5e-324 (subnormal) to 1.7e308
         kw[name] = 10.0 ** draw(st.floats(-323.3, 308.23))
@@ -138,17 +154,31 @@ def boundary_configs(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(kw=boundary_configs())
+# each cell EE about 2e-161, its square subnormal: the Jain index was inexact
+@example(kw=dict(n_small_cells=1, n_subcarriers=2, n_users_per_cell=2,
+                 circuit_power=1.333521432163324e162))
+# the largest level plus the circuit power overflowed in every EE
+@example(kw=dict(n_small_cells=1, n_subcarriers=2, n_users_per_cell=2,
+                 power_levels=(1e308,), circuit_power=1e308))
 def test_boundary_config_is_refused_or_each_drop_names_its_outcome(kw):
     try:
         config = NetworkConfig(**kw)
     except ConfigError:
         return
     for algorithm in ("egt", "ngt", "brute-group"):
-        for r in run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=2)):
+        records = run_drops(ExperimentSpec(config=config, algorithm=algorithm, n_drops=2))
+        for r in records:
             if r.error is None:
-                assert all(map(math.isfinite, [r.network_ee, r.jain, *r.cell_ee])), r
+                assert all(map(math.isfinite, [r.network_ee, *r.cell_ee])), r
+                assert 0.0 < r.jain <= 1.0 + 1e-12, r
+                assert math.isclose(r.jain, _exact_jain(r.cell_ee), rel_tol=1e-12), r
             else:
                 assert _QUANTITY.search(r.error), r.error
+        # every record, failed or not, is a row that the results parser reads back
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "results.csv"
+            emit_results(records, path)
+            assert len(parse_results(path)) == len(records)
 
 
 def _scaled(config, k):
@@ -180,3 +210,44 @@ def test_power_scaling_divides_every_ee_exactly(k, case):
         assert b.cell_ee == [math.ldexp(v, -k) for v in a.cell_ee]
         assert b.traces == {sc: [math.ldexp(v, -k) for v in trace]
                             for sc, trace in a.traces.items()}
+
+
+def _sampled(config, seed):
+    """One drop's topology, large-scale gains and channels, in the drop's draw order."""
+    rng = np.random.default_rng(seed)
+    topology = sample_topology(config, rng)
+    fading = sample_large_scale_fading(topology, config, rng)
+    return topology, fading, sample_channels(topology, fading, config, rng)
+
+
+@pytest.mark.bitexact
+@SETTINGS
+@given(config=small_configs(), seed=st.integers(0, 2**32))
+def test_gain_scaling_scales_each_layer_exactly(config, seed):
+    # x4 on the antenna constant is x4 on each large-scale gain, so x2 on each
+    # channel, which a unit-norm combiner cancels; x4 on the bandwidth is x4 on
+    # the noise power.  A gain |a^H g|^2 is the Python power m ** 2, and glibc's
+    # pow is not correctly rounded: (2m) ** 2 is 4 * m ** 2 for most m, not all
+    scaled = dataclasses.replace(config, antenna_constant=4 * config.antenna_constant,
+                                 subcarrier_bandwidth_hz=4 * config.subcarrier_bandwidth_hz)
+    topology, fading, channels = _sampled(config, seed)
+    topology4, fading4, channels4 = _sampled(scaled, seed)
+    assert topology4.users == topology.users
+    assert np.array_equal(fading4, 4 * fading)
+    for block, block4 in zip(channels.blocks, channels4.blocks, strict=True):
+        assert np.array_equal(block4, 2 * block)
+    links = topology.links()
+    gains = build_combiners(topology, channels, config.noise_power)
+    gains4 = build_combiners(topology4, channels4, scaled.noise_power)
+    for i, ((cell, _), (own, interferers, noise), (own4, interferers4, noise4)) in enumerate(
+            zip(links, gains, gains4, strict=True)):
+        block = channels.blocks[cell]
+        a = mrc_combiner(block[i])
+        assert mrc_combiner(channels4.blocks[cell][i]).tobytes() == a.tobytes()
+        assert noise4 == 4 * noise
+        assert [j for j, _ in interferers4] == [j for j, _ in interferers]
+        for j, gain, gain4 in [(i, own, own4), *((j, g, g4) for (j, g), (_, g4)
+                                                 in zip(interferers, interferers4))]:
+            m = float(np.abs(np.vecdot(a, block[j])))
+            if (2 * m) ** 2 == 4 * m ** 2:
+                assert gain4 == 4 * gain, (i, j)
