@@ -9,7 +9,7 @@ noise floor because it has unit norm.
 import numpy as np
 
 from twotier_ee.config import NetworkConfig
-from twotier_ee.linklevel import LinkContext, build_combiners, sinr
+from twotier_ee.linklevel import LinkContext, build_combiners, interference, sinr
 from twotier_ee.topology import (large_scale_gain, sample_channels,
                                  sample_large_scale_fading, sample_topology)
 
@@ -59,9 +59,10 @@ ctx = LinkContext(config=config, topology=topology,
                   gains=build_combiners(topology, channels, config.noise_power))
 link = topology.links()[0]
 i = topology.position(link)
-powers = [config.power_levels[0]] * len(topology.links())   # by link position
-low = sinr(ctx, powers, i)
-powers[i] = config.power_levels[-1]
-high = sinr(ctx, powers, i)
+# every link at the lowest level, by link position: the interference link i sees
+power = np.full(len(topology.links()), config.power_levels[0])
+acc = float(interference(power, ctx.gains.idx, ctx.gains.gain)[i])
+low = sinr(ctx, i, config.power_levels[0], acc)
+high = sinr(ctx, i, config.power_levels[-1], acc)
 print(f"\nSINR of link {link} at lowest/highest own power: "
       f"{10 * np.log10(low):.1f} / {10 * np.log10(high):.1f} dB")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import cycle, groupby, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -95,12 +95,10 @@ def _exhaustive(context: LinkContext, links: list, groups: list, what: str) -> O
     that `compute_link_metrics` takes; `what` names it in the error raised
     when every profile's objective is NaN.  A chunk is one flat index range
     of max(1, _CHUNK_PROFILES // L) runs of L profiles, its (profile, link)
-    power matrix the level array at the range's `np.unravel_index`.  For
-    each run's head (its levels of every link but the last), one inner run
-    steps the last link through the levels and calls `sinr` once per link,
-    in link order, on one power list by link position: the lexicographic
-    order, call for call.  Rate, EE, the sums and the first-maximum pick
-    then run on the chunk in numpy.
+    power matrix the level array at the range's `np.unravel_index`.  One
+    `interference` sum over it, the slots mapped to its columns, then one
+    `sinr` call per entry, row-major: the calls of a search that walks one
+    profile at a time.  Rate, EE, the sums and the pick run in numpy.
     """
     sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
     levels = context.config.power_levels
@@ -110,21 +108,18 @@ def _exhaustive(context: LinkContext, links: list, groups: list, what: str) -> O
     n_profiles = math.prod(grid_shape)
     level_array = np.array(levels)
     rows = [context.topology.position(link) for link in links]
-    *head_rows, last = rows
-    # one power list by link position; links outside `links` are never read
-    powers = [None] * len(context.gains)
+    # every interferer of a link in `links` is in `links`, rows ascending
+    columns = np.searchsorted(rows, context.gains.idx[rows])
+    gain = context.gains.gain[rows]
     step = max(1, _CHUNK_PROFILES // n_levels) * n_levels
 
     def objective(start: int) -> np.ndarray:
         flat = np.arange(start, min(start + step, n_profiles))
         power = level_array[np.stack(np.unravel_index(flat, grid_shape), axis=-1)]
-        sinrs = []
-        for head in power[::n_levels, :-1].tolist():
-            for r, p in zip(head_rows, head):
-                powers[r] = p
-            sinrs += [sinr(context, powers, r) for powers[last] in levels for r in rows]
-        ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(power.shape), power,
-                      circuit_power)
+        acc = interference(power, columns, gain)
+        sinrs = np.fromiter(map(sinr, repeat(context), cycle(rows), power.ravel().tolist(),
+                                acc.ravel().tolist()), float, power.size)
+        ee = batch_ee(sinrs.reshape(power.shape), power, circuit_power)
         return ordered_sum(ordered_sum(ee[:, j] for j in group) for group in groups)
 
     best, value = _first_max(map(objective, range(0, n_profiles, step)))
@@ -180,15 +175,13 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     discrete game.
 
     A cell's links sit on distinct subcarriers, so none of them reads
-    another's power: their best responses are taken as one batch per cell.
-    Each link's `interference` is summed once from the held powers, then
-    `sinr` is called with it per link at every level (links, then levels,
-    ascending) on one power list by link position, then `batch_ee` and the
-    row-wise first maximum over the (links, levels) block, and the cell's
-    moves applied after it.  That is the link-by-link pass, move for move.
-    The start levels are one vector draw, cell-major: the values and
-    generator state of one scalar draw per link (the same stream).
-    The result profile keys the links cell-major, as they were visited.
+    another's power: their best responses are one batch per cell, the
+    batch's `interference` summed once from the held powers, one `sinr`
+    call per link and level (links, then levels, ascending), then
+    `batch_ee`, the row-wise first maximum and the cell's moves.  That is
+    the link-by-link pass, move for move.  The start levels are one vector
+    draw, cell-major: the values and generator state of one scalar draw per
+    link (the same stream).  The result profile keys the links cell-major.
     """
     _check_count("max_rounds", max_rounds)
     sinr = linklevel.sinr   # looked up per run, so a patched sinr is seen
@@ -198,34 +191,31 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     circuit_power = context.config.circuit_power
     links = sorted(context.topology.links())
     rows = [context.topology.position(link) for link in links]
-    # one power list by link position, drawn in cell-major order
-    powers = [None] * len(rows)
-    for i, level in zip(rows, rng.integers(n_levels, size=len(rows)).tolist()):
-        powers[i] = levels[level]
-    batches = [[context.topology.position(link) for link in cell_links]
-               for _, cell_links in groupby(links, key=itemgetter(0))]
-    rounds = 0
+    # one power array by link position, drawn in cell-major order
+    power = np.empty(len(rows))
+    power[rows] = level_array[rng.integers(n_levels, size=len(rows))]
+    batches = []   # per cell: its link positions, as a list and an array, and their slots
+    for _, cell_links in groupby(links, key=itemgetter(0)):
+        at = np.array([context.topology.position(link) for link in cell_links])
+        batches.append((at.tolist(), at, context.gains.idx[at], context.gains.gain[at]))
+    rounds = evaluations = 0
     converged = False
-    evaluations = 0
     for _ in range(max_rounds):
         changed = False
-        for batch in batches:
-            held = [powers[i] for i in batch]
-            acc = [interference(context, powers, i) for i in batch]
-            # each link's own power steps through the levels, in the power list itself
-            sinrs = [sinr(context, powers, i, a) for i, a in zip(batch, acc)
-                     for powers[i] in levels]
+        for batch, at, idx, gain in batches:
+            acc = interference(power, idx, gain).tolist()
+            # each link's own power steps through the levels, its interferers held
+            sinrs = [sinr(context, i, p, a) for i, a in zip(batch, acc) for p in levels]
             ee = batch_ee(np.fromiter(sinrs, float, len(sinrs)).reshape(len(batch), n_levels),
                           level_array, circuit_power)
             evaluations += len(sinrs)
-            moved = list(map(levels.__getitem__, _first_max_rows(ee).tolist()))
-            for i, p in zip(batch, moved):
-                powers[i] = p
-            changed = changed or moved != held
+            moved = level_array[_first_max_rows(ee)]
+            changed = changed or (moved != power[at]).any()
+            power[at] = moved
         if changed:
             rounds += 1
         else:
             converged = True
             break
-    return NgtResult(profile={link: powers[i] for link, i in zip(links, rows)},
+    return NgtResult(profile=dict(zip(links, power[rows].tolist())),
                      rounds=rounds, converged=converged, evaluations=evaluations)

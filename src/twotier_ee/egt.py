@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linklevel
 from .config import _check_count
-from .linklevel import LinkContext, batch_ee, ordered_sum
+from .linklevel import LinkContext, batch_ee, interference, ordered_sum
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
 
@@ -67,12 +67,12 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
     switchers may land on the same level.  A round with no switch converges
     the game.  The games must sit on distinct subcarriers, so no game's
     payoffs read another's powers: every payoff of the round comes from
-    one `sinr` call per player (games in the given order, players
-    ascending) on one power list by link position and one `batch_ee`,
-    before any game draws.  The draws are one vector draw over the round's
-    switchers, games in order and players ascending, and none if nobody
-    switches: the values and generator state of one scalar draw per switch
-    (the same stream).  Returns the `(payoffs, average)` each game acted
+    one `interference` sum over one power array by link position, one
+    `sinr` call per player (games in the given order, players ascending)
+    and one `batch_ee`, before any game draws.  The draws are one vector
+    draw over the round's switchers, games in order and players ascending,
+    and none if nobody switches: the values and generator state of one
+    scalar draw per switch (the same stream).  Returns the `(payoffs, average)` each game acted
     on, payoffs keyed by cell.
     """
     if any(game.converged for game in games):
@@ -81,16 +81,14 @@ def egt_step(games: list, context: LinkContext, rng: np.random.Generator) -> lis
         raise ValueError("games stepped together must sit on distinct subcarriers")
     levels = context.config.power_levels
     position = context.topology.position
-    # one power list by link position; links outside the games are never read
-    powers = [None] * len(context.gains)
-    rows = []
-    for game in games:
-        for cell, level in game.strategy.items():
-            i = position((cell, game.subcarrier))
-            powers[i] = levels[level]
-            rows.append(i)
+    rows = [position((cell, game.subcarrier)) for game in games for cell in game.strategy]
+    powers = [levels[level] for game in games for level in game.strategy.values()]
+    # one power array by link position: a link outside the games adds to no game's sum
+    power = np.zeros(len(context.gains.own))
+    power[rows] = powers
+    acc = interference(power, context.gains.idx, context.gains.gain).tolist()
     sinr = linklevel.sinr   # looked up per round, so a patched sinr is seen
-    ee = iter(batch_ee([sinr(context, powers, i) for i in rows], [powers[i] for i in rows],
+    ee = iter(batch_ee([sinr(context, i, p, acc[i]) for i, p in zip(rows, powers)], powers,
                        context.config.circuit_power).tolist())
     stepped = []
     switches = []   # (game, cell, pool) of every switcher, games then players in order

@@ -63,8 +63,8 @@ def jain_index(values) -> float:
     except OverflowError:
         numerator = math.inf
     if math.isinf(numerator) or math.isinf(denom):
-        raise ValueError(f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
-                         f"{max(values)!r} is out of float range")
+        # no value in the text either, as for the underflow above
+        raise ValueError("jain index overflows: (sum v)^2 or n * sum v^2 is out of float range")
     return numerator / denom
 
 

@@ -8,17 +8,18 @@ combining.  Energy efficiency is spectral efficiency per watt of total
 
 Within a drop only the transmit powers change, so every evaluation reads
 one per-drop table of post-combining gains built once from the channels.
-The table and the evaluators' power lists are indexed by link position,
+The table and the evaluators' power arrays are indexed by link position,
 the index in `Topology.links()`; a power profile dict keyed by (cell,
 subcarrier) appears only at the boundary of the algorithms and metrics.
-A caller that steps one link through the levels with every interferer held
-sums that link's `interference` once and passes it to each `sinr` call.
+Every evaluator sums the interference of a batch of links in one
+`interference` call over its power array, then passes each link's sum to
+its `sinr` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .topology import _TEMP_BYTES, ChannelRealization, Topology, \
     sample_topology, sample_large_scale_fading, sample_channels
 
 __all__ = [
-    "LinkMetrics", "LinkContext", "mrc_combiner", "build_combiners", "sinr", "interference",
-    "batch_ee", "ordered_sum", "compute_link_metrics", "sample_link_context",
-    "validate_power_profile",
+    "LinkMetrics", "LinkContext", "GainTable", "mrc_combiner", "build_combiners",
+    "interference", "sinr", "batch_ee", "ordered_sum", "compute_link_metrics",
+    "sample_link_context", "validate_power_profile",
 ]
 
 
@@ -67,56 +68,65 @@ def _abs2(z: np.ndarray) -> list:
         return [float(x ** 2) for x in magnitudes]
 
 
+@dataclass
+class GainTable:
+    """Post-combining gains of one drop by link position i, for the MRC
+    combiner a of link i: `own[i]` = |a^H g_own|^2 and `noise[i]` = ||a||^2 *
+    noise_power, Python floats, and row i of the (n_links, m) slot arrays:
+    slot k's `idx` is the position of the link's k-th interferer (another
+    cell on its subcarrier, cells ascending) and its `gain` |a^H g_other|^2.
+    m is the largest interferer count, 0 included; shorter rows are padded
+    with slots that point at the link itself, with gain 0.0.
+    """
+
+    own: list
+    noise: list
+    idx: np.ndarray
+    gain: np.ndarray
+
+
 def build_combiners(topology: Topology, channels: ChannelRealization,
-                    noise_power: float) -> list:
-    """Post-combining gain table of one drop, indexed by link position.
+                    noise_power: float) -> GainTable:
+    """The `GainTable` of one drop, built once from its channels.
 
-    Entry i belongs to link i of `topology.links()` and holds (own,
-    interference, noise) for its MRC combiner a, built once: own =
-    |a^H g_own|^2, interference = ((position, |a^H g_other|^2), ...) over the
-    co-channel cells in ascending order, each keyed by the interferer's
-    position in `links()`, and noise = ||a||^2 * noise_power, the noise after
-    combining.  Every gain is a Python float.
-
-    The links are grouped by serving cell, whose receiver sees them all.
-    The channel block rows follow `topology.links()`, sorted by (subcarrier,
-    cell), so one mask picks a cell's interfering rows already in table
-    order.  The rows are gathered from the receiver's block by index, in runs
-    under _TEMP_BYTES, and every product a^H g is one `np.vecdot` row, the
-    BLAS dot `np.vdot` uses, so the table is bit-identical to one built link
-    by link.  A matrix-vector product (`G @ a.conj()`) or `einsum` sums in
-    another order and is not.
+    `topology.links()`, and so each channel block, runs by (subcarrier,
+    cell): a co-channel group is a run of rows, and a link's slots are the
+    others in it.  Per serving cell, its interferer rows are gathered from
+    its receiver's block by index, in runs under _TEMP_BYTES, and every
+    product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses, so
+    the table is bit-identical to one built link by link.  A matrix-vector
+    product (`G @ a.conj()`) or `einsum` sums in another order and is not.
     """
     links = topology.links()
     cells = np.array([cell for cell, _ in links])
     subcarriers = np.array([sc for _, sc in links])
-    table = [None] * len(links)
-    for cell in sorted({cell for cell, _ in links}):
+    # each link's position, and the start and size of its group's run
+    position = np.arange(len(links))[:, None]
+    first = np.searchsorted(subcarriers, subcarriers)[:, None]
+    size = np.searchsorted(subcarriers, subcarriers, side="right")[:, None] - first
+    slots = np.arange(size.max() - 1)
+    valid = slots < size - 1
+    # slot k holds the group's k-th link but the link itself; padding points at the link
+    idx = np.where(valid, first + slots + (slots >= position - first), position)
+    own, noise = np.empty(len(links)), np.empty(len(links))
+    gain = np.zeros(idx.shape)
+    for cell in sorted(set(cells.tolist())):
         own_rows = np.flatnonzero(cells == cell)
-        served = subcarriers[own_rows]
         block = channels.blocks[cell]
         own_vectors = block[own_rows]
         a = mrc_combiner(own_vectors)
-        own = _abs2(np.vecdot(a, own_vectors))
+        own[own_rows] = _abs2(np.vecdot(a, own_vectors))
         # elementwise, the product of each ||a||^2 float with noise_power
-        noise = (np.vecdot(a, a).real * noise_power).tolist()
-        # the served row on each subcarrier, -1 where the cell has no user
-        slot = np.full(subcarriers.max() + 1, -1)
-        slot[served] = np.arange(len(served))
-        into = slot[subcarriers]
-        # (subcarrier, other cell) ascending, and the served row each one leaks into
-        leak_rows = np.flatnonzero((into >= 0) & (cells != cell))
-        into = into[leak_rows]
+        noise[own_rows] = np.vecdot(a, a).real * noise_power
+        # every (served row, slot) with an interferer, rows then slots ascending
+        into, k = np.nonzero(valid[own_rows])
+        leak_rows = idx[own_rows[into], k]
         step = max(1, _TEMP_BYTES // block.itemsize // block.shape[1])
-        leaked = list(zip(leak_rows.tolist(), [
-            gain for start in range(0, len(leak_rows), step)
-            for gain in _abs2(np.vecdot(a[into[start:start + step]],
-                                        block[leak_rows[start:start + step]]))]))
-        ends = list(accumulate(np.bincount(into, minlength=len(served)).tolist()))
-        for row, own_gain, start, end, noise_gain in zip(own_rows.tolist(), own, [0] + ends,
-                                                         ends, noise):
-            table[row] = (own_gain, tuple(leaked[start:end]), noise_gain)
-    return table
+        gain[own_rows[into], k] = [
+            g for start in range(0, len(leak_rows), step)
+            for g in _abs2(np.vecdot(a[into[start:start + step]],
+                                     block[leak_rows[start:start + step]]))]
+    return GainTable(own=own.tolist(), noise=noise.tolist(), idx=idx, gain=gain)
 
 
 @dataclass
@@ -132,7 +142,7 @@ class LinkContext:
 
     config: NetworkConfig
     topology: Topology
-    gains: list           # link position -> post-combining gains, see build_combiners
+    gains: GainTable
 
 
 def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> LinkContext:
@@ -158,39 +168,37 @@ def sample_link_context(config: NetworkConfig, rng: np.random.Generator) -> Link
                        gains=build_combiners(topology, channels, config.noise_power))
 
 
-def sinr(context: LinkContext, powers: list, i: int, interference: float | None = None) -> float:
-    """Post-combining SINR of the user on the link at position `i`.
+@np.errstate(over="ignore")   # as a float product or sum, inf without a warning
+def interference(power: np.ndarray, idx: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Each link's interference under `power`, summed slot by slot.
 
-    `powers` holds transmit powers by link position, as `gains` does.
-    Interference comes only from co-channel users of other cells; OFDMA
-    keeps a cell's own users orthogonal.  Interferers are summed in
-    ascending cell order, so the result is bit-reproducible.  A caller may
-    pass the link's `interference(context, powers, i)`, which skips the sum.
+    `idx` and `gain` are slot rows of a `GainTable`, `idx` perhaps mapped
+    to other columns, and the last axis of `power`, under any leading shape,
+    holds the power of each column.  The products and the in-order adds are
+    the IEEE operations of a scalar `+=` loop from 0.0 over the interferers:
+    0.0 + x is x for x >= +0, and a padding slot adds an exact +0.0.  A
+    vector reduction, math.fsum or total minus signal rounds otherwise.
+    """
+    terms = power[..., idx] * gain
+    acc = terms[..., 0] if gain.shape[1] else np.zeros(terms.shape[:-1])
+    for k in range(1, gain.shape[1]):
+        acc = acc + terms[..., k]
+    return acc
+
+
+def sinr(context: LinkContext, i: int, power: float, interference: float) -> float:
+    """Post-combining SINR of the user on the link at position `i`, at
+    transmit power `power`, given its `interference` from the co-channel
+    users of other cells (OFDMA keeps a cell's own users orthogonal).
 
     Every evaluator makes exactly one call per link it evaluates, through
     the module attribute `linklevel.sinr`; the benchmark pins that count
     (`linklevel.sinr.calls`), so inlining `sinr` or skipping a call changes
     a pinned number.
     """
-    own, interferers, noise = context.gains[i]
-    if interference is None:
-        # one by one: a vector sum or math.fsum rounds otherwise, and total minus
-        # signal cancels under massive-MIMO gain; each changes the emitted digits.
-        # Inline, not interference(): a second call per evaluation slows the oracles
-        interference = 0.0
-        for j, gain in interferers:
-            interference += powers[j] * gain
     # the config and mrc_combiner reject a noise power and a norm that are not finite
     # and > 0, so the combiner has unit norm and the denominator cannot be 0
-    return powers[i] * own / (interference + noise)
-
-
-def interference(context: LinkContext, powers: list, i: int) -> float:
-    """The interference that `sinr` sums for link `i`, in the same order."""
-    total = 0.0
-    for j, gain in context.gains[i][1]:
-        total += powers[j] * gain
-    return total
+    return power * context.gains.own[i] / (interference + context.gains.noise[i])
 
 
 def batch_ee(sinrs, powers, circuit_power: float) -> np.ndarray:
@@ -242,13 +250,15 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     group totals, subcarriers ascending.
 
     `profile` maps each (cell, subcarrier) link to its transmit power in
-    watts.  One `sinr` call per link position, then one `batch_ee` over all.
+    watts.  One `interference` sum over the drop, one `sinr` call per link
+    position, then one `batch_ee` over all.
     """
     validate_power_profile(context, profile)
     topology = context.topology
     links = topology.links()
     powers = [profile[link] for link in links]
-    sinrs = [sinr(context, powers, i) for i in range(len(links))]
+    acc = interference(np.array(powers), context.gains.idx, context.gains.gain)
+    sinrs = list(map(sinr, repeat(context), range(len(links)), powers, acc.tolist()))
     values = batch_ee(sinrs, powers, context.config.circuit_power).tolist()
     # links() runs by subcarrier, cells ascending: each group is the next run of values
     runs = iter(values)

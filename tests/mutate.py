@@ -133,14 +133,23 @@ MUTANTS = [
            "return [x ** 2 for x in magnitudes.tolist()]",
            "return [x * x for x in magnitudes.tolist()]"),
     Mutant("linklevel-unit-noise-gain", "linklevel.py",
-           "noise = (np.vecdot(a, a).real * noise_power).tolist()",
-           "noise = [noise_power] * len(own_rows)"),
+           "noise[own_rows] = np.vecdot(a, a).real * noise_power",
+           "noise[own_rows] = noise_power"),
+    Mutant("linklevel-slot-rank-inclusive", "linklevel.py",
+           "idx = np.where(valid, first + slots + (slots >= position - first), position)",
+           "idx = np.where(valid, first + slots + (slots > position - first), position)"),
+    Mutant("linklevel-padding-gain-one", "linklevel.py",
+           "gain = np.zeros(idx.shape)",
+           "gain = np.ones(idx.shape)"),
     Mutant("linklevel-sinr-reversed-sum", "linklevel.py",
-           "for j, gain in interferers:",
-           "for j, gain in reversed(interferers):"),
+           "terms = power[..., idx] * gain",
+           "terms = (power[..., idx] * gain)[..., ::-1]"),
+    Mutant("linklevel-slots-reversed-after-first", "linklevel.py",
+           "for k in range(1, gain.shape[1]):",
+           "for k in reversed(range(1, gain.shape[1])):"),
     Mutant("linklevel-interference-skips-last", "linklevel.py",
-           "for j, gain in context.gains[i][1]:",
-           "for j, gain in context.gains[i][1][:-1]:"),
+           "for k in range(1, gain.shape[1]):",
+           "for k in range(1, gain.shape[1] - 1):"),
     Mutant("linklevel-network-by-np-sum", "linklevel.py",
            "network_ee=ordered_sum(groups.values()))",
            "network_ee=float(np.sum(list(groups.values()))))"),
@@ -218,16 +227,18 @@ MUTANTS = [
     Mutant("baselines-global-groups-reversed", "baselines.py",
            "for sc in context.topology.occupied_subcarriers()]",
            "for sc in reversed(context.topology.occupied_subcarriers())]"),
+    Mutant("baselines-oracle-slots-unmapped", "baselines.py",
+           "columns = np.searchsorted(rows, context.gains.idx[rows])",
+           "columns = context.gains.idx[rows]"),
     Mutant("baselines-ngt-tie-to-highest", "baselines.py",
-           "moved = list(map(levels.__getitem__, _first_max_rows(ee).tolist()))",
-           "moved = list(map(levels.__getitem__, "
-           "(n_levels - 1 - _first_max_rows(ee[:, ::-1])).tolist()))"),
+           "moved = level_array[_first_max_rows(ee)]",
+           "moved = level_array[n_levels - 1 - _first_max_rows(ee[:, ::-1])]"),
     Mutant("baselines-ngt-subcarrier-major", "baselines.py",
            "links = sorted(context.topology.links())",
            "links = context.topology.links()"),
     Mutant("baselines-ngt-last-batch-decides", "baselines.py",
-           "changed = changed or moved != held",
-           "changed = moved != held"),
+           "changed = changed or (moved != power[at]).any()",
+           "changed = (moved != power[at]).any()"),
     Mutant("baselines-empty-group", "baselines.py",
            "if not players:",
            "if players is None:"),

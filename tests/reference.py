@@ -138,12 +138,17 @@ def sample_drop(config, rng) -> Drop:
 
 # Evaluation of a power profile: a dict from link to watts.
 
+def interference(drop, profile, link) -> float:
+    """Each co-channel interferer's power times its gain, cells ascending."""
+    total = 0.0
+    for other, gain in drop.gains[link][1]:
+        total += profile[(other, link[1])] * gain
+    return float(total)
+
+
 def sinr(drop, profile, link) -> float:
-    own, interferers, noise = drop.gains[link]
-    interference = 0.0
-    for other, gain in interferers:
-        interference += profile[(other, link[1])] * gain
-    return float(profile[link] * own / (interference + noise))
+    own, _, noise = drop.gains[link]
+    return float(profile[link] * own / (interference(drop, profile, link) + noise))
 
 
 def user_ee(drop, profile, link) -> float:

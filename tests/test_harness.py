@@ -17,7 +17,7 @@ import reference
 from twotier_ee import harness
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig, load_config
 from twotier_ee.harness import (
-    ALGORITHMS, ExperimentSpec, SweepSpec, child_seed, emit_results,
+    ALGORITHMS, ExperimentSpec, SweepSpec, child_seed, emit_results, failure_counts,
     emit_sweep, jain_index, parse_results, run_drops, scenario_rng, sweep, trace_path_for,
 )
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
@@ -35,6 +35,7 @@ BASE_HEADER = ("seed,algorithm,K,N,n_users,noise_dbm,network_ee,jain,iterations,
 ROW_HEADER = BASE_HEADER + ",cell_ee_0\n"
 TWO_CELL_HEADER = BASE_HEADER + ",cell_ee_0,cell_ee_1\n"
 UNDERFLOW = "jain index underflows: sum v^2 is below n * the smallest normal float"
+OVERFLOW = "jain index overflows: (sum v)^2 or n * sum v^2 is out of float range"
 
 
 class TestJainIndex:
@@ -70,9 +71,7 @@ class TestJainIndex:
     @pytest.mark.parametrize("values", [[1e200, 1e200], [1.3e154, 0.0]],
                              ids=["sum-squared-overflows", "denominator-overflows"])
     def test_overflow_rejected(self, values):
-        with pytest.raises(ValueError, match=re.escape(
-                f"jain index overflows: (sum v)^2 or n * sum v^2 of values up to "
-                f"{max(values)!r} is out of float range")):
+        with pytest.raises(ValueError, match=f"^{re.escape(OVERFLOW)}$"):
             jain_index(values)
 
     @pytest.mark.parametrize("values", [
@@ -253,9 +252,16 @@ class TestRunDrops:
         config = cfg(noise_psd_dbm_per_hz=-3000, circuit_power=1e-300,
                      power_levels=(1e-300, 1e-299))
         rec, = run_drops(ExperimentSpec(config=config, algorithm="egt", n_drops=1))
-        assert rec.error.startswith("jain index overflows: (sum v)^2 or n * sum v^2 of "
-                                    "values up to ")
+        assert rec.error == OVERFLOW
         assert math.isnan(rec.jain) and math.isnan(rec.network_ee)
+
+    def test_overflowing_jain_drops_count_as_one_reason(self):
+        # each drop's cell EEs differ, and the message names none of them
+        config = NetworkConfig(n_small_cells=1, n_subcarriers=2, n_users_per_cell=2,
+                               noise_psd_dbm_per_hz=-3000, circuit_power=1e-300,
+                               power_levels=(1e-300, 1e-299))
+        records = run_drops(ExperimentSpec(config=config, algorithm="egt", n_drops=3))
+        assert failure_counts(records) == {OVERFLOW: 3}
 
     def test_subnormal_cell_ee_squares_yield_error_records(self, tmp_path):
         # at this circuit power each cell EE is about 2e-161 and its square

@@ -3,20 +3,21 @@
 `sinr` and the EE after it run once per evaluated profile, so they are
 kept on plain float arithmetic.  TestKernelPreservation checks them, the
 metrics' link, group and network EE, and the oracles and best-response
-dynamics built on them, against `tests/reference.py`, and `sinr` given a
-link's `interference` against `sinr` summing it.  TestBatchedOracle
-checks the oracles' chunked numpy objective and first-maximum pick against
-the reference search, with ngt's row-wise pick, and the vector-equals-scalar
-`np.log2` it rests on.  TestBatchedEe checks `batch_ee`, which egt, ngt and
-the metrics take after their `sinr` calls, on short, strided and offset
-arrays and (links, levels) blocks.
+dynamics built on them, against `tests/reference.py`.  TestPaddedGainTable
+checks the padded slot arrays of the gain table and the `interference`
+slot sum against the reference's interferer lists and left-to-right sums,
+float by float, on whole drops and on the oracles' chunks.
+TestBatchedOracle checks the oracles' chunked numpy objective and
+first-maximum pick against the reference search, with ngt's row-wise pick,
+and the vector-equals-scalar `np.log2` it rests on.  TestBatchedEe checks
+`batch_ee`, which egt, ngt and the metrics take after their `sinr` calls,
+on short, strided and offset arrays and (links, levels) blocks.
 TestStackedGainTable checks the per-receiver stacked gain table, built from
-the channel blocks and laid out by link position with position-keyed
-interferers, against the reference's table, and the numpy rounding facts it
-rests on.
-TestSinrCallSequence pins each `sinr` call's link and the powers it sees
-against the dict-keyed evaluators' order, any interference passed with it,
-and the call count the benchmark reports.
+the channel blocks and laid out by link position, against the reference's
+table, and the numpy rounding facts it rests on.
+TestSinrCallSequence pins each `sinr` call's link, power and interference
+against the dict-keyed evaluators' order, and the call count the benchmark
+reports.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference
 from twotier_ee import baselines, linklevel
@@ -32,7 +33,8 @@ from twotier_ee.baselines import brute_force_global, brute_force_group, ngt_best
 from twotier_ee.config import DEFAULT_POWER_LEVELS, NetworkConfig
 from twotier_ee.egt import egt_step, new_games
 from twotier_ee.linklevel import (
-    batch_ee, build_combiners, compute_link_metrics, mrc_combiner, sample_link_context, sinr,
+    batch_ee, build_combiners, compute_link_metrics, interference, mrc_combiner,
+    sample_link_context, sinr,
 )
 from twotier_ee.topology import ChannelRealization, Topology
 
@@ -40,22 +42,32 @@ from twotier_ee.topology import ChannelRealization, Topology
 _ORACLE_CAP = 4096
 
 
-def position_keyed(topology, gains):
-    """The reference's gain table in the package's layout: a list in `links()`
-    order of Python floats, each interferer keyed by its link position."""
-    table = []
-    for cell, sc in topology.links():
-        own, interferers, noise = gains[(cell, sc)]
-        table.append((float(own),
-                      tuple((topology.position((other, sc)), float(gain))
-                            for other, gain in interferers),
-                      noise))
-    return table
+def padded(topology, gains):
+    """The reference's gain table in the package's layout: own and noise by
+    link position as Python floats, and each link's row of slots, its
+    interferers by link position and gain, cells ascending, then (the link
+    itself, 0.0) up to the longest row."""
+    links = topology.links()
+    rows = [[(topology.position((other, sc)), float(gain)) for other, gain in gains[(cell, sc)][1]]
+            for cell, sc in links]
+    m = max(map(len, rows))
+    rows = [row + [(i, 0.0)] * (m - len(row)) for i, row in enumerate(rows)]
+    return ([float(gains[link][0]) for link in links], [gains[link][2] for link in links],
+            [[j for j, _ in row] for row in rows], [[g for _, g in row] for row in rows])
+
+
+def table_rows(table):
+    """A `GainTable` as `padded` lays it out."""
+    return table.own, table.noise, table.idx.tolist(), table.gain.tolist()
 
 
 def power_list(context, profile):
-    """`profile` by link position, the layout `sinr` reads."""
+    """`profile` by link position, the layout of the power arrays."""
     return [profile[link] for link in context.topology.links()]
+
+
+def hexed(values):
+    return [float.hex(v) for v in values]
 
 
 def assert_oracle_matches(result, expected):
@@ -85,7 +97,8 @@ def assert_kernel_matches_reference(config, seed):
         trial = dict(profile)
         for p in levels:
             trial[link] = p
-            assert sinr(ctx, power_list(ctx, trial), i) == reference.sinr(ref, trial, link)
+            acc = interference(np.array(power_list(ctx, trial)), ctx.gains.idx, ctx.gains.gain)
+            assert sinr(ctx, i, p, acc.tolist()[i]) == reference.sinr(ref, trial, link)
             assert compute_link_metrics(ctx, trial).ee[link] == \
                 reference.user_ee(ref, trial, link)
     metrics = compute_link_metrics(ctx, profile)
@@ -148,20 +161,6 @@ def interference_cases(draw):
 
 @pytest.mark.bitexact
 class TestKernelPreservation:
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(case=interference_cases())
-    @example(case=(NetworkConfig(n_small_cells=0, n_subcarriers=3, n_users_per_cell=2), 0))
-    @example(case=(NetworkConfig(n_small_cells=9, n_subcarriers=2, n_users_per_cell=2), 1))
-    def test_passed_interference_equals_the_summed_one(self, case):
-        config, seed = case
-        ctx = sample_link_context(config, np.random.default_rng(seed))
-        levels = config.power_levels
-        picks = np.random.default_rng(seed + 1).integers(len(levels), size=len(ctx.gains))
-        powers = [levels[k] for k in picks.tolist()]
-        for i in range(len(ctx.gains)):
-            passed = sinr(ctx, powers, i, linklevel.interference(ctx, powers, i))
-            assert passed.hex() == sinr(ctx, powers, i).hex()
-
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(config=small_configs(), seed=st.integers(0, 2**32))
     def test_float_kernel_matches_numpy_scalar_reference(self, config, seed):
@@ -176,10 +175,85 @@ class TestKernelPreservation:
         ctx = sample_link_context(NetworkConfig(n_small_cells=2, n_subcarriers=4,
                                                 n_users_per_cell=4),
                                   np.random.default_rng(0))
-        for own, interferers, noise in ctx.gains:
-            assert all(type(j) is int for j, _ in interferers)
-            assert type(own) is float and type(noise) is float
-            assert all(type(gain) is float for _, gain in interferers)
+        assert all(type(v) is float for v in ctx.gains.own + ctx.gains.noise)
+        assert ctx.gains.idx.dtype.kind == "i" and ctx.gains.gain.dtype == np.float64
+
+
+def reference_sums(context, ref, matrix):
+    """`reference.interference` of every link under each row of `matrix`, a
+    power per link position."""
+    links = context.topology.links()
+    return [[reference.interference(ref, dict(zip(links, row)), link) for link in links]
+            for row in matrix.tolist()]
+
+
+# (config, seed, the drop's co-channel group sizes): no slot at K = 0, a lone link padded
+# in full beside a group, and drops of 9 to 11 cells with long slot rows
+SLOT_CASES = [
+    pytest.param(dict(n_small_cells=0, n_subcarriers=3, n_users_per_cell=2), 0, [1, 1],
+                 id="K0-m0"),
+    pytest.param(dict(n_small_cells=2, n_subcarriers=8, n_users_per_cell=2), 1, [1, 1, 2, 1, 1],
+                 id="single-link-groups"),
+    pytest.param(dict(n_small_cells=8, n_subcarriers=2, n_users_per_cell=2), 2, [9, 9],
+                 id="9-cells"),
+    pytest.param(dict(n_small_cells=9, n_subcarriers=3, n_users_per_cell=2), 3, [7, 5, 8],
+                 id="10-cells"),
+    pytest.param(dict(n_small_cells=10, n_subcarriers=2, n_users_per_cell=1), 4, [10, 1],
+                 id="11-cells"),
+]
+
+
+@pytest.mark.bitexact
+class TestPaddedGainTable:
+    """The slot arrays of `build_combiners` and the `interference` slot sum,
+    float by float against the reference's lists and left-to-right sums."""
+
+    @staticmethod
+    def assert_rows_and_sums(config, seed):
+        ctx = sample_link_context(config, np.random.default_rng(seed))
+        ref = reference.sample_drop(config, np.random.default_rng(seed))
+        expected = padded(ctx.topology, ref.gains)
+        assert table_rows(ctx.gains) == expected
+        assert hexed(ctx.gains.gain.ravel().tolist()) == hexed(sum(expected[3], []))
+        rng = np.random.default_rng(seed + 1)
+        for n_profiles in (1, 3, 7):
+            matrix = 10.0 ** rng.uniform(-6.0, 1.0, size=(n_profiles, len(ctx.gains.own)))
+            got = interference(matrix, ctx.gains.idx, ctx.gains.gain)
+            assert got.shape == matrix.shape
+            assert [hexed(row) for row in got.tolist()] == \
+                [hexed(row) for row in reference_sums(ctx, ref, matrix)]
+        # one profile as a vector, the leading shape the metrics and egt pass
+        got = interference(matrix[0], ctx.gains.idx, ctx.gains.gain)
+        assert hexed(got.tolist()) == hexed(reference_sums(ctx, ref, matrix[:1])[0])
+        return ctx
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=interference_cases())
+    def test_rows_and_sums_equal_the_reference(self, case):
+        self.assert_rows_and_sums(*case)
+
+    @pytest.mark.parametrize("config, seed, sizes", SLOT_CASES)
+    def test_rows_and_sums_at_the_edges(self, config, seed, sizes):
+        ctx = self.assert_rows_and_sums(NetworkConfig(**config), seed)
+        topology = ctx.topology
+        assert [len(topology.cells_on(sc)) for sc in topology.occupied_subcarriers()] == sizes
+        assert ctx.gains.idx.shape == (len(topology.links()), max(sizes) - 1)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("config, seed, sizes", SLOT_CASES)
+    def test_oracle_chunk_sums_equal_the_reference(self, monkeypatch, sinr_calls, chunk,
+                                                   config, seed, sizes):
+        # each sum the oracle passes, on its chunked (profiles, links) matrix whose slots
+        # are mapped to the search's columns; two levels keep 11-cell groups at 2^11 profiles
+        config = NetworkConfig(**config, power_levels=DEFAULT_POWER_LEVELS[::7])
+        monkeypatch.setattr(baselines, "_CHUNK_PROFILES", chunk)
+        ctx = sample_link_context(config, np.random.default_rng(seed))
+        ref = reference.sample_drop(config, np.random.default_rng(seed))
+        for sc in ctx.topology.occupied_subcarriers():
+            sinr_calls.clear()
+            brute_force_group(sc, ctx)
+            links = [(cell, sc) for cell in ctx.topology.cells_on(sc)]
+            assert exact(sinr_calls) == exact(reference_oracle_calls(ctx, ref, links))
 
 
 def split(values, size):
@@ -331,7 +405,7 @@ def channel_rows(rng, n_rows, n_antennas):
 def assert_sampled_table_equals_reference(config, seed):
     ctx = sample_link_context(config, np.random.default_rng(seed))
     ref = reference.sample_drop(config, np.random.default_rng(seed))
-    assert ctx.gains == position_keyed(ctx.topology, ref.gains)
+    assert table_rows(ctx.gains) == padded(ctx.topology, ref.gains)
 
 
 @pytest.mark.bitexact
@@ -408,10 +482,13 @@ class TestStackedGainTable:
         with np.errstate(over="ignore"):
             gains = build_combiners(topology, channels, noise_power)
             expected = reference.gain_table(topology.users, channels.g, noise_power)
-        assert gains == position_keyed(topology, expected)
-        [(other, leak)] = gains[topology.position((0, 0))][1]
-        assert other == topology.position((1, 0)) and math.isinf(leak) == (leak_scale > 1.0)
-        assert gains[topology.position((0, 2))][1] == ()
+        assert table_rows(gains) == padded(topology, expected)
+        # one slot: the pair's links name each other, the lone link pads with itself
+        assert gains.idx.tolist() == [[topology.position((1, 0))], [topology.position((0, 0))],
+                                      [topology.position((0, 2))]]
+        leak = gains.gain[topology.position((0, 0)), 0]
+        assert math.isinf(leak) == (leak_scale > 1.0)
+        assert gains.gain[topology.position((0, 2)), 0] == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_table_from_sampled_blocks_equals_reference(self, seed):
@@ -425,24 +502,24 @@ class TestStackedGainTable:
             NetworkConfig(n_small_cells=3, n_subcarriers=24, n_users_per_cell=20), seed)
 
 # Reference call sequences: the order in which the dict-keyed evaluators
-# called `sinr`, each call as (position of the link, every power by link
-# position, None where the profile held none).  The oracles walked the
-# lexicographic profiles on one updated dict, ngt stepped each cell's links
-# through the levels in the profile itself and moved them after the cell's
-# batch, an EGT round read one dict over the active games, and the metrics
-# read the whole profile link by link.
+# called `sinr`, each call as (position of the link, its power, the
+# reference's interference sum for the profile it was evaluated in).  The
+# oracles walked the lexicographic profiles on one updated dict, ngt stepped
+# each cell's links through the levels in the profile itself and moved them
+# after the cell's batch, an EGT round read one dict over the active games,
+# and the metrics read the whole profile link by link.
 
-def snapshot(context, profile, link):
-    return (context.topology.position(link),
-            tuple(profile.get(other) for other in context.topology.links()))
+def call(context, ref, profile, link):
+    return (context.topology.position(link), profile[link],
+            reference.interference(ref, profile, link))
 
 
-def reference_oracle_calls(context, links):
+def reference_oracle_calls(context, ref, links):
     profile = {}
     calls = []
     for combo in itertools.product(context.config.power_levels, repeat=len(links)):
         profile.update(zip(links, combo))
-        calls.extend(snapshot(context, profile, link) for link in links)
+        calls.extend(call(context, ref, profile, link) for link in links)
     return calls
 
 
@@ -462,7 +539,7 @@ def reference_ngt_calls(context, ref, rng, max_rounds=64):
                 # the link stays at the last level until the batch has moved
                 for p in levels:
                     profile[link] = p
-                    calls.append(snapshot(context, profile, link))
+                    calls.append(call(context, ref, profile, link))
                     values.append(reference.user_ee(ref, profile, link))
                 picks.append(reference.first_max(values)[0] or 0)
             for link, p, best in zip(batch, held, picks):
@@ -473,27 +550,30 @@ def reference_ngt_calls(context, ref, rng, max_rounds=64):
     return calls
 
 
-def reference_egt_round_calls(context, games):
+def reference_egt_round_calls(context, ref, games):
     levels = context.config.power_levels
     profile = {(cell, game.subcarrier): levels[level]
                for game in games for cell, level in game.strategy.items()}
-    return [snapshot(context, profile, link) for link in profile]
+    return [call(context, ref, profile, link) for link in profile]
 
 
 @pytest.fixture
 def sinr_calls(monkeypatch):
+    """Every `linklevel.sinr` call as (link position, power, interference)."""
     calls = []
     original = linklevel.sinr
 
-    def recording(context, powers, i, interference=None):
-        calls.append((i, tuple(powers)))
-        # a caller's interference is the sum `sinr` would take from these powers
-        if interference is not None:
-            assert interference == linklevel.interference(context, powers, i)
-        return original(context, powers, i, interference)
+    def recording(context, i, power, interference):
+        calls.append((i, power, interference))
+        return original(context, i, power, interference)
 
     monkeypatch.setattr(linklevel, "sinr", recording)
     return calls
+
+
+def exact(calls):
+    """Calls with each float as its hex string, so that 0.0 is not -0.0."""
+    return [(i, float.hex(p), float.hex(a)) for i, p, a in calls]
 
 
 SEQUENCE_CONFIGS = [
@@ -505,10 +585,16 @@ SEQUENCE_CONFIGS = [
 ]
 
 
+def drop_pair(config, seed):
+    """The package's drop and the reference's walk of the same drop."""
+    return (sample_link_context(config, np.random.default_rng(seed)),
+            reference.sample_drop(config, np.random.default_rng(seed)))
+
+
 @pytest.mark.bitexact
 class TestSinrCallSequence:
-    """Every `sinr` call, its link and the powers it sees, as the dict-keyed order
-    made them, and their count: the one the benchmark reports."""
+    """Every `sinr` call, its link, power and interference, as the dict-keyed
+    order made them, and their count: the one the benchmark reports."""
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
     @pytest.mark.parametrize("n_levels", [1, 5, 8])
@@ -523,41 +609,39 @@ class TestSinrCallSequence:
             NetworkConfig(n_small_cells=group_size - 1, n_subcarriers=3, n_users_per_cell=2,
                           power_levels=levels),
         ):
-            ctx = sample_link_context(config, np.random.default_rng(group_size))
+            ctx, ref = drop_pair(config, group_size)
             for sc in ctx.topology.occupied_subcarriers():
                 links = [(cell, sc) for cell in ctx.topology.cells_on(sc)]
                 sinr_calls.clear()
                 result = brute_force_group(sc, ctx)
-                assert sinr_calls == reference_oracle_calls(ctx, links)
+                assert exact(sinr_calls) == exact(reference_oracle_calls(ctx, ref, links))
                 assert len(sinr_calls) == len(links) * result.evaluations
             links = ctx.topology.links()
             if n_levels ** len(links) <= _ORACLE_CAP:
                 sinr_calls.clear()
                 result = brute_force_global(ctx)
-                assert sinr_calls == reference_oracle_calls(ctx, links)
+                assert exact(sinr_calls) == exact(reference_oracle_calls(ctx, ref, links))
                 assert len(sinr_calls) == len(links) * result.evaluations
 
     @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
     def test_ngt(self, sinr_calls, config):
-        config = NetworkConfig(**config)
-        ctx = sample_link_context(config, np.random.default_rng(8))
-        ref = reference.sample_drop(config, np.random.default_rng(8))
+        ctx, ref = drop_pair(NetworkConfig(**config), 8)
         result = ngt_best_response(ctx, np.random.default_rng(9))
-        assert sinr_calls == reference_ngt_calls(ctx, ref, np.random.default_rng(9))
+        assert exact(sinr_calls) == exact(reference_ngt_calls(ctx, ref, np.random.default_rng(9)))
         assert len(sinr_calls) == result.evaluations
 
     @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
     def test_egt_rounds(self, sinr_calls, config):
-        ctx = sample_link_context(NetworkConfig(**config), np.random.default_rng(10))
+        ctx, ref = drop_pair(NetworkConfig(**config), 10)
         rng = np.random.default_rng(11)
         games = new_games(ctx, rng)
         rounds = 0
         while active := [game for game in games if not game.converged]:
             assert rounds <= ctx.config.n_power_levels, "still stepping past L + 1 rounds"
-            expected = reference_egt_round_calls(ctx, active)
+            expected = reference_egt_round_calls(ctx, ref, active)
             sinr_calls.clear()
             stepped = egt_step(active, ctx, rng)
-            assert sinr_calls == expected
+            assert exact(sinr_calls) == exact(expected)
             assert len(sinr_calls) == sum(len(payoffs) for payoffs, _ in stepped)
             rounds += 1
         assert rounds >= 1
@@ -565,9 +649,10 @@ class TestSinrCallSequence:
     @pytest.mark.parametrize("config", SEQUENCE_CONFIGS)
     def test_metrics(self, sinr_calls, config):
         config = NetworkConfig(**config)
-        ctx = sample_link_context(config, np.random.default_rng(12))
+        ctx, ref = drop_pair(config, 12)
         rng = np.random.default_rng(13)
         profile = {link: config.power_levels[int(rng.integers(config.n_power_levels))]
                    for link in ctx.topology.links()}
         compute_link_metrics(ctx, profile)
-        assert sinr_calls == [snapshot(ctx, profile, link) for link in ctx.topology.links()]
+        assert exact(sinr_calls) == \
+            exact([call(ctx, ref, profile, link) for link in ctx.topology.links()])

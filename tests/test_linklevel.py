@@ -8,7 +8,8 @@ import pytest
 
 from twotier_ee.config import NetworkConfig
 from twotier_ee.linklevel import (
-    compute_link_metrics, mrc_combiner, sample_link_context, sinr, validate_power_profile,
+    compute_link_metrics, interference, mrc_combiner, sample_link_context, sinr,
+    validate_power_profile,
 )
 
 
@@ -27,7 +28,7 @@ def uniform_profile(context, power):
 
 
 def power_list(context, profile):
-    """`profile` by link position, the layout `sinr` reads."""
+    """`profile` by link position, the layout of the power arrays."""
     return [profile[link] for link in context.topology.links()]
 
 
@@ -54,14 +55,20 @@ class TestCombiner:
     def test_build_covers_links(self):
         ctx = make_context(1)
         links = ctx.topology.links()
-        assert len(ctx.gains) == len(links)
-        for i, ((cell, sc), (_, interferers, noise)) in enumerate(zip(links, ctx.gains)):
+        gains = ctx.gains
+        assert len(gains.own) == len(gains.noise) == len(links)
+        assert gains.idx.shape == gains.gain.shape == (len(links), gains.idx.shape[1])
+        for i, (cell, sc) in enumerate(links):
             assert ctx.topology.position((cell, sc)) == i
             # the noise power times ||a||^2 = 1 of the unit-norm MRC combiner
-            assert noise == pytest.approx(ctx.config.noise_power, rel=1e-12)
-            # keyed by the interferer's link position, as the power list is
-            assert [j for j, _ in interferers] == \
-                [ctx.topology.position((c, sc)) for c in ctx.topology.cells_on(sc) if c != cell]
+            assert gains.noise[i] == pytest.approx(ctx.config.noise_power, rel=1e-12)
+            # the interferers by link position, as the power array is, then the link itself
+            others = [ctx.topology.position((c, sc))
+                      for c in ctx.topology.cells_on(sc) if c != cell]
+            padding = gains.idx.shape[1] - len(others)
+            assert gains.idx[i].tolist() == others + [i] * padding
+            assert (gains.gain[i, len(others):] == 0.0).all()
+            assert (gains.gain[i, :len(others)] > 0.0).all()
 
 
 class TestMetrics:
@@ -70,10 +77,11 @@ class TestMetrics:
         profile = uniform_profile(ctx, 0.01)
         m = compute_link_metrics(ctx, profile)
         assert list(m.ee) == ctx.topology.links()
-        powers = power_list(ctx, profile)
+        acc = interference(np.array(power_list(ctx, profile)), ctx.gains.idx,
+                           ctx.gains.gain).tolist()
         for i, link in enumerate(ctx.topology.links()):
             # the scalar EE: np.log2 of one SINR, over transmit plus circuit power
-            rate = float(np.log2(1.0 + sinr(ctx, powers, i)))
+            rate = float(np.log2(1.0 + sinr(ctx, i, profile[link], acc[i])))
             assert m.ee[link] == rate / (profile[link] + ctx.config.circuit_power)
             assert type(m.ee[link]) is float
         for sc in ctx.topology.occupied_subcarriers():

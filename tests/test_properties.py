@@ -239,15 +239,19 @@ def test_gain_scaling_scales_each_layer_exactly(config, seed):
     links = topology.links()
     gains = build_combiners(topology, channels, config.noise_power)
     gains4 = build_combiners(topology4, channels4, scaled.noise_power)
-    for i, ((cell, _), (own, interferers, noise), (own4, interferers4, noise4)) in enumerate(
-            zip(links, gains, gains4, strict=True)):
+    assert np.array_equal(gains4.idx, gains.idx)
+    for i, (cell, sc) in enumerate(links):
         block = channels.blocks[cell]
         a = mrc_combiner(block[i])
         assert mrc_combiner(channels4.blocks[cell][i]).tobytes() == a.tobytes()
-        assert noise4 == 4 * noise
-        assert [j for j, _ in interferers4] == [j for j, _ in interferers]
-        for j, gain, gain4 in [(i, own, own4), *((j, g, g4) for (j, g), (_, g4)
-                                                 in zip(interferers, interferers4))]:
+        assert gains4.noise[i] == 4 * gains.noise[i]
+        # the link's interferer slots; the padding after them stays 0.0
+        k = len(topology.cells_on(sc)) - 1
+        padding = [0.0] * (gains.gain.shape[1] - k)
+        assert gains.gain[i, k:].tolist() == gains4.gain[i, k:].tolist() == padding
+        for j, gain, gain4 in [(i, gains.own[i], gains4.own[i]),
+                               *zip(gains.idx[i, :k].tolist(), gains.gain[i, :k].tolist(),
+                                    gains4.gain[i, :k].tolist())]:
             m = float(np.abs(np.vecdot(a, block[j])))
             if (2 * m) ** 2 == 4 * m ** 2:
                 assert gain4 == 4 * gain, (i, j)
