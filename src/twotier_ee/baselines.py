@@ -21,7 +21,6 @@ from operator import itemgetter
 import numpy as np
 
 from . import linklevel
-from .config import _check_count
 from .linklevel import LinkContext, batch_ee, interference, ordered_sum
 
 __all__ = [
@@ -34,6 +33,8 @@ _GROUP_GUARD_BITS = 30
 _GLOBAL_GUARD_BITS = 20
 # profiles per batched objective evaluation, which bounds the oracles' memory
 _CHUNK_PROFILES = 4096
+# best-response passes before ngt stops unconverged: the dynamics need not settle
+_MAX_ROUNDS = 64
 
 
 class SizeGuardError(ValueError):
@@ -160,19 +161,18 @@ class NgtResult:
 
     profile: dict        # (cell, subcarrier) -> final power
     rounds: int          # passes in which at least one player moved
-    converged: bool      # a full quiet pass was observed before the cap
+    converged: bool      # a full quiet pass came within _MAX_ROUNDS passes
     evaluations: int     # candidate EE evaluations consumed
 
 
-def ngt_best_response(context: LinkContext, rng: np.random.Generator,
-                      max_rounds: int = 64):
+def ngt_best_response(context: LinkContext, rng: np.random.Generator):
     """Round-robin selfish power adaptation from a random starting profile.
 
     Each pass visits every link in cell-major order (macro cell's users
     first) and moves it to the power level that maximizes its own EE given
     everyone else's current choice, ties to the lowest level.  The dynamics
     stop at the first pass with no change, a Nash equilibrium of the
-    discrete game.
+    discrete game, or after _MAX_ROUNDS passes.
 
     A cell's links sit on distinct subcarriers, so none of them reads
     another's power: their best responses are one batch per cell, the
@@ -183,7 +183,6 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
     draw, cell-major: the values and generator state of one scalar draw per
     link (the same stream).  The result profile keys the links cell-major.
     """
-    _check_count("max_rounds", max_rounds)
     sinr = linklevel.sinr   # looked up per run, so a patched sinr is seen
     levels = context.config.power_levels
     n_levels = len(levels)
@@ -200,7 +199,7 @@ def ngt_best_response(context: LinkContext, rng: np.random.Generator,
         batches.append((at.tolist(), at, context.gains.idx[at], context.gains.gain[at]))
     rounds = evaluations = 0
     converged = False
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         changed = False
         for batch, at, idx, gain in batches:
             acc = interference(power, idx, gain).tolist()

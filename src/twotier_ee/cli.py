@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of Monte-Carlo drops (default 1)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write per-drop results CSV here")
-    common.add_argument("--max-iters", type=int, default=64, metavar="N",
-                        help="iteration/round cap per drop (default 64)")
 
     parser = argparse.ArgumentParser(
         prog="twotier-ee",
@@ -71,8 +69,7 @@ def _load_spec(args, algorithm: str) -> ExperimentSpec:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=args.seed)
-    return ExperimentSpec(config=config, algorithm=algorithm, n_drops=args.drops,
-                          max_iterations=args.max_iters)
+    return ExperimentSpec(config=config, algorithm=algorithm, n_drops=args.drops)
 
 
 def _summarize(records: list) -> str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linklevel
-from .config import _check_count
 from .linklevel import LinkContext, batch_ee, interference, ordered_sum
 
 __all__ = ["GameState", "EgtResult", "new_games", "egt_step", "run_algorithm1"]
@@ -115,13 +114,12 @@ class EgtResult:
     profile: dict        # (cell, subcarrier) -> power, every active link
     traces: dict         # subcarrier -> [average payoff at each round played]
     iterations: int      # rounds until the slowest game settled
-    converged: bool      # False when max_iterations cut the run short
+    converged: bool      # False only if a game still moved in round L
     evaluations: int     # payoff evaluations consumed (one per player per round)
 
 
-def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
-                   max_iterations: int = 64) -> EgtResult:
-    """Run every per-subcarrier game to convergence (or the iteration cap).
+def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator) -> EgtResult:
+    """Run every per-subcarrier game to convergence, in at most L rounds.
 
     Mutates `games`: each is stepped in place and ends in its final state.
     Games advance in lockstep rounds, ascending subcarrier order inside a
@@ -130,10 +128,9 @@ def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator,
     payoff of every round it actually played.  Each round is one `egt_step`
     over the active games, which rejects games that share a subcarrier.
     """
-    _check_count("max_iterations", max_iterations)
     traces = {g.subcarrier: [] for g in games}
     evaluations = iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(context.config.n_power_levels):
         active = [g for g in games if not g.converged]
         if not active:
             break

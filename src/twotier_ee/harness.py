@@ -92,12 +92,10 @@ class ExperimentSpec:
     config: NetworkConfig
     algorithm: str = "egt"
     n_drops: int = 1
-    max_iterations: int = 64
 
     def __post_init__(self):
         _algorithm(self.algorithm)
         _check_count("n_drops", self.n_drops)
-        _check_count("max_iterations", self.max_iterations)
 
 
 def child_seed(rng_seed: int, drop: int) -> int:
@@ -137,15 +135,13 @@ class RunRecord:
     error: str = None                 # set when the drop aborted
 
 
-def _solve(context: LinkContext, rng: np.random.Generator, algorithm: str,
-           max_iterations: int) -> tuple:
+def _solve(context: LinkContext, rng: np.random.Generator, algorithm: str) -> tuple:
     """Run one algorithm on a drop: (profile, iterations, evaluations, converged, traces)."""
     if algorithm == "egt":
-        r = run_algorithm1(new_games(context, rng), context, rng,
-                           max_iterations=max_iterations)
+        r = run_algorithm1(new_games(context, rng), context, rng)
         return r.profile, r.iterations, r.evaluations, r.converged, r.traces
     if algorithm == "ngt":
-        r = ngt_best_response(context, rng, max_rounds=max_iterations)
+        r = ngt_best_response(context, rng)
         return r.profile, r.rounds, r.evaluations, r.converged, {}
     if algorithm == "brute-global":
         r = brute_force_global(context)
@@ -158,11 +154,11 @@ def _solve(context: LinkContext, rng: np.random.Generator, algorithm: str,
     return profile, 0, evaluations, True, {}
 
 
-def _run_one(config: NetworkConfig, algorithm: str, seed: int, max_iterations: int) -> dict:
+def _run_one(config: NetworkConfig, algorithm: str, seed: int) -> dict:
     """The outcome fields of one drop's RunRecord; raises if the drop fails."""
     context = sample_link_context(config, scenario_rng(seed))
     profile, iterations, evaluations, converged, traces = _solve(
-        context, algorithm_rng(seed, algorithm), algorithm, max_iterations)
+        context, algorithm_rng(seed, algorithm), algorithm)
     metrics = compute_link_metrics(context, profile)
     cell_ee = metrics.cell_totals(config.n_cells)
     # an SINR can overflow (a subnormal noise power passes the config check);
@@ -187,7 +183,7 @@ def run_drops(spec: ExperimentSpec) -> list:
     for drop in range(spec.n_drops):
         seed = child_seed(config.rng_seed, drop)
         try:
-            outcome = _run_one(config, spec.algorithm, seed, spec.max_iterations)
+            outcome = _run_one(config, spec.algorithm, seed)
         except Exception as exc:  # noqa: BLE001 - error records, not batch aborts
             outcome = dict(network_ee=nan, cell_ee=[nan] * config.n_cells, jain=nan,
                            iterations=0, evaluations=0, converged=False, error=str(exc))

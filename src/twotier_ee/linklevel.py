@@ -48,9 +48,10 @@ def mrc_combiner(g: np.ndarray) -> np.ndarray:
     if np.any(norm == 0):
         raise ValueError("cannot build a combiner for an all-zero channel")
     if not np.isfinite(norm).all():
+        if np.isnan(norm).any():   # only a NaN entry makes the sum of squares NaN
+            raise ValueError("cannot build a combiner: a channel vector is not finite")
         # g * (1 / inf) is a zero combiner, and every gain after it 0.0
-        raise ValueError(f"cannot build a combiner: a channel norm overflows to "
-                         f"{float(norm.max())!r}")
+        raise ValueError("cannot build a combiner: a channel norm overflows to inf")
     return g * (1.0 / norm)[..., None]
 
 

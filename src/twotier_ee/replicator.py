@@ -20,6 +20,8 @@ _SIMPLEX_TOL = 1e-9
 # fixed point declared once the RHS stays this flat for this many steps
 _FIXED_POINT_TOL = 1e-8
 _FIXED_POINT_STEPS = 100
+# central-difference step of the stability Jacobian
+_FD_STEP = 1e-6
 
 
 @dataclass
@@ -51,6 +53,17 @@ def _check_simplex(x: np.ndarray) -> None:
         raise ValueError(f"share vector sums to {x.sum()}, not 1")
 
 
+def _rhs(payoff_fn, x: np.ndarray, t: float = None) -> np.ndarray:
+    """The growth rates at x under payoff_fn(x), refused unless that is one finite
+    payoff per share; `t` is the integration time the refusal names, if any."""
+    pi = np.asarray(payoff_fn(x), dtype=float)
+    if pi.shape != x.shape or not np.isfinite(pi).all():
+        when = "" if t is None else f", t = {t:g}"
+        raise ValueError(f"payoff_fn returned {pi.tolist()} at shares {x.tolist()}{when}; "
+                         f"need {x.size} finite payoffs")
+    return replicator_rhs(x, pi, float(pi @ x))
+
+
 def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0) -> Trajectory:
     """Integrate the share dynamics from x0 under a state-dependent payoff.
 
@@ -65,20 +78,19 @@ def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0)
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not 0.0 < horizon < np.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    steps = horizon / dt
+    if not (steps < np.inf and round(steps) >= 1):
+        raise ValueError(f"horizon / dt must round to a finite step count >= 1, got "
+                         f"horizon = {horizon!r}, dt = {dt!r}")
+    n_steps = round(steps)
     x = np.array(x0, dtype=float)
     _check_simplex(x)
-    n_steps = int(round(horizon / dt))
     times = [0.0]
     states = [x.copy()]
     quiet = 0
     reached = False
     for k in range(1, n_steps + 1):
-        pi = np.asarray(payoff_fn(x), dtype=float)
-        if pi.shape != x.shape or not np.isfinite(pi).all():
-            raise ValueError(f"payoff_fn returned {pi.tolist()} at shares {x.tolist()}, "
-                             f"t = {(k - 1) * dt:g}; need {x.size} finite payoffs")
-        avg = float(pi @ x)
-        rhs = replicator_rhs(x, pi, avg)
+        rhs = _rhs(payoff_fn, x, (k - 1) * dt)
         x = x + dt * rhs
         x[x < 0] = 0.0
         total = float(x.sum())
@@ -97,7 +109,7 @@ def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0)
                       reached_fixed_point=reached)
 
 
-def equilibrium_stability(x_star, payoff_fn, fd_step: float = 1e-6) -> str:
+def equilibrium_stability(x_star, payoff_fn) -> str:
     """Classify a replicator fixed point: 'stable', 'unstable', or 'marginal'.
 
     The Jacobian of the RHS is estimated by central differences and
@@ -105,23 +117,18 @@ def equilibrium_stability(x_star, payoff_fn, fd_step: float = 1e-6) -> str:
     sum); the off-simplex eigenvalue is an artifact of the embedding and
     must not influence the verdict.
     """
-    if not 0.0 < fd_step < np.inf:
-        raise ValueError(f"fd_step must be finite and > 0, got {fd_step}")
     x_star = np.asarray(x_star, dtype=float)
-
-    def rhs_at(x: np.ndarray) -> np.ndarray:
-        pi = np.asarray(payoff_fn(x), dtype=float)
-        return replicator_rhs(x, pi, float(pi @ x))
-
-    norm = float(np.linalg.norm(rhs_at(x_star)))
+    _check_simplex(x_star)
+    norm = float(np.linalg.norm(_rhs(payoff_fn, x_star)))
     if not norm <= 1e-6:
         raise ValueError(f"not a fixed point: |rhs| = {norm:.3e}, need <= 1e-06")
     n = x_star.size
     jac = np.empty((n, n))
     for j in range(n):
         bump = np.zeros(n)
-        bump[j] = fd_step
-        jac[:, j] = (rhs_at(x_star + bump) - rhs_at(x_star - bump)) / (2.0 * fd_step)
+        bump[j] = _FD_STEP
+        jac[:, j] = _rhs(payoff_fn, x_star + bump) - _rhs(payoff_fn, x_star - bump)
+    jac /= 2.0 * _FD_STEP
     # orthonormal basis of the zero-sum directions: the rows of V^T past the first
     tangent = np.linalg.svd(np.ones((1, n)))[2][1:].T
     eigenvalues = np.linalg.eigvals(tangent.T @ jac @ tangent)

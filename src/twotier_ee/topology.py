@@ -139,9 +139,10 @@ def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     `d ** alpha` is a Python float power per value: numpy's vector power
     rounds some values differently.
     """
-    if np.any(distance <= 0):
+    # `not all(x > 0)` and not `any(x <= 0)`, so a NaN is refused here too
+    if not np.all(distance > 0):
         raise ValueError(f"distance must be > 0, got {np.min(distance)}")
-    if np.any(shadow_draw <= 0):
+    if not np.all(shadow_draw > 0):
         raise ValueError(f"shadow draw must be > 0, got {np.min(shadow_draw)}")
     d = np.maximum(distance, MIN_DISTANCE_M)
     path_loss = np.fromiter([x ** config.path_loss_exponent for x in d.ravel().tolist()],

@@ -95,6 +95,9 @@ MUTANTS = [
     Mutant("topology-no-distance-clamp", "topology.py",
            "d = np.maximum(distance, MIN_DISTANCE_M)",
            "d = distance"),
+    Mutant("topology-nan-distance-passes", "topology.py",
+           "if not np.all(distance > 0):",
+           "if np.any(distance <= 0):"),
     Mutant("topology-shadow-underflow", "topology.py",
            "if (values == 0.0).any():",
            "if (values < 0.0).any():"),
@@ -124,6 +127,9 @@ MUTANTS = [
     Mutant("linklevel-inf-norm-passes", "linklevel.py",
            "if not np.isfinite(norm).all():",
            "if np.isnan(norm).any():"),
+    Mutant("linklevel-nan-row-as-overflow", "linklevel.py",
+           "if np.isnan(norm).any():",
+           "if np.isnan(norm).all():"),
     Mutant("linklevel-divide-by-norm", "linklevel.py",
            "return g * (1.0 / norm)[..., None]",
            "return g / norm[..., None]",
@@ -176,9 +182,9 @@ MUTANTS = [
     Mutant("egt-extra-start-draw", "egt.py",
            "size=len(topology.users)).tolist())",
            "size=len(topology.users) + 1).tolist())"),
-    Mutant("egt-iteration-cap-plus-one", "egt.py",
-           "for _ in range(max_iterations):",
-           "for _ in range(max_iterations + 1):"),
+    Mutant("egt-rounds-one-short", "egt.py",
+           "for _ in range(context.config.n_power_levels):",
+           "for _ in range(context.config.n_power_levels - 1):"),
     Mutant("egt-step-converged-game", "egt.py",
            "if any(game.converged for game in games):",
            "if all(game.converged for game in games):"),
@@ -195,6 +201,12 @@ MUTANTS = [
     Mutant("replicator-inf-dt", "replicator.py",
            "if not 0.0 < dt < np.inf:",
            "if not 0.0 < dt:"),
+    Mutant("replicator-step-count-unchecked", "replicator.py",
+           "if not (steps < np.inf and round(steps) >= 1):",
+           "if not steps < np.inf:"),
+    Mutant("replicator-stability-off-simplex", "replicator.py",
+           "    _check_simplex(x_star)",
+           "    _check_simplex(np.abs(x_star) / np.abs(x_star).sum())"),
     Mutant("replicator-nan-payoff", "replicator.py",
            "if pi.shape != x.shape or not np.isfinite(pi).all():",
            "if pi.shape != x.shape:"),
@@ -243,8 +255,8 @@ MUTANTS = [
            "if not players:",
            "if players is None:"),
     Mutant("baselines-zero-rounds", "baselines.py",
-           '_check_count("max_rounds", max_rounds)',
-           '_check_count("max_rounds", max(max_rounds, 1))'),
+           "_MAX_ROUNDS = 64",
+           "_MAX_ROUNDS = 0"),
     # harness
     Mutant("harness-jain-np-sum", "harness.py",
            "squares = ordered_sum([x * x for x in values])",

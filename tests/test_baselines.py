@@ -2,8 +2,6 @@
 ties included.
 """
 
-import re
-
 import numpy as np
 import pytest
 
@@ -93,11 +91,12 @@ class TestBestResponseDynamics:
         n_links = len(ctx.topology.links())
         assert res.evaluations == 8 * n_links * passes
 
-    def test_round_cap_reports_non_convergence(self):
+    def test_round_cap_reports_non_convergence(self, monkeypatch):
         ctx = make_context(12, n_small_cells=2, n_subcarriers=3, n_users_per_cell=3)
         full = ngt_best_response(ctx, np.random.default_rng(12))
         assert full.rounds >= 1      # the cap below actually binds
-        capped = ngt_best_response(ctx, np.random.default_rng(12), max_rounds=1)
+        monkeypatch.setattr(baselines, "_MAX_ROUNDS", 1)
+        capped = ngt_best_response(ctx, np.random.default_rng(12))
         assert not capped.converged
         assert capped.rounds == 1
 
@@ -106,12 +105,3 @@ class TestBestResponseDynamics:
         res = ngt_best_response(ctx, np.random.default_rng(14))
         assert set(res.profile) == set(ctx.topology.links())
         assert all(p in ctx.config.power_levels for p in res.profile.values())
-
-    @pytest.mark.parametrize("value, message", [
-        (0, "max_rounds must be >= 1"),
-        *((value, f"max_rounds must be an integer, got {value!r}") for value in (True, 2.5, "3")),
-    ])
-    def test_round_cap_must_be_positive(self, value, message):
-        ctx = make_context(15)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ngt_best_response(ctx, np.random.default_rng(0), max_rounds=value)

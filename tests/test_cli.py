@@ -84,12 +84,6 @@ class TestSimulate:
         assert base.read_bytes() != over.read_bytes()
         assert over.read_bytes() == again.read_bytes()
 
-    def test_max_iters_flag_reaches_algorithm(self, config_file, tmp_path):
-        out = tmp_path / "capped.csv"
-        assert run_cli("simulate", "--config", config_file, "--drops", 2,
-                       "--out", out, "--max-iters", 1) == 0
-        assert all(r.iterations <= 1 for r in parse_results(out))
-
 
 class TestSweep:
     def test_prints_one_line_per_value_and_writes_table(self, config_file,

@@ -52,6 +52,12 @@ class TestCombiner:
                 "cannot build a combiner: a channel norm overflows to inf")):
             mrc_combiner(np.stack([np.array([3.0 + 4.0j, 0.0]), g]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_channel_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot build a combiner: a channel vector is not finite")):
+            mrc_combiner(np.stack([np.array([3.0 + 4.0j, 0.0]), np.array([math.nan, 1.0])]))
+
     def test_build_covers_links(self):
         ctx = make_context(1)
         links = ctx.topology.links()

@@ -112,7 +112,7 @@ def test_egt_converges_within_level_count(config, seed):
     ctx = drop(config, seed)
     rng = np.random.default_rng(seed)
     n_levels = config.n_power_levels
-    result = run_algorithm1(new_games(ctx, rng), ctx, rng, max_iterations=n_levels)
+    result = run_algorithm1(new_games(ctx, rng), ctx, rng)
     assert result.converged
     assert result.iterations <= n_levels
     assert all(len(trace) <= n_levels for trace in result.traces.values())

@@ -2,9 +2,12 @@
 classifier.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from twotier_ee import replicator
 from twotier_ee.replicator import (
     equilibrium_stability, integrate_replicator, replicator_rhs,
 )
@@ -111,6 +114,12 @@ class TestIntegration:
                 integrate_replicator([0.5, 0.5], payoff, dt=bad)
             with pytest.raises(ValueError, match="horizon must be finite"):
                 integrate_replicator([0.5, 0.5], payoff, horizon=bad)
+        # a step count that overflows or rounds to 0; a huge finite one would run
+        for dt, horizon in [(5e-324, 1.0), (2.0, 1.0)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"horizon / dt must round to a finite step count >= 1, got "
+                    f"horizon = {horizon!r}, dt = {dt!r}")):
+                integrate_replicator([0.5, 0.5], payoff, dt=dt, horizon=horizon)
 
 
 class TestStability:
@@ -137,18 +146,22 @@ class TestStability:
         with pytest.raises(ValueError):
             equilibrium_stability([0.5, 0.5], constant_payoffs([2.0, 1.0]))
 
-    @pytest.mark.parametrize("x_star, payoff, fd_step, message", [
-        ([1.0, 0.0], [2.0, 1.0], 0.0, "fd_step must be finite"),
-        ([1.0, 0.0], [2.0, 1.0], np.nan, "fd_step must be finite"),
-        ([1.0, 0.0], [2.0, 1.0], np.inf, "fd_step must be finite"),
-        ([np.nan, 1.0], [2.0, 1.0], 1e-6, "not a fixed point"),
-        ([1.0, 0.0], [np.nan, 1.0], 1e-6, "not a fixed point"),
-    ])
-    def test_bad_inputs_rejected(self, x_star, payoff, fd_step, message):
-        with pytest.raises(ValueError, match=message):
-            equilibrium_stability(x_star, constant_payoffs(payoff), fd_step=fd_step)
+    # the shares and payoffs integrate_replicator refuses, with its messages
+    @pytest.mark.parametrize("x_star, payoff, message", [
+        ([np.nan, 1.0], [2.0, 1.0], "share vector [nan, 1.0] has negative or non-finite"),
+        ([3.0, -2.0], [1.0, 1.0], "share vector [3.0, -2.0] has negative or non-finite"),
+        ([0.6, 0.6], [1.0, 1.0], "share vector sums to 1.2, not 1"),
+        ([1.0, 0.0], [np.nan, 1.0],
+         "payoff_fn returned [nan, 1.0] at shares [1.0, 0.0]; need 2 finite payoffs"),
+        ([0.5, 0.5], [1.0, 1.0, 1.0],
+         "payoff_fn returned [1.0, 1.0, 1.0] at shares [0.5, 0.5]; need 2 finite payoffs"),
+    ], ids=["nan-share", "off-simplex", "sum-not-one", "nan-payoff", "payoff-length"])
+    def test_bad_inputs_rejected(self, x_star, payoff, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            equilibrium_stability(x_star, constant_payoffs(payoff))
 
-    def test_verdict_robust_to_fd_step(self):
+    def test_verdict_robust_to_fd_step(self, monkeypatch):
         payoff = constant_payoffs([2.0, 1.0])
         for h in (1e-5, 1e-6, 5e-7):
-            assert equilibrium_stability([1.0, 0.0], payoff, fd_step=h) == "stable"
+            monkeypatch.setattr(replicator, "_FD_STEP", h)
+            assert equilibrium_stability([1.0, 0.0], payoff) == "stable"

@@ -136,6 +136,11 @@ class TestLargeScaleGain:
             large_scale_gain(np.array([5.0, 0.0]), config, np.ones(2))
         with pytest.raises(ValueError, match="shadow draw must be > 0, got 0.0"):
             large_scale_gain(np.array([5.0, 6.0]), config, np.array([1.0, 0.0]))
+        # a NaN is refused as the value it is, not as an overflowing gain
+        for distance, shadow, name in [(math.nan, 1.0, "distance"), (5.0, math.nan, "shadow draw"),
+                                       (np.array([5.0, math.nan]), np.ones(2), "distance")]:
+            with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
+                large_scale_gain(distance, config, shadow)
         # a gain that overflows, without numpy's warning
         for distance, shadow in [(1.0, 10.0), (np.array([5.0, 1.0]), np.array([1.0, 10.0]))]:
             with pytest.raises(ValueError, match=r"overflows: antenna_constant = 1e\+308 is "):
