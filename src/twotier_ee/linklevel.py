@@ -18,13 +18,14 @@ its `sinr` call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
 from .config import NetworkConfig
-from .topology import _TEMP_BYTES, ChannelRealization, Topology, \
+from .topology import _TEMP_BYTES, ChannelRealization, Topology, _power, \
     sample_topology, sample_large_scale_fading, sample_channels
 
 __all__ = [
@@ -55,20 +56,6 @@ def mrc_combiner(g: np.ndarray) -> np.ndarray:
     return g * (1.0 / norm)[..., None]
 
 
-def _abs2(z: np.ndarray) -> list:
-    """|z|^2 of each element as Python floats: a vector abs, then a scalar power.
-
-    Vector `np.abs` rounds as the scalar one does; vector `** 2` and
-    `np.square` do not, while a Python float power is the C `pow` that the
-    numpy-scalar `** 2` calls.
-    """
-    magnitudes = np.abs(z)
-    try:
-        return [x ** 2 for x in magnitudes.tolist()]
-    except OverflowError:  # above 1.34e154 a Python float power raises; numpy's gives inf
-        return [float(x ** 2) for x in magnitudes]
-
-
 @dataclass
 class GainTable:
     """Post-combining gains of one drop by link position i, for the MRC
@@ -97,6 +84,7 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
     product a^H g is one `np.vecdot` row, the BLAS dot `np.vdot` uses, so
     the table is bit-identical to one built link by link.  A matrix-vector
     product (`G @ a.conj()`) or `einsum` sums in another order and is not.
+    Vector `np.abs` rounds as the scalar one does; `topology._power` squares it.
     """
     links = topology.links()
     cells = np.array([cell for cell, _ in links])
@@ -116,18 +104,19 @@ def build_combiners(topology: Topology, channels: ChannelRealization,
         block = channels.blocks[cell]
         own_vectors = block[own_rows]
         a = mrc_combiner(own_vectors)
-        own[own_rows] = _abs2(np.vecdot(a, own_vectors))
+        own[own_rows] = np.abs(np.vecdot(a, own_vectors))
         # elementwise, the product of each ||a||^2 float with noise_power
         noise[own_rows] = np.vecdot(a, a).real * noise_power
         # every (served row, slot) with an interferer, rows then slots ascending
         into, k = np.nonzero(valid[own_rows])
-        leak_rows = idx[own_rows[into], k]
+        rows = own_rows[into]
+        leak_rows = idx[rows, k]
         step = max(1, _TEMP_BYTES // block.itemsize // block.shape[1])
-        gain[own_rows[into], k] = [
-            g for start in range(0, len(leak_rows), step)
-            for g in _abs2(np.vecdot(a[into[start:start + step]],
-                                     block[leak_rows[start:start + step]]))]
-    return GainTable(own=own.tolist(), noise=noise.tolist(), idx=idx, gain=gain)
+        for start in range(0, len(leak_rows), step):
+            run = slice(start, start + step)
+            gain[rows[run], k[run]] = np.abs(np.vecdot(a[into[run]], block[leak_rows[run]]))
+    return GainTable(own=_power(own, 2).tolist(), noise=noise.tolist(), idx=idx,
+                     gain=_power(gain, 2))
 
 
 @dataclass
@@ -270,13 +259,14 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
 
 
 def validate_power_profile(context: LinkContext, profile: dict) -> None:
-    """Profile must cover exactly the active links with finite positive powers."""
+    """Profile must cover exactly the active links with real, finite, positive powers, no bool."""
     links = context.topology.users.keys()
     if profile.keys() != links:
         missing = sorted(links - profile.keys())
         extra = sorted(profile.keys() - links)
         raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
-    inf = np.inf
     for link, p in profile.items():
-        if not 0.0 < p < inf:
+        if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+            raise ValueError(f"power {p!r} on link {link} is not a real number")
+        if not 0.0 < p < np.inf:
             raise ValueError(f"power {p} on link {link} is not finite and > 0")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -37,6 +37,31 @@ _TEMP_BYTES = 1 << 16
 
 class PlacementError(RuntimeError):
     """Geometry could not be sampled (overconstrained configuration)."""
+
+
+def _power(base, exponent) -> np.ndarray:
+    """`base ** exponent` per element, each one value or an array of one shape,
+    by a Python float power: the C `pow` the pinned outputs rest on.  numpy's
+    vector power rounds about 5% of `d ** 3.8` and `10 ** x` otherwise.  A
+    power that overflows is inf, without a warning."""
+    grid = np.broadcast(base, exponent)
+    x = base.ravel().tolist() if isinstance(base, np.ndarray) else repeat(float(base))
+    y = exponent.ravel().tolist() if isinstance(exponent, np.ndarray) else repeat(float(exponent))
+    try:
+        values = np.fromiter(map(pow, x, y), float, grid.size)
+    except OverflowError:   # where a Python float power raises, numpy's scalar pow gives inf
+        with np.errstate(over="ignore"):
+            values = np.fromiter(map(pow, map(np.float64, x), y), float, grid.size)
+    return values.reshape(grid.shape)
+
+
+# a norm that overflows is inf, farther apart than any spacing, without numpy's warning
+@np.errstate(over="ignore")
+def _norm(offset: np.ndarray) -> np.ndarray:
+    """The length of each (x, y) row of `offset`, bit for bit np.linalg.norm's:
+    a stacked (1, 2) @ (2, 1) product does; hypot and norm(axis=) do not."""
+    offset = offset[..., None, :]
+    return np.sqrt(offset @ offset.swapaxes(-1, -2))[..., 0, 0]
 
 
 @dataclass
@@ -111,12 +136,7 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
             )
         attempts += 1
         candidate = _uniform_in_disc(mbs, config.macro_radius, 1, rng)
-        # distances to every placed centre: stacked (1, 2) @ (2, 1) rounds as np.linalg.norm.
-        # One that overflows to inf is farther apart than any spacing, as it should be
-        offset = (candidate - sbs)[:, None, :]
-        with np.errstate(over="ignore"):
-            distance = np.sqrt(offset @ offset.swapaxes(1, 2))
-        if (distance >= 2.0 * config.small_radius).all():
+        if (_norm(candidate - sbs) >= 2.0 * config.small_radius).all():
             sbs = np.vstack([sbs, candidate])
 
     bs_positions = np.vstack([mbs, sbs])
@@ -131,24 +151,21 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
     return Topology(bs_positions=bs_positions, users=users)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the finite check below reports these
 def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     """Large-scale channel gain: antenna constant times shadowing over d^alpha.
 
     Takes one distance and shadow draw, or same-shaped arrays of them.
-    Distances below MIN_DISTANCE_M are clamped so the gain stays finite, and
-    `d ** alpha` is a Python float power per value: numpy's vector power
-    rounds some values differently.
+    Distances below MIN_DISTANCE_M are clamped so the gain stays finite; a
+    distance whose `d ** alpha` overflows gets gain 0.
     """
     # `not all(x > 0)` and not `any(x <= 0)`, so a NaN is refused here too
-    if not np.all(distance > 0):
+    if not np.greater(distance, 0).all():
         raise ValueError(f"distance must be > 0, got {np.min(distance)}")
-    if not np.all(shadow_draw > 0):
+    if not np.greater(shadow_draw, 0).all():
         raise ValueError(f"shadow draw must be > 0, got {np.min(shadow_draw)}")
-    d = np.maximum(distance, MIN_DISTANCE_M)
-    path_loss = np.fromiter([x ** config.path_loss_exponent for x in d.ravel().tolist()],
-                            float, d.size).reshape(d.shape)
-    with np.errstate(over="ignore"):   # the finite check below reports an overflow
-        gain = config.antenna_constant * shadow_draw / path_loss
+    path_loss = _power(np.maximum(distance, MIN_DISTANCE_M), config.path_loss_exponent)
+    gain = config.antenna_constant * shadow_draw / path_loss
     if not np.isfinite(gain).all():
         raise ValueError(f"the large-scale gain antenna_constant * shadowing / d ** "
                          f"path_loss_exponent overflows: antenna_constant = "
@@ -159,14 +176,11 @@ def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
 def draw_shadowing(config: NetworkConfig, rng: np.random.Generator, size) -> np.ndarray:
     """Log-normal shadowing: 10*log10(value) is N(0, shadowing_std_db^2)."""
     draws = rng.normal(0.0, config.shadowing_std_db, size=size)
-    # a Python float power per value: numpy's vector power (not / 10) rounds some differently
-    try:
-        values = np.fromiter([10.0 ** x for x in (draws / 10.0).ravel().tolist()], float,
-                             draws.size).reshape(draws.shape)
-    except OverflowError:
+    values = _power(10.0, draws / 10.0)
+    if (values == np.inf).any():
         raise ValueError(
             f"a shadowing draw of {float(draws.max())!r} dB overflows 10 ** (x / 10); "
-            f"shadowing_std_db = {config.shadowing_std_db!r} is too large") from None
+            f"shadowing_std_db = {config.shadowing_std_db!r} is too large")
     if (values == 0.0).any():
         raise ValueError(
             f"a shadowing draw of {float(draws.min())!r} dB underflows 10 ** (x / 10) "
@@ -185,14 +199,9 @@ def sample_large_scale_fading(
     The block's gains are one `large_scale_gain` call.
     """
     users = np.array([topology.users[link] for link in topology.links()])
-    offset = (topology.bs_positions[:, None, :] - users[None, :, :])[:, :, None, :]
-    # stacked (1, 2) @ (2, 1) rounds like a 1-D norm; hypot and norm(axis=) do not.
-    # A distance that overflows to inf gives gain 0, which mrc_combiner refuses on a
-    # link's own channel.  Clamped here too, so a user at its BS (distance 0) gets
-    # MIN_DISTANCE_M's gain
-    with np.errstate(over="ignore"):
-        distance = np.maximum(np.sqrt(offset @ offset.swapaxes(2, 3))[:, :, 0, 0],
-                              MIN_DISTANCE_M)
+    # clamped here too, so a user at its BS (distance 0) gets MIN_DISTANCE_M's gain
+    distance = np.maximum(_norm(topology.bs_positions[:, None, :] - users[None, :, :]),
+                          MIN_DISTANCE_M)
     # draw_shadowing rejects a draw that under- or overflows, so every value is > 0
     return large_scale_gain(distance, config, draw_shadowing(config, rng, size=distance.shape))
 

@@ -89,15 +89,22 @@ MUTANTS = [
     Mutant("topology-unsorted-subcarriers", "topology.py",
            "for sc, (x, y) in zip(np.sort(subcarriers).tolist(), positions.tolist()):",
            "for sc, (x, y) in zip(subcarriers.tolist(), positions.tolist()):"),
+    Mutant("topology-power-vectorised", "topology.py",
+           "values = np.fromiter(map(pow, x, y), float, grid.size)",
+           "values = np.power(np.array(base), exponent)"),
+    Mutant("topology-norm-by-squares", "topology.py",
+           "return np.sqrt(offset @ offset.swapaxes(-1, -2))[..., 0, 0]",
+           "return np.sqrt(offset[..., 0, 0] * offset[..., 0, 0] "
+           "+ offset[..., 0, 1] * offset[..., 0, 1])"),
     Mutant("topology-vector-path-loss", "topology.py",
-           "gain = config.antenna_constant * shadow_draw / path_loss",
-           "gain = config.antenna_constant * shadow_draw / d ** config.path_loss_exponent"),
+           "path_loss = _power(np.maximum(distance, MIN_DISTANCE_M), config.path_loss_exponent)",
+           "path_loss = np.maximum(distance, MIN_DISTANCE_M) ** config.path_loss_exponent"),
     Mutant("topology-no-distance-clamp", "topology.py",
-           "d = np.maximum(distance, MIN_DISTANCE_M)",
-           "d = distance"),
+           "path_loss = _power(np.maximum(distance, MIN_DISTANCE_M), config.path_loss_exponent)",
+           "path_loss = _power(distance, config.path_loss_exponent)"),
     Mutant("topology-nan-distance-passes", "topology.py",
-           "if not np.all(distance > 0):",
-           "if np.any(distance <= 0):"),
+           "if not np.greater(distance, 0).all():",
+           "if np.less_equal(distance, 0).any():"),
     Mutant("topology-shadow-underflow", "topology.py",
            "if (values == 0.0).any():",
            "if (values < 0.0).any():"),
@@ -136,8 +143,8 @@ MUTANTS = [
            equivalent="numpy divides complex by real through the reciprocal, so only the "
                       "sign of a zero part can differ, and no |a^H g|^2 or norm sees it"),
     Mutant("linklevel-square-by-product", "linklevel.py",
-           "return [x ** 2 for x in magnitudes.tolist()]",
-           "return [x * x for x in magnitudes.tolist()]"),
+           "gain=_power(gain, 2))",
+           "gain=gain * gain)"),
     Mutant("linklevel-unit-noise-gain", "linklevel.py",
            "noise[own_rows] = np.vecdot(a, a).real * noise_power",
            "noise[own_rows] = noise_power"),

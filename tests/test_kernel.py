@@ -36,7 +36,7 @@ from twotier_ee.linklevel import (
     batch_ee, build_combiners, compute_link_metrics, interference, mrc_combiner,
     sample_link_context, sinr,
 )
-from twotier_ee.topology import ChannelRealization, Topology
+from twotier_ee.topology import ChannelRealization, Topology, _power
 
 # oracle runs in the property test are capped so that one example stays cheap
 _ORACLE_CAP = 4096
@@ -443,9 +443,12 @@ class TestStackedGainTable:
         assert_bit_contract("vector np.abs vs scalar np.abs", [
             (float(np.abs(x)), got) for x, got in zip(z, magnitudes.tolist())
         ])
-        # above 1.34e154 a Python float power raises OverflowError instead
-        assert_bit_contract("a Python float ** 2 vs a numpy-scalar ** 2", [
-            (float(x ** 2), x.item() ** 2) for x in magnitudes if x < 1e154
+        # the table squares with topology._power: the reference's numpy-scalar ** 2,
+        # inf where that overflows (above 1.34e154)
+        with np.errstate(over="ignore"):
+            expected = [float(x ** 2) for x in magnitudes]
+        assert_bit_contract("topology._power(x, 2) vs a numpy-scalar ** 2", [
+            (want, got) for want, got in zip(expected, _power(magnitudes, 2).tolist())
         ])
 
     @pytest.mark.parametrize("n_antennas", [1, 4, 128])

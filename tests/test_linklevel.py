@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -158,4 +159,15 @@ class TestMetrics:
                 validate_power_profile(ctx, bad)
             with pytest.raises(ValueError, match=message):
                 compute_link_metrics(ctx, bad)
+        # a bool is not a power, as NetworkConfig refuses it; a non-real is named, not a TypeError
+        for p in (True, np.True_, "0.01", None, 0.01 + 0j, Decimal("0.01")):
+            bad = dict(profile)
+            bad[link] = p
+            message = re.escape(f"power {p!r} on link {link} is not a real number")
+            with pytest.raises(ValueError, match=message):
+                validate_power_profile(ctx, bad)
+            with pytest.raises(ValueError, match=message):
+                compute_link_metrics(ctx, bad)
+        for p in (np.float64(0.01), 1, np.int64(1)):
+            validate_power_profile(ctx, {**profile, link: p})
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from twotier_ee.config import NetworkConfig
 from twotier_ee.topology import (
-    PlacementError, Topology, draw_shadowing, large_scale_gain,
+    PlacementError, Topology, _norm, _power, draw_shadowing, large_scale_gain,
     sample_channels, sample_large_scale_fading, sample_topology,
 )
 
@@ -146,6 +146,15 @@ class TestLargeScaleGain:
             with pytest.raises(ValueError, match=r"overflows: antenna_constant = 1e\+308 is "):
                 large_scale_gain(distance, cfg(antenna_constant=1e308), shadow)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_path_loss_is_gain_zero(self):
+        # 1e100 ** 3.8 overflows to inf, as an inf distance is
+        config = cfg()
+        for distance in (1e100, math.inf):
+            assert large_scale_gain(distance, config, 1.0) == 0.0
+        assert large_scale_gain(np.array([1e100, 1.0]), config, np.ones(2)).tolist() == [
+            0.0, large_scale_gain(1.0, config, 1.0)]
+
 
 class TestShadowing:
     def test_log_domain_moments(self):
@@ -174,6 +183,48 @@ class TestShadowing:
                                              r"10 \*\* \(x / 10\) to 0; "
                                              r"shadowing_std_db = 1000\.0 is too large"):
             draw_shadowing(config, np.random.default_rng(4), size=1000)
+
+
+@pytest.mark.bitexact
+class TestPowerAndNorm:
+    """The sampler's two platform rounding rules: `_power`, a Python float power per
+    element, and `_norm`, the 1-D `np.linalg.norm` of each (x, y) row."""
+
+    def test_power_is_a_python_float_power_per_element(self):
+        rng = np.random.default_rng(20170610)
+        d = rng.uniform(1.0, 2000.0, (30, 400))
+        x = rng.normal(0.0, math.sqrt(10.0), 12_000) / 10.0
+        assert _power(d, 3.8).tolist() == [[v ** 3.8 for v in row] for row in d.tolist()]
+        assert _power(10.0, x).tolist() == [10.0 ** v for v in x.tolist()]
+        assert _power(np.float64(7.5), 3.8).shape == () and _power(7.5, 3.8) == 7.5 ** 3.8
+        # numpy's vector power rounds some of these otherwise, so a switch to it fails here
+        assert (np.power(d, 3.8) != _power(d, 3.8)).any()
+        assert (np.power(10.0, x) != _power(10.0, x)).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_power_that_overflows_is_inf(self):
+        def python_power(x, y):
+            try:
+                return x ** y
+            except OverflowError:
+                return math.inf
+
+        x = np.random.default_rng(20170611).uniform(250.0, 350.0, 2000)
+        expected = [python_power(10.0, v) for v in x.tolist()]
+        assert math.inf in expected and _power(10.0, x).tolist() == expected
+        assert _power(np.array([[1e200, 3.0]]), 2).tolist() == [[math.inf, 9.0]]
+        assert _power(1e100, 3.8) == math.inf
+
+    def test_norm_is_linalg_norm_per_row(self):
+        rng = np.random.default_rng(20170612)
+        offset = rng.uniform(-1.0, 1.0, (3000, 2)) * 10.0 ** rng.uniform(-3.0, 4.0, (3000, 1))
+        distance = _norm(offset)
+        assert distance.tolist() == [float(np.linalg.norm(row)) for row in offset]
+        assert _norm(offset.reshape(30, 100, 2)).tolist() == distance.reshape(30, 100).tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_that_overflows_is_inf(self):
+        assert _norm(np.array([[1e200, -1e200], [3.0, 4.0]])).tolist() == [math.inf, 5.0]
 
 
 def by_position(topology, keyed):
