@@ -266,7 +266,13 @@ def validate_power_profile(context: LinkContext, profile: dict) -> None:
         extra = sorted(profile.keys() - links)
         raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
     for link, p in profile.items():
-        if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
-            raise ValueError(f"power {p!r} on link {link} is not a real number")
-        if not 0.0 < p < np.inf:
+        value = p
+        if type(p) is not float:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"power {p!r} on link {link} is not a real number")
+            try:   # the metrics take the power as a float
+                value = float(p)
+            except OverflowError:
+                raise ValueError(f"power on link {link} is beyond the float range") from None
+        if not 0.0 < value < np.inf:
             raise ValueError(f"power {p} on link {link} is not finite and > 0")

@@ -3,6 +3,7 @@
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ class TestMetrics:
             bad = dict(profile)
             bad[link] = p
             message = re.escape(f"power {p!r} on link {link} is not a real number")
+            with pytest.raises(ValueError, match=message):
+                validate_power_profile(ctx, bad)
+            with pytest.raises(ValueError, match=message):
+                compute_link_metrics(ctx, bad)
+        # an int beyond the float range is named, not a bare OverflowError from the power array
+        for p in (10**400, Fraction(10**400, 3)):
+            bad = {**profile, link: p}
+            message = re.escape(f"power on link {link} is beyond the float range")
             with pytest.raises(ValueError, match=message):
                 validate_power_profile(ctx, bad)
             with pytest.raises(ValueError, match=message):
