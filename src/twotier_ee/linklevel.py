@@ -18,13 +18,12 @@ its `sinr` call.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import islice, repeat
 
 import numpy as np
 
-from .config import NetworkConfig
+from .config import NetworkConfig, _real
 from .topology import _TEMP_BYTES, ChannelRealization, Topology, _power, \
     sample_topology, sample_large_scale_fading, sample_channels
 
@@ -266,13 +265,7 @@ def validate_power_profile(context: LinkContext, profile: dict) -> None:
         extra = sorted(profile.keys() - links)
         raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
     for link, p in profile.items():
-        value = p
-        if type(p) is not float:
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
-                raise ValueError(f"power {p!r} on link {link} is not a real number")
-            try:   # the metrics take the power as a float
-                value = float(p)
-            except OverflowError:
-                raise ValueError(f"power on link {link} is beyond the float range") from None
+        # the metrics take each power as a float; the algorithms pass Python floats
+        value = p if type(p) is float else _real(f"power on link {link}", p)
         if not 0.0 < value < np.inf:
             raise ValueError(f"power {p} on link {link} is not finite and > 0")

@@ -154,6 +154,9 @@ class TestLargeScaleGain:
             assert large_scale_gain(distance, config, 1.0) == 0.0
         assert large_scale_gain(np.array([1e100, 1.0]), config, np.ones(2)).tolist() == [
             0.0, large_scale_gain(1.0, config, 1.0)]
+        # where the numerator overflows too, inf / inf is refused by name, not as a warning
+        with pytest.raises(ValueError, match=r"overflows: antenna_constant = 1e\+308 is "):
+            large_scale_gain(1e100, cfg(antenna_constant=1e308), 1e10)
 
 
 class TestShadowing:
