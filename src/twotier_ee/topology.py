@@ -151,6 +151,7 @@ def sample_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology
     return Topology(bs_positions=bs_positions, users=users)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the finite check below reports these
 def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     """Large-scale channel gain: antenna constant times shadowing over d^alpha.
 
@@ -159,13 +160,12 @@ def large_scale_gain(distance, config: NetworkConfig, shadow_draw):
     distance whose `d ** alpha` overflows gets gain 0.
     """
     # `not all(x > 0)` and not `any(x <= 0)`, so a NaN is refused here too
-    if not np.all(distance > 0):
+    if not np.greater(distance, 0).all():
         raise ValueError(f"distance must be > 0, got {np.min(distance)}")
-    if not np.all(shadow_draw > 0):
+    if not np.greater(shadow_draw, 0).all():
         raise ValueError(f"shadow draw must be > 0, got {np.min(shadow_draw)}")
     path_loss = _power(np.maximum(distance, MIN_DISTANCE_M), config.path_loss_exponent)
-    with np.errstate(over="ignore", invalid="ignore"):   # the finite check below reports these
-        gain = config.antenna_constant * shadow_draw / path_loss
+    gain = config.antenna_constant * shadow_draw / path_loss
     if not np.isfinite(gain).all():
         raise ValueError(f"the large-scale gain antenna_constant * shadowing / d ** "
                          f"path_loss_exponent overflows: antenna_constant = "

@@ -103,8 +103,8 @@ MUTANTS = [
            "path_loss = _power(np.maximum(distance, MIN_DISTANCE_M), config.path_loss_exponent)",
            "path_loss = _power(distance, config.path_loss_exponent)"),
     Mutant("topology-nan-distance-passes", "topology.py",
-           "if not np.all(distance > 0):",
-           "if np.any(distance <= 0):"),
+           "if not np.greater(distance, 0).all():",
+           "if np.less_equal(distance, 0).any():"),
     Mutant("topology-shadow-underflow", "topology.py",
            "if (values == 0.0).any():",
            "if (values < 0.0).any():"),
