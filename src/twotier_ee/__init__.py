@@ -15,7 +15,7 @@ from .topology import ChannelRealization, PlacementError, \
     sample_large_scale_fading, sample_topology
 from .linklevel import LinkContext, LinkMetrics, \
     build_combiners, compute_link_metrics, mrc_combiner, \
-    sample_link_context, sinr, validate_power_profile
+    sample_link_context, sinr
 from .egt import EgtResult, GameState, egt_step, new_games, run_algorithm1
 from .replicator import Trajectory, equilibrium_stability, integrate_replicator, \
     replicator_rhs

@@ -54,9 +54,7 @@ class NetworkConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in _INT_FIELDS:
-                if not _is_integer(value):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-                typed = int(value)
+                typed = _integer(f.name, value)
             elif f.name in _LIST_FIELDS:
                 try:
                     items = list(enumerate(value))
@@ -152,13 +150,9 @@ class NetworkConfig:
         return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) / 10.0) * self.subcarrier_bandwidth_hz
 
 
-def _is_integer(value) -> bool:
-    """An integer count: numpy integers pass, bool (an Integral) does not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _real(name: str, value) -> float:
-    """A float field's value as a Python float; bool, a Real, is refused."""
+    """A real input as a Python float; bool, a Real, is refused, and so is an
+    int beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
@@ -167,12 +161,13 @@ def _real(name: str, value) -> float:
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a count argument that is not an integer >= 1."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+def _integer(name: str, value) -> int:
+    """A count or seed as a Python int: numpy integers pass, bool (an Integral)
+    does not, and an int beyond the float range is refused as `_real` refuses it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    _real(name, value)
+    return int(value)
 
 
 _INT_FIELDS = {f.name for f in fields(NetworkConfig) if f.type == "int"}
@@ -185,14 +180,17 @@ def _typed(name: str, value):
     also takes an integral float."""
     kind = int if name in _INT_FIELDS else float
     try:
-        # bool converts to either kind, and neither kind of field takes it
-        if not isinstance(value, (bool, np.bool_)) and (
-                kind is float or isinstance(value, str) or _is_integer(value)
-                or float(value).is_integer()):
-            return kind(value)
+        typed = value
+        if isinstance(value, str):
+            typed = kind(value)
+        # np.bool_ converts to either kind, and neither kind of field takes it
+        elif not isinstance(value, (numbers.Integral, np.bool_)):
+            typed = float(value)
+            if kind is int and typed.is_integer():
+                typed = int(value)
+        return (_integer if kind is int else _real)(name, typed)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} value {value!r} is not a valid {kind.__name__}")
+        raise ValueError(f"{name} value {value!r} is not a valid {kind.__name__}") from None
 
 
 def parse_config(text: str, source: str = "<string>") -> NetworkConfig:

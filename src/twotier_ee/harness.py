@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
-from .config import NetworkConfig, _check_count, _typed
+from .config import NetworkConfig, _integer, _typed
 from .egt import new_games, run_algorithm1
 from .linklevel import LinkContext, compute_link_metrics, ordered_sum, sample_link_context
 
@@ -95,7 +95,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _algorithm(self.algorithm)
-        _check_count("n_drops", self.n_drops)
+        self.n_drops = _integer("n_drops", self.n_drops)
+        if self.n_drops < 1:
+            raise ValueError("n_drops must be >= 1")
 
 
 def child_seed(rng_seed: int, drop: int) -> int:
@@ -167,10 +169,7 @@ def _run_one(config: NetworkConfig, algorithm: str, seed: int) -> dict:
                         *((f"cell_ee_{k}", v) for k, v in enumerate(cell_ee))]:
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} = {value}")
-    jain = jain_index(cell_ee)
-    if not math.isfinite(jain):
-        raise ValueError(f"non-finite jain = {jain}")
-    return dict(network_ee=metrics.network_ee, cell_ee=cell_ee, jain=jain,
+    return dict(network_ee=metrics.network_ee, cell_ee=cell_ee, jain=jain_index(cell_ee),
                 iterations=iterations, evaluations=evaluations, converged=converged,
                 traces=traces)
 

@@ -30,7 +30,7 @@ from .topology import _TEMP_BYTES, ChannelRealization, Topology, _power, \
 __all__ = [
     "LinkMetrics", "LinkContext", "GainTable", "mrc_combiner", "build_combiners",
     "interference", "sinr", "batch_ee", "ordered_sum", "compute_link_metrics",
-    "sample_link_context", "validate_power_profile",
+    "sample_link_context",
 ]
 
 
@@ -238,14 +238,26 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     `ordered_sum` as the oracles take it: a group's cells ascending, then the
     group totals, subcarriers ascending.
 
-    `profile` maps each (cell, subcarrier) link to its transmit power in
-    watts.  One `interference` sum over the drop, one `sinr` call per link
-    position, then one `batch_ee` over all.
+    `profile` maps exactly the active (cell, subcarrier) links to transmit
+    powers in watts, real (not bool), finite and > 0, each taken once as a
+    Python float in link order.  One `interference` sum over the drop, one
+    `sinr` call per link position, then one `batch_ee` over all.
     """
-    validate_power_profile(context, profile)
     topology = context.topology
+    users = topology.users.keys()
+    if profile.keys() != users:
+        missing = sorted(users - profile.keys())
+        extra = sorted(profile.keys() - users)
+        raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
     links = topology.links()
-    powers = [profile[link] for link in links]
+    powers = []
+    for link in links:
+        p = profile[link]
+        # the algorithms pass Python floats
+        value = p if type(p) is float else _real(f"power on link {link}", p)
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"power {p} on link {link} is not finite and > 0")
+        powers.append(value)
     acc = interference(np.array(powers), context.gains.idx, context.gains.gain)
     sinrs = list(map(sinr, repeat(context), range(len(links)), powers, acc.tolist()))
     values = batch_ee(sinrs, powers, context.config.circuit_power).tolist()
@@ -255,17 +267,3 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
               for sc in topology.occupied_subcarriers()}
     return LinkMetrics(ee=dict(zip(links, values)), group_ee=groups,
                        network_ee=ordered_sum(groups.values()))
-
-
-def validate_power_profile(context: LinkContext, profile: dict) -> None:
-    """Profile must cover exactly the active links with real, finite, positive powers, no bool."""
-    links = context.topology.users.keys()
-    if profile.keys() != links:
-        missing = sorted(links - profile.keys())
-        extra = sorted(profile.keys() - links)
-        raise ValueError(f"power profile mismatch: missing {missing}, extra {extra}")
-    for link, p in profile.items():
-        # the metrics take each power as a float; the algorithms pass Python floats
-        value = p if type(p) is float else _real(f"power on link {link}", p)
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"power {p} on link {link} is not finite and > 0")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _real
+
 __all__ = [
     "Trajectory", "replicator_rhs", "integrate_replicator", "equilibrium_stability",
 ]
@@ -74,6 +76,7 @@ def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0)
     bitwise untouched.  Integration stops early once the RHS has been flat
     for a while (a numerical fixed point).
     """
+    dt, horizon = _real("dt", dt), _real("horizon", horizon)
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not 0.0 < horizon < np.inf:

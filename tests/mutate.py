@@ -52,8 +52,11 @@ MUTANTS = [
            "if any(b <= a for a, b in zip(self.power_levels, self.power_levels[1:])):",
            "if any(b < a for a, b in zip(self.power_levels, self.power_levels[1:])):"),
     Mutant("config-bool-is-integer", "config.py",
-           "return isinstance(value, numbers.Integral) and not isinstance(value, bool)",
-           "return isinstance(value, numbers.Integral)"),
+           "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+           "if not isinstance(value, numbers.Integral):"),
+    Mutant("config-integer-range-unchecked", "config.py",
+           "_real(name, value)\n    return int(value)",
+           "return int(value)"),
     Mutant("config-noise-exponent", "config.py",
            "return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) / 10.0) * self.subcarrier_bandwidth_hz",
            "return 10.0 ** ((self.noise_psd_dbm_per_hz - 30.0) * 0.1) * self.subcarrier_bandwidth_hz"),
@@ -66,9 +69,9 @@ MUTANTS = [
     Mutant("config-total-power-at-lowest-level", "config.py",
            "if not math.isfinite(self.power_levels[-1] + self.circuit_power):",
            "if not math.isfinite(self.power_levels[0] + self.circuit_power):"),
-    Mutant("config-count-accepts-zero", "config.py",
-           "if value < 1:",
-           "if value < 0:"),
+    Mutant("config-count-accepts-zero", "harness.py",
+           "if self.n_drops < 1:",
+           "if self.n_drops < 0:"),
     Mutant("config-path-loss-reach", "config.py",
            "reach = 2.0 * self.macro_radius + self.small_radius",
            "reach = self.macro_radius + self.small_radius"),
@@ -167,11 +170,14 @@ MUTANTS = [
            "network_ee=ordered_sum(groups.values()))",
            "network_ee=float(np.sum(list(groups.values()))))"),
     Mutant("linklevel-extra-link-valid", "linklevel.py",
-           "if profile.keys() != links:",
-           "if not profile.keys() >= links:"),
+           "if profile.keys() != users:",
+           "if not profile.keys() >= users:"),
     Mutant("linklevel-missing-unnamed", "linklevel.py",
-           "missing = sorted(links - profile.keys())",
+           "missing = sorted(users - profile.keys())",
            "missing = []"),
+    Mutant("linklevel-metrics-read-raw-power", "linklevel.py",
+           "powers.append(value)",
+           "powers.append(p)"),
     # egt
     Mutant("egt-tie-stays", "egt.py",
            "if v <= average] if pool else []",

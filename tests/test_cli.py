@@ -285,6 +285,15 @@ class TestErrorHandling:
         assert run_cli("simulate", "--config", config_file, "--seed", -1) == 1
         assert "rng_seed must be a nonnegative integer" in capsys.readouterr().err
 
+    def test_seed_beyond_float_range_is_named(self, config_file, tmp_path, capsys):
+        # "error: int too large to convert to float" named neither the key nor the file
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(CONFIG_TEXT.replace("rng_seed = 7", "rng_seed = 1" + "0" * 400))
+        assert run_cli("simulate", "--config", huge) == 1
+        assert f"{huge}:6: bad value for 'rng_seed'" in capsys.readouterr().err
+        assert run_cli("simulate", "--config", config_file, "--seed", "1" + "0" * 400) == 1
+        assert "rng_seed must be finite" in capsys.readouterr().err
+
     def test_unwritable_output_is_diagnosed(self, config_file, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"
         assert run_cli("simulate", "--config", config_file,

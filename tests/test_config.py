@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             small_config(**{field: bad})
 
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_int_beyond_float_range_rejected(self, field):
+        # each raised a bare OverflowError from the finite check
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be finite, got {10**400}")):
+            small_config(**{field: 10 ** 400})
+
     def test_integer_fields_cover_every_count_and_the_seed(self):
         assert INT_FIELDS == ["n_small_cells", "n_subcarriers", "n_users_per_cell",
                               "n_antennas_mbs", "n_antennas_sbs", "rng_seed"]
@@ -179,6 +185,12 @@ class TestParsing:
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("n_small_cells = 2\nn_subcarriers = 6\n")
+
+    def test_seed_beyond_float_range_names_the_line_and_key(self):
+        text = "n_small_cells = 1\nn_subcarriers = 2\nn_users_per_cell = 1\n"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"s.cfg:4: bad value for 'rng_seed': '{10**400}'")):
+            parse_config(text + f"rng_seed = {10**400}\n", source="s.cfg")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):

@@ -105,7 +105,12 @@ class TestSpecValidation:
 
     def test_numpy_integer_counts_accepted(self):
         spec = ExperimentSpec(config=cfg(), n_drops=np.int64(2))
+        assert type(spec.n_drops) is int
         assert [r.error for r in run_drops(spec)] == [None, None]
+
+    def test_count_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"n_drops must be finite, got {10**400}")):
+            ExperimentSpec(config=cfg(), n_drops=10 ** 400)
 
     def test_sweep_parameter_whitelisted(self):
         with pytest.raises(ValueError):
@@ -120,6 +125,14 @@ class TestSpecValidation:
         bad = SweepSpec(parameter="n_users_per_cell", values=(1, 5))
         with pytest.raises(ValueError, match="n_users_per_cell must be <= n_subcarriers"):
             sweep(ExperimentSpec(config=cfg()), bad)
+        assert ran == []
+
+    def test_sweep_count_beyond_float_range_rejected_before_any_drop(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "run_drops", lambda spec: ran.append(spec) or [])
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_small_cells value {10**400} is not a valid int")):
+            sweep(ExperimentSpec(config=cfg()), SweepSpec("n_small_cells", (10 ** 400,)))
         assert ran == []
 
     def test_spec_holds_no_sweep(self):
@@ -205,12 +218,6 @@ class TestRunDrops:
         rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="ngt", n_drops=1))
         assert rec.error == "non-finite cell_ee_1 = inf"
         assert math.isnan(rec.network_ee)
-
-    def test_non_finite_jain_yields_error_record(self, monkeypatch):
-        monkeypatch.setattr(harness, "jain_index", lambda values: math.nan)
-        rec, = run_drops(ExperimentSpec(config=cfg(), algorithm="egt", n_drops=1))
-        assert rec.error == "non-finite jain = nan"
-        assert rec.traces == {}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_channel_norm_yields_error_records(self):

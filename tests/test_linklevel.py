@@ -11,7 +11,6 @@ import pytest
 from twotier_ee.config import NetworkConfig
 from twotier_ee.linklevel import (
     compute_link_metrics, interference, mrc_combiner, sample_link_context, sinr,
-    validate_power_profile,
 )
 
 
@@ -138,11 +137,11 @@ class TestMetrics:
         missing = dict(profile)
         missing.pop(ctx.topology.links()[0])
         with pytest.raises(ValueError, match="missing"):
-            validate_power_profile(ctx, missing)
+            compute_link_metrics(ctx, missing)
         extra = dict(profile)
         extra[(99, 99)] = 0.01
         with pytest.raises(ValueError, match="extra"):
-            validate_power_profile(ctx, extra)
+            compute_link_metrics(ctx, extra)
         # the metrics name a missing own power and a missing interferer's
         sc = next(sc for sc in ctx.topology.occupied_subcarriers()
                   if len(ctx.topology.cells_on(sc)) >= 2)
@@ -157,8 +156,6 @@ class TestMetrics:
             bad[link] = p
             message = re.escape(f"power {p} on link {link} is not finite and > 0")
             with pytest.raises(ValueError, match=message):
-                validate_power_profile(ctx, bad)
-            with pytest.raises(ValueError, match=message):
                 compute_link_metrics(ctx, bad)
         # a bool is not a power, as NetworkConfig refuses it; a non-real is named, not a
         # TypeError; a real beyond the float range is named, not an OverflowError
@@ -169,9 +166,24 @@ class TestMetrics:
             bad = {**profile, link: p}
             message = re.escape(f"power on link {link} must be {rule}, got {p!r}")
             with pytest.raises(ValueError, match=message):
-                validate_power_profile(ctx, bad)
-            with pytest.raises(ValueError, match=message):
                 compute_link_metrics(ctx, bad)
         for p in (np.float64(0.01), 1, np.int64(1)):
-            validate_power_profile(ctx, {**profile, link: p})
+            compute_link_metrics(ctx, {**profile, link: p})
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float16, np.int64, Fraction])
+    def test_powers_computed_as_the_python_floats_they_equal(self, kind):
+        # a float32 profile was evaluated in float32: network_ee 7232.764650344849
+        # where the same values as Python floats give 7232.764551894642
+        ctx = make_context(21, n_small_cells=4, n_subcarriers=8, n_users_per_cell=6)
+        rng = np.random.default_rng(21)
+        levels = (1, 2, 3) if kind is np.int64 else ctx.config.power_levels
+        profile = {link: kind(levels[int(rng.integers(len(levels)))])
+                   for link in ctx.topology.links()}
+        as_floats = {link: float(p) for link, p in profile.items()}
+
+        def hexes(m):
+            return ([float.hex(v) for v in m.ee.values()],
+                    [float.hex(v) for v in m.group_ee.values()], float.hex(m.network_ee))
+        assert hexes(compute_link_metrics(ctx, profile)) == \
+            hexes(compute_link_metrics(ctx, as_floats))
 

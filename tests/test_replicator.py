@@ -114,6 +114,11 @@ class TestIntegration:
                 integrate_replicator([0.5, 0.5], payoff, dt=bad)
             with pytest.raises(ValueError, match="horizon must be finite"):
                 integrate_replicator([0.5, 0.5], payoff, horizon=bad)
+        # True ran as dt = 1; text and None raised a bare TypeError from the comparison
+        for name, bad in [("dt", True), ("dt", "0.1"), ("horizon", None), ("horizon", 1j)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a real number, got {bad!r}")):
+                integrate_replicator([0.5, 0.5], payoff, **{name: bad})
         # a step count that overflows or rounds to 0; a huge finite one would run
         for dt, horizon in [(5e-324, 1.0), (2.0, 1.0)]:
             with pytest.raises(ValueError, match=re.escape(
