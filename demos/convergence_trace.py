@@ -10,7 +10,7 @@ tried yet.
 import numpy as np
 
 from twotier_ee.config import NetworkConfig
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.egt import run_algorithm1
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 
 
@@ -19,10 +19,9 @@ def main():
                            n_users_per_cell=6, rng_seed=0)
     ctx = sample_link_context(config, np.random.default_rng(config.rng_seed))
     rng = np.random.default_rng(1)
-    games = new_games(ctx, rng)
-    result = run_algorithm1(games, ctx, rng)
+    result = run_algorithm1(ctx, rng)
 
-    print(f"one drop, {len(games)} parallel games, L = {config.n_power_levels} "
+    print(f"one drop, {len(result.traces)} parallel games, L = {config.n_power_levels} "
           f"levels, converged in {result.iterations} iterations\n")
     header = "iter  " + "".join(f"game{sc:<2}{'':6}" for sc in sorted(result.traces))
     print(header)

@@ -10,7 +10,7 @@ import numpy as np
 
 from twotier_ee.baselines import brute_force_group
 from twotier_ee.config import NetworkConfig
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.egt import run_algorithm1
 from twotier_ee.harness import algorithm_rng, child_seed, scenario_rng
 from twotier_ee.linklevel import compute_link_metrics, sample_link_context
 
@@ -30,7 +30,7 @@ for s in range(20):
     seed = child_seed(0, s)
     ctx = sample_link_context(config, scenario_rng(seed))
     rng = algorithm_rng(seed, "egt")
-    egt = run_algorithm1(new_games(ctx, rng), ctx, rng)
+    egt = run_algorithm1(ctx, rng)
     egt_evals.append(egt.evaluations)
     group_ee = compute_link_metrics(ctx, egt.profile).group_ee
     per_drop = 0

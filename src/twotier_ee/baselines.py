@@ -88,18 +88,19 @@ def _guard(what: str, n_levels: int, n_links: int, bits: int) -> None:
                              f"profiles exceeds the 2^{bits} guard")
 
 
-def _exhaustive(context: LinkContext, links: list, groups: list, what: str) -> OracleResult:
+def _exhaustive(context: LinkContext, links: list, what: str) -> OracleResult:
     """Enumerate every joint level choice of `links` in lexicographic order.
 
-    The objective of a profile is the sum over `groups` (lists of positions
-    in `links`) of each group's summed link EE, both sums the `ordered_sum`
-    that `compute_link_metrics` takes; `what` names it in the error raised
-    when every profile's objective is NaN.  A chunk is one flat index range
-    of max(1, _CHUNK_PROFILES // L) runs of L profiles, its (profile, link)
-    power matrix the level array at the range's `np.unravel_index`.  One
-    `interference` sum over it, the slots mapped to its columns, then one
-    `sinr` call per entry, row-major: the calls of a search that walks one
-    profile at a time.  Rate, EE, the sums and the pick run in numpy.
+    The objective of a profile is the sum over its groups, the runs of
+    `links` on one subcarrier, of each group's summed link EE, both sums the
+    `ordered_sum` that `compute_link_metrics` takes; `what` names it in the
+    error raised when every profile's objective is NaN.  A chunk is one flat
+    index range of max(1, _CHUNK_PROFILES // L) runs of L profiles, its
+    (profile, link) power matrix the level array at the range's
+    `np.unravel_index`.  One `interference` sum over it, the slots mapped to
+    its columns, then one `sinr` call per entry, row-major: the calls of a
+    search that walks one profile at a time.  Rate, EE, the sums and the
+    pick run in numpy.
     """
     sinr = linklevel.sinr   # looked up per search, so a patched sinr is seen
     levels = context.config.power_levels
@@ -113,6 +114,7 @@ def _exhaustive(context: LinkContext, links: list, groups: list, what: str) -> O
     columns = np.searchsorted(rows, context.gains.idx[rows])
     gain = context.gains.gain[rows]
     step = max(1, _CHUNK_PROFILES // n_levels) * n_levels
+    groups = [list(run) for _, run in groupby(range(len(links)), key=lambda j: links[j][1])]
 
     def objective(start: int) -> np.ndarray:
         flat = np.arange(start, min(start + step, n_profiles))
@@ -135,10 +137,9 @@ def brute_force_group(subcarrier: int, context: LinkContext) -> OracleResult:
     players = context.topology.cells_on(subcarrier)
     if not players:
         raise ValueError(f"subcarrier {subcarrier} has no users")
-    m = len(players)
-    _guard("group", context.config.n_power_levels, m, _GROUP_GUARD_BITS)
+    _guard("group", context.config.n_power_levels, len(players), _GROUP_GUARD_BITS)
     links = [(cell, subcarrier) for cell in players]
-    return _exhaustive(context, links, [range(m)], f"group EE on subcarrier {subcarrier}")
+    return _exhaustive(context, links, f"group EE on subcarrier {subcarrier}")
 
 
 def brute_force_global(context: LinkContext) -> OracleResult:
@@ -150,9 +151,7 @@ def brute_force_global(context: LinkContext) -> OracleResult:
     """
     links = context.topology.links()
     _guard("global", context.config.n_power_levels, len(links), _GLOBAL_GUARD_BITS)
-    groups = [[context.topology.position((cell, sc)) for cell in context.topology.cells_on(sc)]
-              for sc in context.topology.occupied_subcarriers()]
-    return _exhaustive(context, links, groups, "network EE")
+    return _exhaustive(context, links, "network EE")
 
 
 @dataclass

@@ -36,6 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of Monte-Carlo drops (default 1)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write per-drop results CSV here")
+    algorithm = argparse.ArgumentParser(add_help=False)
+    algorithm.add_argument("--algorithm", choices=ALGORITHMS, default="egt",
+                           help="power-control algorithm (default egt)")
 
     parser = argparse.ArgumentParser(
         prog="twotier-ee",
@@ -44,15 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="run one algorithm over seeded drops")
-    p_sim.add_argument("--algorithm", choices=ALGORITHMS, default="egt",
-                       help="power-control algorithm (default egt)")
-
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    sub.add_parser("simulate", parents=[common, algorithm],
+                   help="run one algorithm over seeded drops")
+    p_sweep = sub.add_parser("sweep", parents=[common, algorithm],
                              help="vary one parameter with shared drop seeds")
-    p_sweep.add_argument("--algorithm", choices=ALGORITHMS, default="egt",
-                         help="power-control algorithm (default egt)")
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMETERS,
                          help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, metavar="V1,V2,...",

@@ -71,6 +71,15 @@ class NetworkConfig:
             raise ConfigError("radii must satisfy macro_radius > small_radius > 0")
         if self.n_small_cells < 0:
             raise ConfigError("n_small_cells must be >= 0")
+        # K discs of small_radius r, centres in the macro disc and pairwise 2r
+        # apart, lie disjoint in the disc of radius macro_radius + r.  Float
+        # products overflow to inf where ** raises, and inf > inf is False.
+        r, outer = self.small_radius, self.macro_radius + self.small_radius
+        if self.n_small_cells * r * r > outer * outer:
+            raise ConfigError(
+                f"n_small_cells = {self.n_small_cells} discs of small_radius = {r!r} m "
+                f"cannot fit, non-overlapping, in the macro disc: their area exceeds that "
+                f"of the disc of macro_radius + small_radius = {outer!r} m")
         if self.n_subcarriers < 1:
             raise ConfigError("n_subcarriers must be >= 1")
         if self.n_users_per_cell < 1:

@@ -118,16 +118,17 @@ class EgtResult:
     evaluations: int     # payoff evaluations consumed (one per player per round)
 
 
-def run_algorithm1(games: list, context: LinkContext, rng: np.random.Generator) -> EgtResult:
+def run_algorithm1(context: LinkContext, rng: np.random.Generator) -> EgtResult:
     """Run every per-subcarrier game to convergence, in at most L rounds.
 
-    Mutates `games`: each is stepped in place and ends in its final state.
-    Games advance in lockstep rounds, ascending subcarrier order inside a
-    round, so one seeded generator yields one reproducible trajectory.  A
+    The games are `new_games(context, rng)`, drawn first from `rng`.  They
+    advance in lockstep rounds, ascending subcarrier order inside a round,
+    so one seeded generator yields one reproducible trajectory.  A
     converged game drops out of later rounds; its trace keeps the average
     payoff of every round it actually played.  Each round is one `egt_step`
-    over the active games, which rejects games that share a subcarrier.
+    over the active games.
     """
+    games = new_games(context, rng)
     traces = {g.subcarrier: [] for g in games}
     evaluations = iterations = 0
     for _ in range(context.config.n_power_levels):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import brute_force_global, brute_force_group, ngt_best_response
 from .config import NetworkConfig, _integer, _typed
-from .egt import new_games, run_algorithm1
+from .egt import run_algorithm1
 from .linklevel import LinkContext, compute_link_metrics, ordered_sum, sample_link_context
 
 __all__ = [
@@ -140,7 +140,7 @@ class RunRecord:
 def _solve(context: LinkContext, rng: np.random.Generator, algorithm: str) -> tuple:
     """Run one algorithm on a drop: (profile, iterations, evaluations, converged, traces)."""
     if algorithm == "egt":
-        r = run_algorithm1(new_games(context, rng), context, rng)
+        r = run_algorithm1(context, rng)
         return r.profile, r.iterations, r.evaluations, r.converged, r.traces
     if algorithm == "ngt":
         r = ngt_best_response(context, rng)
@@ -162,16 +162,15 @@ def _run_one(config: NetworkConfig, algorithm: str, seed: int) -> dict:
     profile, iterations, evaluations, converged, traces = _solve(
         context, algorithm_rng(seed, algorithm), algorithm)
     metrics = compute_link_metrics(context, profile)
-    cell_ee = metrics.cell_totals(config.n_cells)
     # an SINR can overflow (a subnormal noise power passes the config check);
     # such a drop is an error, not a row of inf and nan
     for name, value in [("network_ee", metrics.network_ee),
-                        *((f"cell_ee_{k}", v) for k, v in enumerate(cell_ee))]:
+                        *((f"cell_ee_{k}", v) for k, v in enumerate(metrics.cell_ee))]:
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} = {value}")
-    return dict(network_ee=metrics.network_ee, cell_ee=cell_ee, jain=jain_index(cell_ee),
-                iterations=iterations, evaluations=evaluations, converged=converged,
-                traces=traces)
+    return dict(network_ee=metrics.network_ee, cell_ee=metrics.cell_ee,
+                jain=jain_index(metrics.cell_ee), iterations=iterations,
+                evaluations=evaluations, converged=converged, traces=traces)
 
 
 def run_drops(spec: ExperimentSpec) -> list:

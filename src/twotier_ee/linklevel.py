@@ -220,23 +220,14 @@ class LinkMetrics:
     ee: dict            # (cell, subcarrier) -> the link's EE, bit/s/Hz/W
     group_ee: dict      # subcarrier -> its co-channel group's EE, cells ascending
     network_ee: float   # the group EEs summed, subcarriers ascending
-
-    def cell_totals(self, n_cells: int) -> list:
-        """Summed EE of each cell 0..n_cells-1, in one pass over `ee`.
-
-        Insertion order puts each cell's links subcarriers ascending, so each
-        total is the `ordered_sum` of its links, interleaved by cell.
-        """
-        totals = [0.0] * n_cells
-        for (cell, _), v in self.ee.items():
-            totals[cell] += v
-        return totals
+    cell_ee: list       # index k = cell k's EE summed, its subcarriers ascending
 
 
 def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     """Every link's EE, each co-channel group's and the network's, each an
     `ordered_sum` as the oracles take it: a group's cells ascending, then the
-    group totals, subcarriers ascending.
+    group totals, subcarriers ascending; and each cell's EE, summed over its
+    links.
 
     `profile` maps exactly the active (cell, subcarrier) links to transmit
     powers in watts, real (not bool), finite and > 0, each taken once as a
@@ -265,5 +256,10 @@ def compute_link_metrics(context: LinkContext, profile: dict) -> LinkMetrics:
     runs = iter(values)
     groups = {sc: ordered_sum(islice(runs, len(topology.cells_on(sc))))
               for sc in topology.occupied_subcarriers()}
-    return LinkMetrics(ee=dict(zip(links, values)), group_ee=groups,
+    # links() puts each cell's links subcarriers ascending, so each total is
+    # the `ordered_sum` of its links, interleaved by cell
+    cell_ee = [0.0] * context.config.n_cells
+    for (cell, _), v in zip(links, values):
+        cell_ee[cell] += v
+    return LinkMetrics(ee=dict(zip(links, values)), group_ee=groups, cell_ee=cell_ee,
                        network_ee=ordered_sum(groups.values()))

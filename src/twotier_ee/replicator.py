@@ -35,17 +35,17 @@ class Trajectory:
     reached_fixed_point: bool
 
 
-def replicator_rhs(x, payoffs, avg: float) -> np.ndarray:
+def replicator_rhs(x, payoffs) -> np.ndarray:
     """Share growth rates: x_a * (payoff_a - average payoff).
 
-    With avg equal to the share-weighted mean payoff the components sum to
-    zero, so the flow stays on the simplex.
+    The average is the share-weighted mean payoff, the one average under
+    which the components sum to zero, so the flow stays on the simplex.
     """
     x = np.asarray(x, dtype=float)
     pi = np.asarray(payoffs, dtype=float)
     if x.shape != pi.shape:
         raise ValueError(f"shape mismatch: shares {x.shape} vs payoffs {pi.shape}")
-    return x * (pi - avg)
+    return x * (pi - float(pi @ x))
 
 
 def _check_simplex(x: np.ndarray) -> None:
@@ -63,7 +63,7 @@ def _rhs(payoff_fn, x: np.ndarray, t: float = None) -> np.ndarray:
         when = "" if t is None else f", t = {t:g}"
         raise ValueError(f"payoff_fn returned {pi.tolist()} at shares {x.tolist()}{when}; "
                          f"need {x.size} finite payoffs")
-    return replicator_rhs(x, pi, float(pi @ x))
+    return replicator_rhs(x, pi)
 
 
 def integrate_replicator(x0, payoff_fn, dt: float = 1e-2, horizon: float = 50.0) -> Trajectory:

@@ -63,6 +63,9 @@ MUTANTS = [
     Mutant("config-comment-kept", "config.py",
            'line = raw.split("#", 1)[0].strip()',
            "line = raw.strip()"),
+    Mutant("config-packing-unchecked", "config.py",
+           "if self.n_small_cells * r * r > outer * outer:",
+           "if self.n_small_cells * r * r > outer * outer and False:"),
     Mutant("config-duplicate-key", "config.py",
            "if key in values:",
            "if key in values and False:"),
@@ -166,6 +169,9 @@ MUTANTS = [
     Mutant("linklevel-interference-skips-last", "linklevel.py",
            "for k in range(1, gain.shape[1]):",
            "for k in range(1, gain.shape[1] - 1):"),
+    Mutant("linklevel-cell-total-overwritten", "linklevel.py",
+           "cell_ee[cell] += v",
+           "cell_ee[cell] = v"),
     Mutant("linklevel-network-by-np-sum", "linklevel.py",
            "network_ee=ordered_sum(groups.values()))",
            "network_ee=float(np.sum(list(groups.values()))))"),
@@ -179,6 +185,9 @@ MUTANTS = [
            "powers.append(value)",
            "powers.append(p)"),
     # egt
+    Mutant("egt-games-on-fresh-generator", "egt.py",
+           "games = new_games(context, rng)",
+           "games = new_games(context, np.random.default_rng())"),
     Mutant("egt-tie-stays", "egt.py",
            "if v <= average] if pool else []",
            "if v < average] if pool else []"),
@@ -206,8 +215,8 @@ MUTANTS = [
            "if len({game.subcarrier for game in games}) > len(games):"),
     # replicator
     Mutant("replicator-rhs-sign", "replicator.py",
-           "return x * (pi - avg)",
-           "return x * (avg - pi)"),
+           "return x * (pi - float(pi @ x))",
+           "return x * (float(pi @ x) - pi)"),
     Mutant("replicator-no-clip", "replicator.py",
            "x[x < 0] = 0.0",
            "x[x < -1.0] = 0.0"),
@@ -250,8 +259,11 @@ MUTANTS = [
            "offset += len(values)",
            "offset += len(values) - 1"),
     Mutant("baselines-global-groups-reversed", "baselines.py",
-           "for sc in context.topology.occupied_subcarriers()]",
-           "for sc in reversed(context.topology.occupied_subcarriers())]"),
+           "key=lambda j: links[j][1])]",
+           "key=lambda j: links[j][1])][::-1]"),
+    Mutant("baselines-groups-by-cell", "baselines.py",
+           "key=lambda j: links[j][1])]",
+           "key=lambda j: links[j][0])]"),
     Mutant("baselines-oracle-slots-unmapped", "baselines.py",
            "columns = np.searchsorted(rows, context.gains.idx[rows])",
            "columns = context.gains.idx[rows]"),

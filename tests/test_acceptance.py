@@ -14,7 +14,7 @@ import numpy as np
 
 from twotier_ee.baselines import brute_force_global, brute_force_group
 from twotier_ee.config import NetworkConfig
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.egt import run_algorithm1
 from twotier_ee.harness import (
     ExperimentSpec, SweepSpec, algorithm_rng, child_seed, emit_results,
     emit_sweep, parse_results, run_drops, scenario_rng, sweep,
@@ -64,7 +64,7 @@ def test_criterion_2_exhaustive_group_search_dominates_egt(verdict):
         seed = child_seed(0, s)
         ctx = sample_link_context(config, scenario_rng(seed))
         rng = algorithm_rng(seed, "egt")
-        egt = run_algorithm1(new_games(ctx, rng), ctx, rng)
+        egt = run_algorithm1(ctx, rng)
         group_ee = compute_link_metrics(ctx, egt.profile).group_ee
         for sc in ctx.topology.occupied_subcarriers():
             cap = brute_force_group(sc, ctx).objective
@@ -262,5 +262,5 @@ def test_criterion_8_deterministic_csv_schema(verdict, tmp_path):
 def test_replicator_rhs_is_share_weighted_growth():
     # companion sanity for the checklist above: the flow is exactly
     # x * (payoff - average), so equal payoffs freeze any state
-    rhs = replicator_rhs([0.25, 0.75], [3.0, 3.0], 3.0)
+    rhs = replicator_rhs([0.25, 0.75], [3.0, 3.0])
     assert np.all(rhs == 0.0)

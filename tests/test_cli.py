@@ -294,6 +294,18 @@ class TestErrorHandling:
         assert run_cli("simulate", "--config", config_file, "--seed", "1" + "0" * 400) == 1
         assert "rng_seed must be finite" in capsys.readouterr().err
 
+    def test_unpackable_small_cell_count_is_named(self, tmp_path, capsys):
+        # the drop failed placement and its NaN record of 10^12 cells ran out of
+        # memory: the run ended with "error: " and nothing else
+        path = tmp_path / "crowded.cfg"
+        path.write_text("n_small_cells = 1000000000000\nn_subcarriers = 2\n"
+                        "n_users_per_cell = 1\n")
+        assert run_cli("simulate", "--config", path) == 1
+        assert capsys.readouterr().err == (
+            "error: n_small_cells = 1000000000000 discs of small_radius = 100.0 m cannot "
+            "fit, non-overlapping, in the macro disc: their area exceeds that of the disc "
+            "of macro_radius + small_radius = 1100.0 m\n")
+
     def test_unwritable_output_is_diagnosed(self, config_file, tmp_path, capsys):
         missing_dir = tmp_path / "no_such_dir" / "out.csv"
         assert run_cli("simulate", "--config", config_file,

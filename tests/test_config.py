@@ -154,6 +154,21 @@ class TestValidation:
     def test_zero_small_cells_allowed(self):
         assert small_config(n_small_cells=0).n_cells == 1
 
+    def test_small_cells_beyond_the_packing_bound_rejected(self):
+        # K discs of 100 m, pairwise 200 m apart with centres in the 1000 m disc,
+        # cover K * 100^2 of the 1100^2 disc around it: K <= 121
+        with pytest.raises(ConfigError, match=re.escape(
+                "n_small_cells = 1000000000000 discs of small_radius = 100.0 m cannot fit, "
+                "non-overlapping, in the macro disc: their area exceeds that of the disc of "
+                "macro_radius + small_radius = 1100.0 m")):
+            small_config(n_small_cells=10**12)
+        with pytest.raises(ConfigError, match="n_small_cells = 122 discs"):
+            small_config(n_small_cells=122)
+        assert small_config(n_small_cells=121).n_cells == 122
+        # both areas overflow to inf, and nothing is refused
+        assert small_config(n_small_cells=10**12, macro_radius=1e200, small_radius=1e160,
+                            path_loss_exponent=1e-3).n_small_cells == 10**12
+
 
 class TestParsing:
     def test_parse_minimal(self):

@@ -157,9 +157,8 @@ class TestStepMechanics:
         twin = fresh_game(game.strategy, subcarrier=game.subcarrier)
         calls, original = [], linklevel.sinr
         monkeypatch.setattr(linklevel, "sinr", lambda *args: calls.append(args) or original(*args))
-        for run in (egt_step, run_algorithm1):
-            with pytest.raises(ValueError, match="distinct subcarriers"):
-                run([game, twin], ctx, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="distinct subcarriers"):
+            egt_step([game, twin], ctx, np.random.default_rng(0))
         assert calls == []
 
     def test_tried_contains_current_strategy_along_run(self):
@@ -210,7 +209,7 @@ class TestRunAlgorithm:
     def test_single_level_converges_in_one_iteration(self):
         ctx = make_context(15, power_levels=(0.01,))
         rng = np.random.default_rng(15)
-        result = run_algorithm1(new_games(ctx, rng), ctx, rng)
+        result = run_algorithm1(ctx, rng)
         assert result.iterations == 1
         assert result.converged
         assert all(p == 0.01 for p in result.profile.values())
@@ -229,7 +228,7 @@ class TestRunAlgorithm:
             return stepped
 
         with mock.patch.object(egt, "egt_step", never_settles):
-            result = run_algorithm1(new_games(ctx, rng), ctx, rng)
+            result = run_algorithm1(ctx, rng)
         assert result.iterations == 3
         assert not result.converged
 
@@ -239,7 +238,7 @@ class TestRunAlgorithm:
         ctx = make_context(17, n_small_cells=0, n_subcarriers=1, n_users_per_cell=1,
                            power_levels=levels)
         rng = np.random.default_rng(17)
-        result = run_algorithm1(new_games(ctx, rng), ctx, rng)
+        result = run_algorithm1(ctx, rng)
         assert result.converged
         assert result.iterations == len(result.traces[0]) == 70
 
@@ -250,7 +249,7 @@ def assert_egt_matches_reference(config, seed):
     ctx = sample_link_context(config, np.random.default_rng(seed))
     ref = reference.sample_drop(config, np.random.default_rng(seed))
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    games, ref_games = new_games(ctx, rng), reference.new_games(ref, ref_rng)
+    ref_games = reference.new_games(ref, ref_rng)
 
     def checked_step(active, context, step_rng):
         stepped = egt_step(active, context, step_rng)
@@ -269,7 +268,7 @@ def assert_egt_matches_reference(config, seed):
         return stepped
 
     with mock.patch.object(egt, "egt_step", checked_step):
-        result = run_algorithm1(games, ctx, rng)
+        result = run_algorithm1(ctx, rng)
     # the reference's 64-round cap never binds: every run here has at most 8 levels
     expected, _ = reference.run_egt(ref, np.random.default_rng(seed + 1))
     assert list(result.profile.items()) == list(expected.profile.items())

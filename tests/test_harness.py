@@ -209,9 +209,7 @@ class TestRunDrops:
     def test_non_finite_cell_ee_yields_error_record(self, monkeypatch):
         def one_cell_overflows(context, profile):
             metrics = compute_link_metrics(context, profile)
-            for link in metrics.ee:
-                if link[0] == 1:
-                    metrics.ee[link] = math.inf
+            metrics.cell_ee[1] = math.inf
             return metrics
 
         monkeypatch.setattr(harness, "compute_link_metrics", one_cell_overflows)

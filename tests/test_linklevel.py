@@ -113,22 +113,19 @@ class TestMetrics:
         levels = ctx.config.power_levels
         m = compute_link_metrics(ctx, {link: levels[int(rng.integers(len(levels)))]
                                        for link in ctx.topology.links()})
-        # one cell past the last holds no link, so its total is 0.0
-        n_cells = ctx.config.n_cells + 1
         expected = []
-        for cell in range(n_cells):
+        for cell in range(ctx.config.n_cells):
             total = 0.0
             for (c, _), v in m.ee.items():
                 if c == cell:
                     total += v
             expected.append(total)
-        assert m.cell_totals(n_cells) == expected
-        assert m.cell_totals(n_cells)[-1] == 0.0
+        assert m.cell_ee == expected
 
     def test_cell_decomposition_matches_network_total(self):
         ctx = make_context(13)
         m = compute_link_metrics(ctx, uniform_profile(ctx, 0.01))
-        total = sum(m.cell_totals(ctx.config.n_cells))
+        total = sum(m.cell_ee)
         assert total == pytest.approx(m.network_ee, rel=1e-12)
 
     def test_profile_validation(self):

@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from twotier_ee.baselines import brute_force_group, ngt_best_response
 from twotier_ee.config import ConfigError, DEFAULT_POWER_LEVELS, NetworkConfig, load_config
-from twotier_ee.egt import new_games, run_algorithm1
+from twotier_ee.egt import run_algorithm1
 from twotier_ee.harness import ExperimentSpec, emit_results, parse_results, run_drops
 from twotier_ee.linklevel import (build_combiners, compute_link_metrics, mrc_combiner,
                                   ordered_sum, sample_link_context)
@@ -70,8 +70,7 @@ def test_converged_ngt_profile_is_a_nash_equilibrium(config, seed):
 def test_group_oracle_dominates_egt_on_every_subcarrier(config, seed):
     ctx = drop(config, seed)
     rng = np.random.default_rng(seed)
-    group_ee = compute_link_metrics(ctx, run_algorithm1(new_games(ctx, rng), ctx, rng).profile) \
-        .group_ee
+    group_ee = compute_link_metrics(ctx, run_algorithm1(ctx, rng).profile).group_ee
     for sc in ctx.topology.occupied_subcarriers():
         # the oracle enumerates EGT's choice on sc and sums it in the same order
         assert group_ee[sc] <= brute_force_group(sc, ctx).objective
@@ -86,7 +85,7 @@ def test_network_ee_is_the_ordered_sum_of_group_ee(config, seed):
     profile = {link: levels[int(rng.integers(len(levels)))] for link in ctx.topology.links()}
     metrics = compute_link_metrics(ctx, profile)
     assert metrics.network_ee == ordered_sum(metrics.group_ee.values())
-    assert math.isclose(sum(metrics.cell_totals(config.n_cells)), metrics.network_ee,
+    assert math.isclose(sum(metrics.cell_ee), metrics.network_ee,
                         rel_tol=1e-12)
 
 
@@ -98,11 +97,11 @@ def test_algorithm_profiles_give_finite_nonnegative_metrics(config, seed):
     oracle = {}
     for sc in ctx.topology.occupied_subcarriers():
         oracle.update(brute_force_group(sc, ctx).profile)
-    for profile in (run_algorithm1(new_games(ctx, rng), ctx, rng).profile,
+    for profile in (run_algorithm1(ctx, rng).profile,
                     ngt_best_response(ctx, rng).profile, oracle):
         metrics = compute_link_metrics(ctx, profile)
         for value in [*metrics.ee.values(), *metrics.group_ee.values(),
-                      *metrics.cell_totals(config.n_cells), metrics.network_ee]:
+                      *metrics.cell_ee, metrics.network_ee]:
             assert 0.0 <= value < math.inf
 
 
@@ -112,7 +111,7 @@ def test_egt_converges_within_level_count(config, seed):
     ctx = drop(config, seed)
     rng = np.random.default_rng(seed)
     n_levels = config.n_power_levels
-    result = run_algorithm1(new_games(ctx, rng), ctx, rng)
+    result = run_algorithm1(ctx, rng)
     assert result.converged
     assert result.iterations <= n_levels
     assert all(len(trace) <= n_levels for trace in result.traces.values())

@@ -21,7 +21,7 @@ def constant_payoffs(pi):
 class TestRhs:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            replicator_rhs([0.5, 0.5], [1.0, 2.0, 3.0], 2.0)
+            replicator_rhs([0.5, 0.5], [1.0, 2.0, 3.0])
 
 
 class TestIntegration:
